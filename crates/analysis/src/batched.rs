@@ -46,17 +46,15 @@
 //! * `sweep census --replicas R` — the convergence census
 //!   ([`census_conv_cells`]): `R` cells per `(n, f)` differing only in
 //!   seed, so `--batch` collapses them into width-`R` runs.
-//! * `sweep experiments` — E-series cells pin the **exact** tier
-//!   (bit-exact single runs, per DESIGN.md §4); the tiering policy is
-//!   that no path silently switches a cell's tier, so `--batch` is
-//!   accepted and verified inert ([`run_experiment_sweep_batched`]).
-//! * `sweep monte-carlo` — every trial samples a *fresh* random digraph,
-//!   so no two sim runs share a topology and there is nothing to group;
-//!   its `replicas > 0` mode already batches *within* each trial.
 //!
-//! The `--store` memo path routes through the same batch-aware entry
-//! point with the cell key schema unchanged (keys are coordinate labels,
-//! which never mention batch width), so warm hits stay byte-identical.
+//! Two sweep grids have nothing to group, so they take no `--batch`:
+//!
+//! * `sweep experiments` — E-series cells pin the **exact** tier
+//!   (bit-exact single runs, per DESIGN.md §4), and no path silently
+//!   switches a cell's tier;
+//! * `sweep monte-carlo` — every trial samples a *fresh* random digraph,
+//!   so no two sim runs share a topology; its `replicas > 0` mode already
+//!   batches *within* each trial.
 
 use iabc_core::fastmath::FastRule;
 use iabc_graph::{generators, Digraph, NodeSet};
@@ -66,7 +64,7 @@ use iabc_sim::RunConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::sweep::{run_cells, run_cells_memo, CellCoords, CellMemo, SweepCell, SweepOutcome};
+use crate::sweep::{run_cells, CellCoords, SweepCell, SweepOutcome};
 use crate::table::Table;
 
 /// A topology family a sweep cell can name without holding a graph —
@@ -402,51 +400,6 @@ pub fn run_census_conv_sweep(
     table
 }
 
-/// `sweep experiments` through the batch-aware entry point. The E-series
-/// cells pin the **exact** simulation tier, and the workspace tiering
-/// policy forbids silently switching a cell's tier, so grouping is inert
-/// here by design: `batch` is accepted, documented, and verified to
-/// leave the table byte-identical (see `tests`). It exists so the CLI
-/// routes every sweep subcommand through one batching policy.
-pub fn run_experiment_sweep_batched(
-    ids: &[String],
-    jobs: usize,
-    _batch: bool,
-) -> (
-    Table,
-    Vec<SweepOutcome<crate::experiments::ExperimentResult>>,
-) {
-    crate::sweep::run_experiment_sweep(ids, jobs)
-}
-
-/// [`run_experiment_sweep_batched`] with the serving tier's memo in
-/// front. The memo key schema is the cell coordinate label, which never
-/// mentions batch width, so warm hits stay byte-identical whether the
-/// misses were computed batched or dispatched.
-pub fn run_experiment_sweep_batched_memo(
-    ids: &[String],
-    jobs: usize,
-    _batch: bool,
-    memo: &mut dyn CellMemo<crate::experiments::ExperimentResult>,
-) -> (
-    Table,
-    Vec<SweepOutcome<crate::experiments::ExperimentResult>>,
-    usize,
-    usize,
-) {
-    let (outcomes, hits, misses) = run_cells_memo(crate::sweep::experiment_cells(ids), jobs, memo);
-    let mut table = Table::new(["id", "title", "rows", "pass"]);
-    for outcome in &outcomes {
-        table.row([
-            outcome.value.id.to_string(),
-            outcome.value.title.to_string(),
-            outcome.value.table.len().to_string(),
-            outcome.value.pass.to_string(),
-        ]);
-    }
-    (table, outcomes, hits, misses)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,13 +538,5 @@ mod tests {
             assert_ne!(v.group_label(), base.group_label(), "{v:?}");
         }
         assert_eq!(base.group_label(), base.clone().group_label());
-    }
-
-    #[test]
-    fn experiment_sweep_batched_is_inert_and_identical() {
-        let ids = vec!["E3".to_string()];
-        let (plain, _) = crate::sweep::run_experiment_sweep(&ids, 1);
-        let (batched, _) = run_experiment_sweep_batched(&ids, 1, true);
-        assert_eq!(plain.to_string(), batched.to_string());
     }
 }

@@ -148,7 +148,7 @@ mod tests {
     use iabc_core::rules::TrimmedMean;
     use iabc_graph::generators;
     use iabc_sim::adversary::PullAdversary;
-    use iabc_sim::{SimConfig, Simulation};
+    use iabc_sim::{RunConfig, Simulation};
 
     #[test]
     fn half_range_split_partitions_honest_nodes() {
@@ -201,7 +201,7 @@ mod tests {
             Box::new(PullAdversary::new(true)),
         )
         .unwrap();
-        let out = sim.run(&SimConfig::default()).unwrap();
+        let out = sim.run(&RunConfig::default()).unwrap();
         let states: Vec<Vec<f64>> = out
             .trace
             .records()

@@ -12,7 +12,7 @@
 use iabc_core::rules::{Mean, TrimmedMean, TrimmedMidpoint, UpdateRule, WeightedTrimmedMean};
 use iabc_graph::{generators, NodeSet};
 use iabc_sim::adversary::{Adversary, ConstantAdversary, PullAdversary};
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 
 use crate::table::Table;
 
@@ -38,7 +38,7 @@ fn run_rule(rule: &dyn UpdateRule, adversary: Box<dyn Adversary>) -> RunStats {
         .synchronous()
         .expect("valid sim");
     let out = sim
-        .run(&SimConfig {
+        .run(&RunConfig {
             record_states: false,
             epsilon: 1e-6,
             max_rounds: 500,

@@ -20,7 +20,7 @@ use iabc_core::rules::{TrimmedMean, UpdateRule};
 use iabc_core::{robustness, theorem1};
 use iabc_graph::{generators, Digraph, NodeSet};
 use iabc_sim::adversary::{Adversary, ExtremesAdversary, PolarizingAdversary};
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 
 use crate::table::Table;
 
@@ -89,7 +89,7 @@ pub fn x5_baselines() -> ExperimentResult {
             inputs: &inputs,
             fault_set: NodeSet::from_indices(n, w.faults.iter().copied()),
             adversary_factory: &|| (w.adversary)(),
-            config: SimConfig {
+            config: RunConfig {
                 record_states: false,
                 epsilon: 1e-6,
                 max_rounds: 20_000,

@@ -10,7 +10,7 @@ use iabc_core::rules::TrimmedMean;
 use iabc_core::theorem1;
 use iabc_graph::{generators, Digraph, NodeSet};
 use iabc_sim::adversary::{Adversary, ConformingAdversary, PullAdversary};
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 
 use crate::table::Table;
 
@@ -37,7 +37,7 @@ fn measure(
         .synchronous()
         .ok()?;
     let out = sim
-        .run(&SimConfig {
+        .run(&RunConfig {
             record_states: false,
             epsilon: EPSILON,
             max_rounds: MAX_ROUNDS,

@@ -19,7 +19,7 @@ use iabc_sim::adversary::{
     BroadcastOf, ConstantAdversary, CrashAdversary, PullAdversary, SelectiveOmissionAdversary,
     SplitBrainAdversary,
 };
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 
 use crate::matrix_repr::round_matrix;
 use crate::table::Table;
@@ -86,7 +86,7 @@ pub fn x1_local_fault_model() -> ExperimentResult {
                 .adversary(Box::new(ConstantAdversary::new(1e9)))
                 .synchronous()
                 .expect("valid sim")
-                .run(&SimConfig::default())
+                .run(&RunConfig::default())
                 .expect("run succeeds");
             pass &= admissible && out.converged && out.validity.is_valid();
             row_note = format!(
@@ -304,7 +304,7 @@ pub fn x3_model_comparison() -> ExperimentResult {
             .adversary(Box::new(CrashAdversary::new(2)))
             .synchronous()
             .expect("valid sim")
-            .run(&SimConfig::default())
+            .run(&RunConfig::default())
             .expect("run");
         pass &= out.converged && out.validity.is_valid();
         table.row([
@@ -330,7 +330,7 @@ pub fn x3_model_comparison() -> ExperimentResult {
             )))
             .synchronous()
             .expect("valid sim")
-            .run(&SimConfig::default())
+            .run(&RunConfig::default())
             .expect("run");
         pass &= out.converged && out.validity.is_valid();
         table.row([

@@ -21,10 +21,10 @@ use iabc_core::theorem1;
 use iabc_graph::{generators, NodeId, NodeSet};
 use iabc_sim::adversary::{ExtremesAdversary, SplitBrainAdversary};
 use iabc_sim::dynamic::{
-    sample_edge_drops, RoundRobinSchedule, StaticSchedule, SwitchOnceSchedule, TopologySchedule,
+    sample_edge_drops, RoundRobinSchedule, SwitchOnceSchedule, TopologySchedule,
 };
 use iabc_sim::vector::{CornerPullAdversary, VectorSimConfig};
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 
 use crate::table::Table;
 
@@ -176,7 +176,7 @@ pub fn x10_fault_models() -> ExperimentResult {
             .adversary(Box::new(adv))
             .model_aware(&aware)
             .expect("valid sim");
-        let out = sim.run(&SimConfig::default()).expect("run");
+        let out = sim.run(&RunConfig::default()).expect("run");
         pass &= out.converged && out.validity.is_valid();
         table.row([
             "chord(7,5)".to_string(),
@@ -229,7 +229,6 @@ pub fn x11_dynamic_topology() -> ExperimentResult {
     {
         let bad = generators::chord(7, 5);
         let w = theorem1::find_violation(&bad, f).expect("violated");
-        let schedule = StaticSchedule::new(bad);
         let mut planted = vec![0.5; 7];
         for v in w.left.iter() {
             planted[v.index()] = 0.0;
@@ -238,17 +237,17 @@ pub fn x11_dynamic_topology() -> ExperimentResult {
             planted[v.index()] = 1.0;
         }
         let adv = SplitBrainAdversary::from_witness(&w, 0.0, 1.0, 0.5);
-        let mut sim = Scenario::on(schedule.graph_at(1))
+        let mut sim = Scenario::on(&bad)
             .inputs(&planted)
             .faults(w.fault_set.clone())
             .rule(&rule)
             .adversary(Box::new(adv))
-            .dynamic(&schedule)
+            .dynamic(&bad)
             .expect("valid sim");
         let out = sim
-            .run(&SimConfig {
+            .run(&RunConfig {
                 max_rounds: 120,
-                ..SimConfig::default()
+                ..RunConfig::default()
             })
             .expect("run");
         pass &= !out.converged && out.validity.is_valid();
@@ -276,7 +275,7 @@ pub fn x11_dynamic_topology() -> ExperimentResult {
             .adversary(Box::new(ExtremesAdversary::new(1e6)))
             .dynamic(&schedule)
             .expect("valid sim");
-        let out = sim.run(&SimConfig::default()).expect("run");
+        let out = sim.run(&RunConfig::default()).expect("run");
         pass &= out.converged && out.validity.is_valid();
         table.row([
             "K7 ⇄ core(7,2), dwell 1".to_string(),
@@ -300,7 +299,7 @@ pub fn x11_dynamic_topology() -> ExperimentResult {
             .adversary(Box::new(ExtremesAdversary::new(1e4)))
             .dynamic(&schedule)
             .expect("valid sim");
-        let out = sim.run(&SimConfig::default()).expect("run");
+        let out = sim.run(&RunConfig::default()).expect("run");
         pass &= out.converged && out.validity.is_valid();
         table.row([
             "chord(7,5) ⇄ K7, dwell 4".to_string(),
@@ -336,7 +335,7 @@ pub fn x11_dynamic_topology() -> ExperimentResult {
             sim.step().expect("step");
         }
         let frozen_before = sim.honest_range() >= 1.0;
-        let out = sim.run(&SimConfig::default()).expect("run");
+        let out = sim.run(&RunConfig::default()).expect("run");
         pass &= frozen_before && out.converged && out.validity.is_valid();
         table.row([
             "chord(7,5) → K7 at round 40".to_string(),
@@ -365,7 +364,7 @@ pub fn x11_dynamic_topology() -> ExperimentResult {
             .adversary(Box::new(ExtremesAdversary::new(1e5)))
             .dynamic(&schedule)
             .expect("valid sim");
-        let out = sim.run(&SimConfig::default()).expect("run");
+        let out = sim.run(&RunConfig::default()).expect("run");
         pass &= floor_ok && out.converged && out.validity.is_valid();
         table.row([
             "K8 with 30% edge fade, floor 2f".to_string(),
@@ -423,7 +422,7 @@ pub fn x12_quantized() -> ExperimentResult {
                 .synchronous()
                 .expect("valid sim");
             let out = sim
-                .run(&SimConfig {
+                .run(&RunConfig {
                     epsilon: quantum,
                     max_rounds: 2_000,
                     record_states: true,

@@ -12,7 +12,7 @@ use iabc_core::alpha::algorithm1_alpha;
 use iabc_core::rules::TrimmedMean;
 use iabc_graph::{generators, Digraph, NodeSet};
 use iabc_sim::adversary::PullAdversary;
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 
 use crate::contraction::compare_phases;
 use crate::convergence::fit_geometric_rate;
@@ -34,7 +34,7 @@ fn rate_case(name: &str, g: &Digraph, f: usize, fault_set: NodeSet) -> (Vec<Stri
         .synchronous()
         .expect("valid sim");
     let out = sim
-        .run(&SimConfig {
+        .run(&RunConfig {
             record_states: true,
             epsilon: 1e-9,
             max_rounds: 2_000,

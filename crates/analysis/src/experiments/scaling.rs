@@ -12,7 +12,7 @@ use iabc_core::rules::TrimmedMean;
 use iabc_core::{alpha, theorem1};
 use iabc_graph::{generators, Digraph, NodeSet};
 use iabc_sim::adversary::PolarizingAdversary;
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,7 +68,7 @@ pub fn x6_scaling() -> ExperimentResult {
         let inputs: Vec<f64> = (0..n).map(|i| 100.0 * i as f64 / (n - 1) as f64).collect();
         let faults = NodeSet::from_indices(n, [n - 1]);
         let rule = TrimmedMean::new(f);
-        let config = SimConfig {
+        let config = RunConfig {
             record_states: false,
             epsilon: 1e-6,
             max_rounds: 50_000,
@@ -140,7 +140,7 @@ pub fn x6_scaling() -> ExperimentResult {
             .adversary(Box::new(PolarizingAdversary::new()))
             .synchronous()
             .and_then(|mut sim| {
-                sim.run(&SimConfig {
+                sim.run(&RunConfig {
                     record_states: false,
                     epsilon: 1e-6,
                     max_rounds: 10_000,

@@ -15,7 +15,7 @@ use iabc_core::rules::TrimmedMean;
 use iabc_core::theorem1;
 use iabc_graph::{generators, Digraph, NodeSet};
 use iabc_sim::adversary::standard_roster;
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 
 use crate::table::Table;
 
@@ -41,7 +41,7 @@ pub fn x9_adversary_tournament() -> ExperimentResult {
         let n = g.node_count();
         let inputs: Vec<f64> = (0..n).map(|i| i as f64 * 7.0).collect();
         let rule = TrimmedMean::new(f);
-        let config = SimConfig {
+        let config = RunConfig {
             record_states: false,
             epsilon: 1e-6,
             max_rounds: 50_000,

@@ -8,7 +8,7 @@
 use iabc_core::rules::TrimmedMean;
 use iabc_graph::{generators, Digraph, NodeSet};
 use iabc_sim::adversary::standard_roster;
-use iabc_sim::SimConfig;
+use iabc_sim::RunConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,7 +38,7 @@ fn sweep_family(name: &str, g: &Digraph, f: usize, fault_set: &NodeSet) -> (Vec<
                 .adversary(adversary)
                 .synchronous()
                 .expect("valid simulation inputs");
-            let config = SimConfig {
+            let config = RunConfig {
                 record_states: false,
                 epsilon: 1e-9,
                 max_rounds: MAX_ROUNDS,

@@ -9,8 +9,8 @@ use iabc_baselines::{DolevMidpoint, DolevSelectMean, Wmsr};
 use iabc_core::rules::{TrimmedMean, UpdateRule};
 use iabc_graph::{generators, NodeSet};
 use iabc_sim::adversary::PolarizingAdversary;
+use iabc_sim::RunConfig;
 use iabc_sim::Scenario;
-use iabc_sim::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,7 +49,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     let n = g.node_count();
     let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let faults = || NodeSet::from_indices(n, [n - 2, n - 1]);
-    let config = SimConfig {
+    let config = RunConfig {
         record_states: false,
         epsilon: 1e-6,
         max_rounds: 10_000,

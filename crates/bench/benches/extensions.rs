@@ -11,7 +11,7 @@ use iabc_core::quantized::{QuantizedTrimmedMean, Rounding};
 use iabc_core::rules::{TrimmedMean, UpdateRule};
 use iabc_graph::{generators, NodeSet};
 use iabc_sim::adversary::ExtremesAdversary;
-use iabc_sim::dynamic::{RoundRobinSchedule, StaticSchedule, TopologySchedule};
+use iabc_sim::dynamic::{RoundRobinSchedule, TopologySchedule};
 use iabc_sim::vector::{CoordinateWise, VectorSimulation};
 use iabc_sim::Scenario;
 
@@ -67,23 +67,6 @@ fn bench_dynamic_engine(c: &mut Criterion) {
                 .rule(&rule)
                 .adversary(Box::new(ExtremesAdversary::new(1e6)))
                 .synchronous()
-                .expect("sim");
-            for _ in 0..30 {
-                sim.step().expect("step");
-            }
-            black_box(sim.honest_range())
-        })
-    });
-
-    let static_schedule = StaticSchedule::new(g.clone());
-    group.bench_function("dynamic_engine/static_schedule", |b| {
-        b.iter(|| {
-            let mut sim = Scenario::on(static_schedule.graph_at(1))
-                .inputs(&inputs)
-                .faults(faults.clone())
-                .rule(&rule)
-                .adversary(Box::new(ExtremesAdversary::new(1e6)))
-                .dynamic(&static_schedule)
                 .expect("sim");
             for _ in 0..30 {
                 sim.step().expect("step");

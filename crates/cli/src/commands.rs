@@ -972,12 +972,11 @@ pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
                     .map_err(|e| CliError::Io(format!("store {dir}: {e}")))?;
                     let mut memo = iabc_serve::StoreMemo::new(&store, jobs);
                     let (summary, outcomes, hits, misses) =
-                        batched::run_experiment_sweep_batched_memo(&ids, jobs, batch, &mut memo);
+                        sweep::run_experiment_sweep_memo(&ids, jobs, &mut memo);
                     (summary, outcomes, Some((hits, misses, store.evictions())))
                 }
                 None => {
-                    let (summary, outcomes) =
-                        batched::run_experiment_sweep_batched(&ids, jobs, batch);
+                    let (summary, outcomes) = sweep::run_experiment_sweep(&ids, jobs);
                     (summary, outcomes, None)
                 }
             };
@@ -1383,6 +1382,16 @@ pub fn query_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
+/// A fresh scratch store directory for one perf datapoint. The name
+/// carries the process id and a per-call counter, so two perf runs in one
+/// process (e.g. parallel unit tests) never share or delete each other's
+/// store.
+fn perf_store_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("iabc-perf-{tag}-{}-{call}", std::process::id()))
+}
+
 /// `iabc perf [--quick] [--steps S] [--jobs N] [--out FILE]` — measures
 /// the compiled synchronous engine's step throughput (rounds/sec) against
 /// the retained pre-refactor reference stepper on the
@@ -1756,7 +1765,7 @@ pub fn perf_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let cache_batch = 6usize;
     let cache_graph = generators::complete(cache_n);
     let cache_edges = iabc_graph::parse::to_edge_list(&cache_graph);
-    let cache_dir = std::env::temp_dir().join(format!("iabc-perf-serve-{}", std::process::id()));
+    let cache_dir = perf_store_dir("serve");
     let _ = std::fs::remove_dir_all(&cache_dir);
     let cache_store = iabc_serve::Store::open(&cache_dir)
         .map_err(|e| CliError::Io(format!("{}: {e}", cache_dir.display())))?;
@@ -1866,10 +1875,7 @@ pub fn perf_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let run_tier = |max_conn: usize,
                     compact: bool|
      -> Result<(f64, Option<iabc_serve::CompactionStats>), CliError> {
-        let dir = std::env::temp_dir().join(format!(
-            "iabc-perf-serve-conc{max_conn}-{}",
-            std::process::id()
-        ));
+        let dir = perf_store_dir(&format!("serve-conc{max_conn}"));
         let _ = std::fs::remove_dir_all(&dir);
         let config = iabc_serve::ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -2562,6 +2568,10 @@ fn parse_bench_json(text: &str) -> BenchBaseline {
 mod tests {
     use super::*;
     use crate::run;
+
+    /// Serializes the tests that run `perf`, so neither one times the
+    /// other's load.
+    static PERF_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -3309,6 +3319,7 @@ mod tests {
 
     #[test]
     fn perf_writes_well_formed_hotpath_json() {
+        let _serial = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let out_path = std::env::temp_dir().join("iabc-cli-test-BENCH_hotpath.json");
         let out_path = out_path.to_string_lossy().into_owned();
         // --steps 1 keeps the smoke test fast; the quick grid still covers
@@ -3324,9 +3335,9 @@ mod tests {
         assert!(json.contains("\"mode\": \"quick\""), "{json}");
         assert!(json.contains("\"compiled_steps_per_sec\""), "{json}");
         // 6 grid entries + parallel, pool, deploy, deploy_scale,
-        // serve_cache, fastmath, fastmath_scalar, replica_batch, and
-        // batched_sweep datapoints.
-        assert_eq!(json.matches("\"topology\"").count(), 15, "{json}");
+        // serve_cache, serve_concurrent, serve_compaction, fastmath,
+        // fastmath_scalar, replica_batch, and batched_sweep datapoints.
+        assert_eq!(json.matches("\"topology\"").count(), 17, "{json}");
         assert!(json.contains("\"parallel\""), "{json}");
         assert!(json.contains("\"serial_steps_per_sec\""), "{json}");
         assert!(json.contains("\"pool\""), "{json}");
@@ -3339,6 +3350,10 @@ mod tests {
         assert!(json.contains("\"serve_cache\""), "{json}");
         assert!(json.contains("\"cold_jobs_per_sec\""), "{json}");
         assert!(json.contains("\"warm_hits_per_sec\""), "{json}");
+        assert!(json.contains("\"serve_concurrent\""), "{json}");
+        assert!(json.contains("\"concurrent_hits_per_sec\""), "{json}");
+        assert!(json.contains("\"serve_compaction\""), "{json}");
+        assert!(json.contains("\"compaction_ratio\""), "{json}");
         assert!(json.contains("\"fastmath\""), "{json}");
         assert!(json.contains("\"fast_updates_per_sec\""), "{json}");
         assert!(json.contains("\"replica_batch\""), "{json}");
@@ -3497,6 +3512,7 @@ mod tests {
 
     #[test]
     fn perf_check_passes_against_own_baseline_and_catches_regressions() {
+        let _serial = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let base = std::env::temp_dir().join("iabc-cli-test-perf-baseline.json");
         let base = base.to_string_lossy().into_owned();
         let out = std::env::temp_dir().join("iabc-cli-test-perf-fresh.json");

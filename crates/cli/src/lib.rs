@@ -114,7 +114,7 @@ pub fn usage() -> String {
        dot <file> [--f N]             Graphviz DOT (witness colour-coded if violated)\n\
        repair <file> --f N            add edges until Theorem 1 holds (witness-driven)\n\
        sweep experiments [--ids E1,E2,..] [--parallel] [--jobs N] [--store DIR\n\
-              [--max-store-bytes B]] [--addr HOST:PORT] [--batch]\n\
+              [--max-store-bytes B]] [--addr HOST:PORT]\n\
                                       fan the experiment harness across cores\n\
                                       (0 = all); ids E1..E12 (paper) and X1..X13\n\
                                       (extensions); no --ids runs E1..E12;\n\
@@ -124,16 +124,13 @@ pub fn usage() -> String {
                                       evictions (--max-store-bytes caps it, LRU);\n\
                                       --addr submits the whole sweep to a running\n\
                                       daemon instead (repeated runs collapse to\n\
-                                      one compute + cache reads);\n\
-                                      --batch is accepted on every sweep grid but\n\
-                                      inert here (E-cells pin the exact tier)\n\
+                                      one compute + cache reads)\n\
        sweep monte-carlo [--n 6,8 --f 1,2 --p 0.5 --trials 100] [--replicas R]\n\
-              [--parallel] [--jobs N] [--batch]\n\
+              [--parallel] [--jobs N]\n\
                                       random-digraph tolerance sweep, one cell per\n\
                                       (n,f); --replicas R also runs R FastMath\n\
                                       replicas per eligible graph in one batched\n\
-                                      pass, tallying convergence (--batch inert:\n\
-                                      each trial samples a fresh graph)\n\
+                                      pass, tallying convergence\n\
        sweep census [--max-n 4 --f 0,1] [--replicas R] [--parallel] [--jobs N]\n\
               [--batch]               exhaustive small-n census, one cell per (n,f);\n\
                                       --replicas R appends a convergence census\n\

@@ -368,9 +368,10 @@ impl JobSpec {
                         bound: json
                             .get("delay_bound")
                             .and_then(Json::as_usize)
+                            .filter(|&bound| bound >= 1)
                             .ok_or_else(|| {
                                 ServeError::Protocol(
-                                    "delay-bounded engine needs \"delay_bound\"".into(),
+                                    "delay-bounded engine needs \"delay_bound\" >= 1".into(),
                                 )
                             })?,
                         scheduler: json
@@ -742,6 +743,24 @@ mod tests {
             );
             keys.push(key);
         }
+    }
+
+    #[test]
+    fn delay_bound_zero_is_rejected_at_the_wire() {
+        let wire = |bound: usize| {
+            let spec = JobSpec::Scenario(ScenarioSpec {
+                engine: delay_bounded("max", bound, 0),
+                ..sample_scenario()
+            });
+            JobSpec::from_json(&crate::json::parse(&spec.to_json().render()).unwrap())
+        };
+        // B = 0 has no meaning (delays are < B) and would abort execute().
+        let err = wire(0).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Protocol(msg) if msg.contains("delay_bound")),
+            "{err:?}"
+        );
+        assert!(wire(1).is_ok());
     }
 
     #[test]

@@ -44,17 +44,6 @@
 //! ([`RandomAdversary`]), inner-adversary wrappers ([`BroadcastOf`]) —
 //! keep the default `None` and always plan serially.
 //!
-//! # The per-edge shim
-//!
-//! [`Adversary::message`]/[`Adversary::omits`] survive only as a
-//! **default-implemented shim** for unmigrated (e.g. downstream)
-//! adversaries: the provided `plan_round` loops over the slots calling
-//! them one edge at a time, exactly as the pre-two-phase engines did.
-//! Implement **either** `plan_round` (preferred — enables per-round
-//! memoization) **or** `message` (+ optionally `omits`); the default
-//! `message` body panics so a type implementing neither fails loudly.
-//! Every adversary in this crate implements `plan_round` natively.
-//!
 //! The star exhibit is [`SplitBrainAdversary`], the adversary from the
 //! **proof of Theorem 1**: it sends `m⁻ < m` to `L`, `M⁺ > M` to `R`, and
 //! a mid-range value to `C`, freezing a violating partition forever.
@@ -183,29 +172,9 @@ pub trait Adversary: fmt::Debug + Send {
     /// draws must follow that order to stay reproducible); fill `plan`
     /// with one entry per slot. `plan` arrives reset to all-`Omit` and
     /// may be larger than `slots` (engines with sparse slot spaces only
-    /// read the slots they named).
-    ///
-    /// The default implementation is the compatibility shim: it queries
-    /// the per-edge [`Adversary::omits`]/[`Adversary::message`] pair one
-    /// slot at a time — exactly the pre-two-phase engine protocol,
-    /// skipping `omits` when the engine does not honour omission.
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
-        for edge in slots.iter() {
-            if slots.allows_omission() && self.omits(view, edge.sender_id(), edge.receiver_id()) {
-                plan.set_omit(edge.slot);
-            } else {
-                plan.set_value(
-                    edge.slot,
-                    self.message(view, edge.sender_id(), edge.receiver_id()),
-                );
-            }
-        }
-    }
+    /// read the slots they named). Plan an omission only when
+    /// [`RoundSlots::allows_omission`] says the engine honours it.
+    fn plan_round(&mut self, view: &AdversaryView<'_>, slots: RoundSlots<'_>, plan: &mut RoundPlan);
 
     /// Phase 1, parallel tier: adversaries whose per-slot fill is a pure
     /// function of once-per-round precomputed values may override this to
@@ -223,32 +192,6 @@ pub trait Adversary: fmt::Debug + Send {
     ) -> Option<SyncFill<'_>> {
         let _ = (view, slots);
         None
-    }
-
-    /// Per-edge shim: the value faulty `sender` puts on its edge to
-    /// `receiver`. Only called by the default [`Adversary::plan_round`];
-    /// implement it (instead of `plan_round`) to port a pre-two-phase
-    /// adversary unchanged.
-    ///
-    /// # Panics
-    ///
-    /// The default body panics: an adversary must implement at least one
-    /// of `plan_round` or `message`.
-    fn message(&mut self, view: &AdversaryView<'_>, sender: NodeId, receiver: NodeId) -> f64 {
-        let _ = (view, sender, receiver);
-        unimplemented!(
-            "adversary {:?} implements neither plan_round nor the per-edge message shim",
-            self.name()
-        )
-    }
-
-    /// Per-edge shim: whether faulty `sender` *omits* its message to
-    /// `receiver` this round. Only consulted by the default
-    /// [`Adversary::plan_round`], and only when the engine honours
-    /// omission; defaults to never omitting.
-    fn omits(&mut self, view: &AdversaryView<'_>, sender: NodeId, receiver: NodeId) -> bool {
-        let _ = (view, sender, receiver);
-        false
     }
 
     /// Phase 1, replica-batched tier: families whose entire round plan is
@@ -815,8 +758,8 @@ impl<A: Adversary> Adversary for BroadcastOf<A> {
             }
         }
         // The inner adversary plans once per sender. Omission is disabled
-        // for the sub-plan: the pre-two-phase wrapper never forwarded
-        // `omits`, always querying the inner `message`.
+        // for the sub-plan, so every edge carries its sender's planned
+        // value.
         self.sub_plan.begin(self.firsts.len());
         self.inner.plan_round(
             view,
@@ -1305,46 +1248,5 @@ mod tests {
                 assert!(names.contains(&expected), "roster missing {expected}");
             }
         }
-    }
-
-    /// An unmigrated downstream-style adversary: implements only the
-    /// per-edge shim and must still work through the default `plan_round`.
-    #[test]
-    fn per_edge_shim_still_plans() {
-        #[derive(Debug)]
-        struct Legacy;
-        impl Adversary for Legacy {
-            fn message(&mut self, _: &AdversaryView<'_>, s: NodeId, r: NodeId) -> f64 {
-                (s.index() * 10 + r.index()) as f64
-            }
-            fn omits(&mut self, _: &AdversaryView<'_>, _: NodeId, r: NodeId) -> bool {
-                r.index() == 1
-            }
-        }
-        let g = generators::complete(4);
-        let states = [0.0; 4];
-        let faults = NodeSet::from_indices(4, [3]);
-        let view = view_fixture(&g, &states, &faults);
-        let mut adv = Legacy;
-        assert_eq!(ask(&mut adv, &view, 3, 0), Some(30.0));
-        assert_eq!(ask(&mut adv, &view, 3, 1), None, "shim honours omits");
-        // Engines without omission skip the omits query entirely.
-        assert_eq!(
-            plan_one(&mut adv, &view, NodeId::new(3), NodeId::new(1), false),
-            Some(31.0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "neither plan_round nor")]
-    fn implementing_neither_hook_fails_loudly() {
-        #[derive(Debug)]
-        struct Hollow;
-        impl Adversary for Hollow {}
-        let g = generators::complete(2);
-        let states = [0.0; 2];
-        let faults = NodeSet::from_indices(2, [0]);
-        let view = view_fixture(&g, &states, &faults);
-        let _ = ask(&mut Hollow, &view, 0, 1);
     }
 }

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use crate::adversary::{Adversary, AdversaryView};
 use crate::error::SimError;
 use crate::plan::{fill_plan, PlannedEdge, PlannedMessage, RoundPlan};
-use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
+use crate::run::{check_inputs, honest_range_of, Engine, Outcome, RunConfig, StepStatus};
 
 /// Chooses per-message delays for the partially asynchronous model.
 pub trait Scheduler: std::fmt::Debug + Send {
@@ -197,24 +197,7 @@ impl<'a> DelayBoundedSim<'a> {
         delay_bound: usize,
     ) -> Result<Self, SimError> {
         let n = graph.node_count();
-        if inputs.len() != n {
-            return Err(SimError::InputLengthMismatch {
-                inputs: inputs.len(),
-                nodes: n,
-            });
-        }
-        if fault_set.universe() != n {
-            return Err(SimError::FaultSetMismatch {
-                universe: fault_set.universe(),
-                nodes: n,
-            });
-        }
-        if fault_set.len() == n {
-            return Err(SimError::NoFaultFreeNodes);
-        }
-        if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            return Err(SimError::NonFiniteInput { node, value });
-        }
+        check_inputs(n, inputs, &fault_set)?;
         assert!(delay_bound >= 1, "delay bound B must be >= 1");
         let compiled = CompiledTopology::compile(graph, &fault_set);
         // Mailboxes start holding the senders' initial states, flattened to
@@ -554,24 +537,7 @@ impl<'a> WithholdingSim<'a> {
         adversary: Box<dyn Adversary>,
     ) -> Result<Self, SimError> {
         let n = graph.node_count();
-        if inputs.len() != n {
-            return Err(SimError::InputLengthMismatch {
-                inputs: inputs.len(),
-                nodes: n,
-            });
-        }
-        if fault_set.universe() != n {
-            return Err(SimError::FaultSetMismatch {
-                universe: fault_set.universe(),
-                nodes: n,
-            });
-        }
-        if fault_set.len() == n {
-            return Err(SimError::NoFaultFreeNodes);
-        }
-        if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            return Err(SimError::NonFiniteInput { node, value });
-        }
+        check_inputs(n, inputs, &fault_set)?;
         let compiled = CompiledTopology::compile(graph, &fault_set);
         // Enumerate the faulty edges that deliver each round, in the
         // update loop's query order (receiver-major, senders ascending,

@@ -29,25 +29,16 @@
 
 use std::fmt;
 
-use iabc_core::rules::UpdateRule;
-use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
+use iabc_graph::{Digraph, NodeId, NodeSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adversary::{Adversary, AdversaryView};
-// Phase 2 of the dynamic engine is the SAME pure per-node function as the
-// static engine's, applied to whichever topology this round compiled —
-// one copy, so the engine-equivalence goldens can never diverge between
-// the two.
-use crate::engine::step_node;
 use crate::error::SimError;
-use crate::plan::{dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, RoundPlan};
-use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
-use iabc_exec::{Chunking, Executor, ScratchPool};
 
 /// A round-indexed communication topology. Rounds are 1-based, matching
 /// the engine (`graph_at(1)` is the graph used by the first iteration).
-pub trait TopologySchedule: fmt::Debug {
+/// `Sync` so that an engine borrowing a schedule stays `Send`.
+pub trait TopologySchedule: fmt::Debug + Sync {
     /// Number of nodes; constant across rounds.
     fn node_count(&self) -> usize;
 
@@ -60,31 +51,20 @@ pub trait TopologySchedule: fmt::Debug {
     fn distinct_graphs(&self) -> Vec<&Digraph>;
 }
 
-/// The degenerate schedule: one fixed graph every round (the paper's
-/// setting; used to pin the dynamic engine to the static one in tests).
-#[derive(Debug, Clone)]
-pub struct StaticSchedule {
-    graph: Digraph,
-}
-
-impl StaticSchedule {
-    /// Wraps a fixed graph.
-    pub fn new(graph: Digraph) -> Self {
-        StaticSchedule { graph }
-    }
-}
-
-impl TopologySchedule for StaticSchedule {
+/// A fixed graph is the one-graph schedule (the paper's setting): every
+/// round communicates over it, so the synchronous engine runs a plain
+/// `&Digraph` and a time-varying schedule through the same code.
+impl TopologySchedule for Digraph {
     fn node_count(&self) -> usize {
-        self.graph.node_count()
+        Digraph::node_count(self)
     }
 
     fn graph_at(&self, _round: usize) -> &Digraph {
-        &self.graph
+        self
     }
 
     fn distinct_graphs(&self) -> Vec<&Digraph> {
-        vec![&self.graph]
+        vec![self]
     }
 }
 
@@ -309,20 +289,10 @@ pub fn validity_floor(g: &Digraph, f: usize, fault_set: &NodeSet) -> bool {
         .all(|v| g.in_degree(v) >= 2 * f)
 }
 
-/// A synchronous simulation over a time-varying topology. Mirrors
-/// [`crate::Simulation`] exactly, but each round's sends and receives use
-/// the schedule's graph for that round.
-///
-/// The engine keeps one [`CompiledTopology`] and **rebuilds it in place**
-/// (reusing its allocations) only when the schedule hands out a different
-/// graph than the previous round — detected by reference address, which is
-/// stable because [`TopologySchedule::graph_at`] returns references into
-/// the schedule itself. The round's faulty-edge slot list (the two-phase
-/// protocol's plan keys) is re-derived in the same place, so a dwelling
-/// schedule pays zero recompilation inside the dwell window, and the
-/// per-round loop is the same double-buffered, allocation-free gather as
-/// the static engine — including its [`DynamicSimulation::with_jobs`]
-/// parallel node loop with the bit-for-bit determinism contract.
+/// A synchronous simulation over a time-varying topology: the same type
+/// as [`crate::Simulation`], whose kernel reads each round's graph from
+/// the schedule and rebuilds its compiled topology in place only when the
+/// graph changes (see [`crate::SyncEngine`]).
 ///
 /// # Examples
 ///
@@ -351,210 +321,7 @@ pub fn validity_floor(g: &Digraph, f: usize, fault_set: &NodeSet) -> bool {
 /// assert!(out.converged && out.validity.is_valid());
 /// # Ok::<(), iabc_sim::SimError>(())
 /// ```
-#[derive(Debug)]
-pub struct DynamicSimulation<'a> {
-    schedule: &'a dyn TopologySchedule,
-    fault_set: NodeSet,
-    rule: &'a dyn UpdateRule,
-    adversary: Box<dyn Adversary>,
-    states: Vec<f64>,
-    next: Vec<f64>,
-    round: usize,
-    compiled: CompiledTopology,
-    /// Address of the schedule graph `compiled` was built from (stable for
-    /// the schedule's lifetime; used to skip redundant rebuilds).
-    compiled_for: usize,
-    planned_edges: Vec<PlannedEdge>,
-    slot_edges: Vec<PlannedEdge>,
-    plan: RoundPlan,
-    exec: Executor,
-    scratch_pool: ScratchPool<Vec<f64>>,
-}
-
-impl<'a> DynamicSimulation<'a> {
-    /// Sets up a run; validation matches [`crate::Simulation::new`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::Simulation::new`].
-    pub fn new(
-        schedule: &'a dyn TopologySchedule,
-        inputs: &[f64],
-        fault_set: NodeSet,
-        rule: &'a dyn UpdateRule,
-        adversary: Box<dyn Adversary>,
-    ) -> Result<Self, SimError> {
-        let n = schedule.node_count();
-        if inputs.len() != n {
-            return Err(SimError::InputLengthMismatch {
-                inputs: inputs.len(),
-                nodes: n,
-            });
-        }
-        if fault_set.universe() != n {
-            return Err(SimError::FaultSetMismatch {
-                universe: fault_set.universe(),
-                nodes: n,
-            });
-        }
-        if fault_set.len() == n {
-            return Err(SimError::NoFaultFreeNodes);
-        }
-        if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            return Err(SimError::NonFiniteInput { node, value });
-        }
-        let first = schedule.graph_at(1);
-        let compiled = CompiledTopology::compile(first, &fault_set);
-        let mut planned_edges = Vec::with_capacity(compiled.faulty_edge_count());
-        sub_csr_edges(&compiled, &mut planned_edges);
-        let mut slot_edges = Vec::new();
-        dense_slot_table(
-            compiled.faulty_edge_count(),
-            &planned_edges,
-            &mut slot_edges,
-        );
-        Ok(DynamicSimulation {
-            schedule,
-            fault_set,
-            rule,
-            adversary,
-            states: inputs.to_vec(),
-            next: inputs.to_vec(),
-            round: 0,
-            compiled,
-            compiled_for: first as *const Digraph as usize,
-            planned_edges,
-            slot_edges,
-            plan: RoundPlan::new(),
-            exec: Executor::serial(),
-            scratch_pool: ScratchPool::new(),
-        })
-    }
-
-    /// Retains a pool of `jobs` workers (`0` = all available cores) —
-    /// threads spawn once, here — serving every round's node loop and
-    /// `Sync`-tier plan fill; bit-for-bit identical for any value,
-    /// including across in-place topology rebuilds.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.set_jobs(jobs);
-        self
-    }
-
-    /// In-place form of [`DynamicSimulation::with_jobs`].
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.exec = Executor::new(jobs);
-    }
-
-    /// Worker threads used by the node loop.
-    pub fn jobs(&self) -> usize {
-        self.exec.jobs()
-    }
-
-    /// Current iteration count.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Current state vector (only fault-free entries are meaningful).
-    pub fn states(&self) -> &[f64] {
-        &self.states
-    }
-
-    /// The faulty set.
-    pub fn fault_set(&self) -> &NodeSet {
-        &self.fault_set
-    }
-
-    /// Current fault-free range `U − µ`.
-    pub fn honest_range(&self) -> f64 {
-        honest_range_of(&self.states, &self.fault_set)
-    }
-
-    /// Executes one synchronous iteration on this round's graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Rule`] if the update rule fails at some node
-    /// (e.g. this round's graph starves a node below `2f` in-degree).
-    pub fn step(&mut self) -> Result<StepStatus, SimError> {
-        self.round += 1;
-        let graph = self.schedule.graph_at(self.round);
-        let addr = graph as *const Digraph as usize;
-        if addr != self.compiled_for {
-            self.compiled.rebuild(graph);
-            self.compiled_for = addr;
-            sub_csr_edges(&self.compiled, &mut self.planned_edges);
-            dense_slot_table(
-                self.compiled.faulty_edge_count(),
-                &self.planned_edges,
-                &mut self.slot_edges,
-            );
-            // Recycled scratch buffers grow on first use after a rebuild
-            // (the gather `extend`s past the old capacity once), then the
-            // larger buffers are retained — no per-round allocation.
-        }
-        let view = AdversaryView {
-            round: self.round,
-            graph,
-            states: &self.states,
-            fault_set: &self.fault_set,
-        };
-        fill_plan(
-            self.adversary.as_mut(),
-            &view,
-            &self.planned_edges,
-            &self.slot_edges,
-            true,
-            &mut self.plan,
-            &self.exec,
-        );
-        let (compiled, rule, states, plan, round) = (
-            &self.compiled,
-            self.rule,
-            &self.states,
-            &self.plan,
-            self.round,
-        );
-        let pool = &self.scratch_pool;
-        self.exec.run_chunked(
-            &mut self.next,
-            Chunking::Auto(iabc_exec::MIN_CHUNK),
-            || pool.take(|| Vec::with_capacity(compiled.max_in_degree())),
-            |i, out, scratch| step_node(compiled, rule, states, plan, round, i, out, scratch),
-        )?;
-        std::mem::swap(&mut self.states, &mut self.next);
-        Ok(StepStatus::Progressed)
-    }
-
-    /// Runs via the shared [`Engine::run`] driver (convenience wrapper so
-    /// callers need not import the trait).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::Rule`] from [`DynamicSimulation::step`].
-    pub fn run(&mut self, config: &RunConfig) -> Result<Outcome, SimError> {
-        Engine::run(self, config)
-    }
-}
-
-impl Engine for DynamicSimulation<'_> {
-    fn step(&mut self) -> Result<StepStatus, SimError> {
-        DynamicSimulation::step(self)
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn states(&self) -> &[f64] {
-        &self.states
-    }
-
-    fn fault_set(&self) -> &NodeSet {
-        &self.fault_set
-    }
-}
+pub type DynamicSimulation<'a> = crate::Simulation<'a>;
 
 #[cfg(test)]
 mod tests {
@@ -562,13 +329,9 @@ mod tests {
     use crate::adversary::{
         ConformingAdversary, ConstantAdversary, ExtremesAdversary, SplitBrainAdversary,
     };
-    use crate::Simulation;
+    use crate::{RunConfig, Simulation};
     use iabc_core::rules::TrimmedMean;
     use iabc_graph::generators;
-
-    fn no_faults(n: usize) -> NodeSet {
-        NodeSet::with_universe(n)
-    }
 
     #[test]
     fn schedules_validate_node_counts() {
@@ -632,9 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn static_schedule_matches_static_engine_bit_for_bit() {
+    fn one_graph_schedule_matches_fixed_graph_bit_for_bit() {
         let g = generators::complete(7);
-        let schedule = StaticSchedule::new(g.clone());
+        let schedule = RoundRobinSchedule::new(vec![g.clone()], 1).unwrap();
         let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0];
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);
@@ -715,11 +478,11 @@ mod tests {
 
     #[test]
     fn permanent_violating_graph_freezes_like_the_static_engine() {
-        // E1 replayed through the dynamic engine: a static schedule on the
-        // violating chord(7,5) with the proof adversary freezes forever.
+        // E1 replayed through a schedule: one fixed graph, the violating
+        // chord(7,5), with the proof adversary freezes forever.
         let g = generators::chord(7, 5);
         let w = iabc_core::theorem1::find_violation(&g, 2).expect("violated");
-        let schedule = StaticSchedule::new(g);
+        let schedule = SequenceSchedule::new(vec![g]).unwrap();
         let (m, m_cap) = (0.0, 1.0);
         let mut inputs = vec![0.5; 7];
         for v in w.left.iter() {
@@ -873,58 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn constructor_validates_like_the_static_engine() {
-        let schedule = StaticSchedule::new(generators::complete(3));
-        let rule = TrimmedMean::new(0);
-        assert!(matches!(
-            DynamicSimulation::new(
-                &schedule,
-                &[1.0, 2.0],
-                no_faults(3),
-                &rule,
-                Box::new(ConformingAdversary::new())
-            ),
-            Err(SimError::InputLengthMismatch {
-                inputs: 2,
-                nodes: 3
-            })
-        ));
-        assert!(matches!(
-            DynamicSimulation::new(
-                &schedule,
-                &[1.0, f64::NAN, 3.0],
-                no_faults(3),
-                &rule,
-                Box::new(ConformingAdversary::new())
-            ),
-            Err(SimError::NonFiniteInput { node: 1, .. })
-        ));
-        assert!(matches!(
-            DynamicSimulation::new(
-                &schedule,
-                &[1.0, 2.0, 3.0],
-                NodeSet::full(3),
-                &rule,
-                Box::new(ConformingAdversary::new())
-            ),
-            Err(SimError::NoFaultFreeNodes)
-        ));
-        assert!(matches!(
-            DynamicSimulation::new(
-                &schedule,
-                &[1.0, 2.0, 3.0],
-                NodeSet::with_universe(4),
-                &rule,
-                Box::new(ConformingAdversary::new())
-            ),
-            Err(SimError::FaultSetMismatch {
-                universe: 4,
-                nodes: 3
-            })
-        ));
-    }
-
-    #[test]
     fn starving_round_surfaces_rule_error_with_round_number() {
         // K7 for two rounds, then a cycle (in-degree 1 < 2f): the failure
         // must name round 3.
@@ -935,7 +646,7 @@ mod tests {
         let mut sim = DynamicSimulation::new(
             &schedule,
             &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            no_faults(7),
+            NodeSet::with_universe(7),
             &rule,
             Box::new(ConformingAdversary::new()),
         )

@@ -1,4 +1,4 @@
-//! The synchronous round engine (the paper's execution model, §2.1/§2.3).
+//! The synchronous round kernel (the paper's execution model, §2.1/§2.3).
 //!
 //! One iteration `t`:
 //!
@@ -6,61 +6,176 @@
 //!    [`AdversaryView`] plus the round's faulty-edge slots and fills a
 //!    [`RoundPlan`] — all adversary state mutates here, once per round;
 //! 2. **gather + update** (parallelizable): every fault-free node applies
-//!    its [`UpdateRule`] to `(own state, received vector)`, with faulty
-//!    slots patched from the finished plan by index;
+//!    its rule to `(own state, received vector)`, with faulty slots
+//!    patched from the finished plan by index;
 //! 3. states switch to the new values simultaneously (synchronous network).
+//!
+//! [`SyncEngine`] is the one implementation of that iteration. It varies
+//! in exactly two ways:
+//!
+//! * **where each round's graph comes from** — a [`TopologySchedule`]. A
+//!   fixed [`Digraph`] is the one-graph schedule, so [`Simulation`] and
+//!   [`crate::dynamic::DynamicSimulation`] are the same type;
+//! * **what the rule sees** — a [`RoundRule`] adapter: bare values for an
+//!   [`UpdateRule`], `(sender, value)` pairs for an [`IdentifiedRule`]
+//!   ([`crate::model_engine::ModelSimulation`]).
 //!
 //! Non-finite Byzantine payloads are sanitized at the receiver boundary
 //! (clamped to huge-but-finite sentinels) before reaching the rule — rules
 //! also reject non-finite input themselves, as defense in depth.
 
+use std::fmt;
+
+use iabc_core::fault_model::IdentifiedRule;
 use iabc_core::rules::UpdateRule;
+use iabc_core::RuleError;
 use iabc_exec::{Chunking, Executor, ScratchPool};
-use iabc_graph::{CompiledTopology, Digraph, NodeSet};
+use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 
 use crate::adversary::{Adversary, AdversaryView};
+use crate::dynamic::TopologySchedule;
 use crate::error::SimError;
 use crate::plan::{
     dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, PlannedMessage, RoundPlan,
 };
-use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
-use crate::scenario::Scenario;
+use crate::run::{check_inputs, honest_range_of, Engine, Outcome, RunConfig, StepStatus};
 
 /// Sentinel magnitude for sanitized non-finite Byzantine payloads. Large
 /// enough to land in the trimmed tails, small enough that partial sums stay
 /// finite.
 pub(crate) const SANITIZE_CLAMP: f64 = 1e100;
 
-/// A synchronous iterative-consensus simulation.
+/// The rule side of the kernel: the shape of one received message and how
+/// the rule consumes a gathered row. Implemented for `&dyn UpdateRule`
+/// (bare values — the paper's Algorithm 1) and `&dyn IdentifiedRule`
+/// (`(sender, value)` pairs — structure-aware trimming). The node loop is
+/// monomorphized per adapter, so each gather stays a tight loop over
+/// plain data.
+pub trait RoundRule: Copy + fmt::Debug + Send + Sync {
+    /// One received message as the rule sees it.
+    type Msg: Copy + fmt::Debug + Send;
+
+    /// The message `sender` delivers carrying `value`.
+    fn msg(sender: u32, value: f64) -> Self::Msg;
+
+    /// Replaces the value a gathered message carries (faulty slots are
+    /// patched from the round plan; the sender stays).
+    fn set_value(msg: &mut Self::Msg, value: f64);
+
+    /// Applies the rule at `node` of the round's `graph`. May reorder
+    /// `received`.
+    ///
+    /// # Errors
+    ///
+    /// The rule's own failure (e.g. too few messages to trim).
+    fn apply(
+        self,
+        graph: &Digraph,
+        node: usize,
+        own: f64,
+        received: &mut Vec<Self::Msg>,
+    ) -> Result<f64, RuleError>;
+}
+
+impl RoundRule for &dyn UpdateRule {
+    type Msg = f64;
+
+    #[inline]
+    fn msg(_sender: u32, value: f64) -> f64 {
+        value
+    }
+
+    #[inline]
+    fn set_value(msg: &mut f64, value: f64) {
+        *msg = value;
+    }
+
+    #[inline]
+    fn apply(
+        self,
+        _graph: &Digraph,
+        _node: usize,
+        own: f64,
+        received: &mut Vec<f64>,
+    ) -> Result<f64, RuleError> {
+        UpdateRule::update(self, own, received)
+    }
+}
+
+impl RoundRule for &dyn IdentifiedRule {
+    type Msg = (NodeId, f64);
+
+    #[inline]
+    fn msg(sender: u32, value: f64) -> (NodeId, f64) {
+        (NodeId::new(sender as usize), value)
+    }
+
+    #[inline]
+    fn set_value(msg: &mut (NodeId, f64), value: f64) {
+        msg.1 = value;
+    }
+
+    #[inline]
+    fn apply(
+        self,
+        graph: &Digraph,
+        node: usize,
+        own: f64,
+        received: &mut Vec<(NodeId, f64)>,
+    ) -> Result<f64, RuleError> {
+        IdentifiedRule::update(self, graph, NodeId::new(node), own, received)
+    }
+}
+
+/// A synchronous iterative-consensus simulation over a topology schedule,
+/// driving an [`UpdateRule`] (the scalar engine) — the paper's base model
+/// on a fixed graph, or a time-varying one through
+/// [`crate::dynamic::TopologySchedule`].
 ///
-/// Usually built through [`Scenario`] (`Scenario::on(&g)...synchronous()`);
-/// the direct [`Simulation::new`] constructor remains for callers that
-/// already hold all the parts.
+/// Usually built through [`crate::Scenario`]
+/// (`Scenario::on(&g)...synchronous()`); the direct
+/// `Simulation::new(&g, ..)` constructor remains for callers that already
+/// hold all the parts.
+pub type Simulation<'a> = SyncEngine<'a, &'a dyn UpdateRule>;
+
+/// The synchronous round kernel behind [`Simulation`],
+/// [`crate::dynamic::DynamicSimulation`] and
+/// [`crate::model_engine::ModelSimulation`]. It is generic over where each
+/// round's graph comes from (a [`TopologySchedule`]; a `&Digraph` is the
+/// one-graph schedule) and what the rule sees (a [`RoundRule`] adapter).
 ///
 /// # Hot-path contract
 ///
-/// The constructor compiles the `(graph, fault set)` pair into a
+/// The constructor compiles the round-1 `(graph, fault set)` pair into a
 /// [`CompiledTopology`] (CSR in-adjacency + dense fault flags) and
 /// allocates **two** state buffers plus one scratch vector. Each
-/// [`Simulation::step`] reads the current buffer, writes the next one, and
-/// `std::mem::swap`s them — zero heap allocation per round in steady
+/// [`SyncEngine::step`] reads the current buffer, writes the next one,
+/// and `std::mem::swap`s them — zero heap allocation per round in steady
 /// state (serial mode). Faulty entries are never written, so both buffers
 /// carry the faulty nodes' inputs forever (their "state" is meaningless in
 /// the Byzantine model). One [`AdversaryView`] is built per round; the
 /// adversary plans the whole round against it (phase 1), and the node
 /// loop reads the plan by sub-CSR index (phase 2).
 ///
+/// The schedule is consulted **once** per round. The compiled topology is
+/// rebuilt in place (reusing its allocations) only when the schedule hands
+/// out a different graph than the previous round — detected by reference
+/// address, which is stable because [`TopologySchedule::graph_at`] returns
+/// references into the schedule itself. A fixed graph therefore never
+/// recompiles, and a dwelling schedule pays nothing inside a dwell window.
+///
 /// # Parallel rounds
 ///
-/// [`Simulation::with_jobs`] builds a persistent [`iabc_exec::Executor`]
+/// [`SyncEngine::with_jobs`] builds a persistent [`iabc_exec::Executor`]
 /// — worker threads are spawned **once**, then fed every round's node
 /// loop over channels (phase 2), plus the plan fill itself whenever the
 /// adversary offers the [`crate::adversary::Adversary::plan_round_sync`]
 /// `Sync` planning tier (the per-round `&mut` work — hull scans, RNG —
 /// always stays serial). Results are **bit-identical to the serial loop
-/// for any job count**: each node's arithmetic is a pure function of the
-/// previous states and the plan, and every node is computed exactly
-/// once. See [`iabc_exec`] for the scheduling contract.
+/// for any job count**, including across in-place topology rebuilds: each
+/// node's arithmetic is a pure function of the previous states and the
+/// plan, and every node is computed exactly once. See [`iabc_exec`] for
+/// the scheduling contract.
 ///
 /// # Examples
 ///
@@ -85,15 +200,17 @@ pub(crate) const SANITIZE_CLAMP: f64 = 1e100;
 /// # Ok::<(), iabc_sim::SimError>(())
 /// ```
 #[derive(Debug)]
-pub struct Simulation<'a> {
-    graph: &'a Digraph,
-    compiled: CompiledTopology,
+pub struct SyncEngine<'a, R: RoundRule> {
+    schedule: &'a dyn TopologySchedule,
     fault_set: NodeSet,
-    rule: &'a dyn UpdateRule,
+    rule: R,
     adversary: Box<dyn Adversary>,
     states: Vec<f64>,
     next: Vec<f64>,
     round: usize,
+    compiled: CompiledTopology,
+    /// Address of the schedule graph `compiled` was built from.
+    compiled_for: usize,
     /// Faulty edges delivered each round, slots keyed on the sub-CSR.
     planned_edges: Vec<PlannedEdge>,
     /// Dense slot → edge table for the parallel planning tier (holes for
@@ -104,68 +221,48 @@ pub struct Simulation<'a> {
     /// The persistent worker pool (serial when `jobs() == 1`).
     exec: Executor,
     /// Recycled per-participant gather buffers (one per dispatch
-    /// participant — a single retained buffer in serial mode).
-    scratch_pool: ScratchPool<Vec<f64>>,
+    /// participant — a single retained buffer in serial mode). After a
+    /// rebuild they grow on first use, then the larger buffers are kept.
+    scratch_pool: ScratchPool<Vec<R::Msg>>,
 }
 
-impl<'a> Simulation<'a> {
-    /// Sets up a simulation with initial `inputs` (one per node).
+impl<'a, R: RoundRule> SyncEngine<'a, R> {
+    /// Sets up a simulation with initial `inputs` (one per node). Pass a
+    /// `&Digraph` for a fixed topology or any other schedule for a
+    /// time-varying one.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if inputs don't match the graph, contain
+    /// Returns [`SimError`] if inputs don't match the node count, contain
     /// non-finite values, the fault set universe mismatches, or no node is
     /// fault-free.
     pub fn new(
-        graph: &'a Digraph,
+        schedule: &'a dyn TopologySchedule,
         inputs: &[f64],
         fault_set: NodeSet,
-        rule: &'a dyn UpdateRule,
+        rule: R,
         adversary: Box<dyn Adversary>,
     ) -> Result<Self, SimError> {
-        let n = graph.node_count();
-        if inputs.len() != n {
-            return Err(SimError::InputLengthMismatch {
-                inputs: inputs.len(),
-                nodes: n,
-            });
-        }
-        if fault_set.universe() != n {
-            return Err(SimError::FaultSetMismatch {
-                universe: fault_set.universe(),
-                nodes: n,
-            });
-        }
-        if fault_set.len() == n {
-            return Err(SimError::NoFaultFreeNodes);
-        }
-        if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            return Err(SimError::NonFiniteInput { node, value });
-        }
-        let compiled = CompiledTopology::compile(graph, &fault_set);
-        let mut planned_edges = Vec::with_capacity(compiled.faulty_edge_count());
-        sub_csr_edges(&compiled, &mut planned_edges);
-        let mut slot_edges = Vec::new();
-        dense_slot_table(
-            compiled.faulty_edge_count(),
-            &planned_edges,
-            &mut slot_edges,
-        );
-        Ok(Simulation {
-            graph,
-            compiled,
+        check_inputs(schedule.node_count(), inputs, &fault_set)?;
+        let first = schedule.graph_at(1);
+        let mut engine = SyncEngine {
+            schedule,
+            compiled: CompiledTopology::compile(first, &fault_set),
+            compiled_for: first as *const Digraph as usize,
             fault_set,
             rule,
             adversary,
             states: inputs.to_vec(),
             next: inputs.to_vec(),
             round: 0,
-            planned_edges,
-            slot_edges,
+            planned_edges: Vec::new(),
+            slot_edges: Vec::new(),
             plan: RoundPlan::new(),
             exec: Executor::serial(),
             scratch_pool: ScratchPool::new(),
-        })
+        };
+        engine.derive_slots();
+        Ok(engine)
     }
 
     /// Retains a pool of `jobs` workers (`0` = all available cores) that
@@ -179,7 +276,7 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// In-place form of [`Simulation::with_jobs`] (replaces the pool, so
+    /// In-place form of [`SyncEngine::with_jobs`] (replaces the pool, so
     /// reconfiguring mid-run respawns workers — configure once).
     pub fn set_jobs(&mut self, jobs: usize) {
         self.exec = Executor::new(jobs);
@@ -217,20 +314,27 @@ impl<'a> Simulation<'a> {
         honest_range_of(&self.states, &self.fault_set)
     }
 
-    /// Executes one synchronous iteration — phase 1 plans the adversary's
-    /// round serially, phase 2 runs the compiled row gather per node,
-    /// fanned across [`Simulation::jobs`] workers (see the type-level
-    /// "hot-path contract").
+    /// Executes one synchronous iteration on this round's graph — phase 1
+    /// plans the adversary's round serially, phase 2 runs the compiled row
+    /// gather per node, fanned across [`SyncEngine::jobs`] workers (see
+    /// the type-level "hot-path contract").
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Rule`] if the update rule fails at some node
-    /// (e.g. insufficient in-degree for the configured trimming).
+    /// (e.g. this round's graph leaves a node too few messages to trim).
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
         self.round += 1;
+        let graph = self.schedule.graph_at(self.round);
+        let addr = graph as *const Digraph as usize;
+        if addr != self.compiled_for {
+            self.compiled.rebuild(graph);
+            self.compiled_for = addr;
+            self.derive_slots();
+        }
         let view = AdversaryView {
             round: self.round,
-            graph: self.graph,
+            graph,
             states: &self.states,
             fault_set: &self.fault_set,
         };
@@ -255,7 +359,9 @@ impl<'a> Simulation<'a> {
             &mut self.next,
             Chunking::Auto(iabc_exec::MIN_CHUNK),
             || pool.take(|| Vec::with_capacity(compiled.max_in_degree())),
-            |i, out, scratch| step_node(compiled, rule, states, plan, round, i, out, scratch),
+            |i, out, scratch| {
+                step_node(graph, compiled, rule, states, plan, round, i, out, scratch)
+            },
         )?;
         std::mem::swap(&mut self.states, &mut self.next);
         Ok(StepStatus::Progressed)
@@ -266,15 +372,25 @@ impl<'a> Simulation<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError::Rule`] from [`Simulation::step`].
+    /// Propagates [`SimError::Rule`] from [`SyncEngine::step`].
     pub fn run(&mut self, config: &RunConfig) -> Result<Outcome, SimError> {
         Engine::run(self, config)
     }
+
+    /// Re-derives the round plan's faulty-edge slot lists from `compiled`.
+    fn derive_slots(&mut self) {
+        sub_csr_edges(&self.compiled, &mut self.planned_edges);
+        dense_slot_table(
+            self.compiled.faulty_edge_count(),
+            &self.planned_edges,
+            &mut self.slot_edges,
+        );
+    }
 }
 
-impl Engine for Simulation<'_> {
+impl<R: RoundRule> Engine for SyncEngine<'_, R> {
     fn step(&mut self) -> Result<StepStatus, SimError> {
-        Simulation::step(self)
+        SyncEngine::step(self)
     }
 
     fn round(&self) -> usize {
@@ -290,27 +406,26 @@ impl Engine for Simulation<'_> {
     }
 }
 
-/// Phase 2 body shared by the serial and parallel node loops of the
-/// scalar engines ([`Simulation`] and, against whichever topology the
-/// round compiled, [`crate::dynamic::DynamicSimulation`]): the branchless
-/// row gather — sanitize applies to honest values too (for in-range
-/// states the clamp is the identity, but a finite input beyond ±1e100
-/// must clip exactly as it always has) — with the precompiled faulty
-/// slots patched from the round plan by sub-CSR index. An
+/// Phase 2 body shared by the serial and parallel node loops: the
+/// branchless row gather — sanitize applies to honest values too (for
+/// in-range states the clamp is the identity, but a finite input beyond
+/// ±1e100 must clip exactly as it always has) — with the precompiled
+/// faulty slots patched from the round plan by sub-CSR index. A
 /// [`PlannedMessage::Omit`] entry is the missing-message case: the
 /// receiver's own previous state is substituted (in-hull, so validity is
 /// unaffected). A pure function of `(states, plan)`, which is what makes
 /// serial and parallel execution bit-identical.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_node(
+fn step_node<R: RoundRule>(
+    graph: &Digraph,
     compiled: &CompiledTopology,
-    rule: &dyn UpdateRule,
+    rule: R,
     states: &[f64],
     plan: &RoundPlan,
     round: usize,
     i: usize,
     out: &mut f64,
-    scratch: &mut Vec<f64>,
+    scratch: &mut Vec<R::Msg>,
 ) -> Result<(), SimError> {
     if compiled.is_faulty(i) {
         return Ok(()); // faulty nodes have no meaningful state evolution
@@ -320,7 +435,7 @@ pub(crate) fn step_node(
         compiled
             .in_neighbors_of(i)
             .iter()
-            .map(|&j| sanitize(states[j as usize])),
+            .map(|&j| R::msg(j, sanitize(states[j as usize]))),
     );
     let base = compiled.faulty_in_offset(i) as u32;
     for (k, &(slot, _sender)) in compiled.faulty_in_edges_of(i).iter().enumerate() {
@@ -328,10 +443,10 @@ pub(crate) fn step_node(
             PlannedMessage::Value(v) => v,
             PlannedMessage::Omit => states[i],
         };
-        scratch[slot as usize] = sanitize(raw);
+        R::set_value(&mut scratch[slot as usize], sanitize(raw));
     }
     *out = rule
-        .update(states[i], scratch)
+        .apply(graph, i, states[i], scratch)
         .map_err(|source| SimError::Rule {
             node: i,
             round,
@@ -343,37 +458,17 @@ pub(crate) fn step_node(
 /// Clamps Byzantine payloads to finite sentinels so that honest arithmetic
 /// stays well-defined. NaN maps to `+SANITIZE_CLAMP` (it will sit in a
 /// trimmed tail like any other outlier).
+///
+/// `#[inline]` because the generic node loop is instantiated in the
+/// calling crate, where a non-inline helper from this crate would cost one
+/// call per received message.
+#[inline]
 pub(crate) fn sanitize(v: f64) -> f64 {
     if v.is_nan() {
         SANITIZE_CLAMP
     } else {
         v.clamp(-SANITIZE_CLAMP, SANITIZE_CLAMP)
     }
-}
-
-/// One-call synchronous runner — a thin compatibility shim over
-/// [`Scenario`], kept so pre-unification snippets keep compiling.
-/// Deprecated in spirit (not yet attributed): prefer
-/// `Scenario::on(graph)...synchronous()?.run(config)` in new code.
-///
-/// # Errors
-///
-/// See [`Simulation::new`] and [`Engine::run`].
-pub fn run_consensus(
-    graph: &Digraph,
-    inputs: &[f64],
-    fault_set: NodeSet,
-    rule: &dyn UpdateRule,
-    adversary: Box<dyn Adversary>,
-    config: &RunConfig,
-) -> Result<Outcome, SimError> {
-    Scenario::on(graph)
-        .inputs(inputs)
-        .faults(fault_set)
-        .rule(rule)
-        .adversary(adversary)
-        .synchronous()?
-        .run(config)
 }
 
 #[cfg(test)]
@@ -383,11 +478,31 @@ mod tests {
         ConformingAdversary, ConstantAdversary, ExtremesAdversary, NaNAdversary, PullAdversary,
         SplitBrainAdversary,
     };
+    use crate::scenario::Scenario;
     use iabc_core::rules::{Mean, TrimmedMean};
     use iabc_graph::generators;
 
     fn no_faults(n: usize) -> NodeSet {
         NodeSet::with_universe(n)
+    }
+
+    /// Builds a synchronous scenario and runs it to the default bounds.
+    fn run_default(
+        g: &Digraph,
+        inputs: &[f64],
+        faults: NodeSet,
+        rule: &dyn UpdateRule,
+        adversary: Box<dyn Adversary>,
+    ) -> Outcome {
+        Scenario::on(g)
+            .inputs(inputs)
+            .faults(faults)
+            .rule(rule)
+            .adversary(adversary)
+            .synchronous()
+            .unwrap()
+            .run(&RunConfig::default())
+            .unwrap()
     }
 
     #[test]
@@ -469,15 +584,13 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0];
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);
-        let out = run_consensus(
+        let out = run_default(
             &g,
             &inputs,
             faults,
             &rule,
             Box::new(ConstantAdversary::new(1e9)),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        );
         assert!(out.converged, "range left: {}", out.final_range);
         assert!(out.validity.is_valid());
         // Converged value inside honest hull [0, 4].
@@ -517,15 +630,13 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 2.0, 2.0];
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);
-        let out = run_consensus(
+        let out = run_default(
             &g,
             &inputs,
             faults,
             &rule,
             Box::new(ExtremesAdversary::new(1e6)),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        );
         assert!(out.converged);
         assert!(out.validity.is_valid());
     }
@@ -536,15 +647,7 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 2.0, 2.0];
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);
-        let out = run_consensus(
-            &g,
-            &inputs,
-            faults,
-            &rule,
-            Box::new(NaNAdversary::new()),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        let out = run_default(&g, &inputs, faults, &rule, Box::new(NaNAdversary::new()));
         assert!(out.converged, "sanitization must keep the run alive");
         assert!(out.validity.is_valid());
     }
@@ -555,24 +658,20 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 2.0, 2.0];
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);
-        let honest = run_consensus(
+        let honest = run_default(
             &g,
             &inputs,
             faults.clone(),
             &rule,
             Box::new(ConformingAdversary::new()),
-            &RunConfig::default(),
-        )
-        .unwrap();
-        let pulled = run_consensus(
+        );
+        let pulled = run_default(
             &g,
             &inputs,
             faults,
             &rule,
             Box::new(PullAdversary::new(false)),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        );
         assert!(pulled.converged);
         assert!(pulled.validity.is_valid());
         assert!(
@@ -673,15 +772,7 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 2.0, 2.0];
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);
-        let out = run_consensus(
-            &g,
-            &inputs,
-            faults,
-            &rule,
-            Box::new(CrashAdversary::new(3)),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        let out = run_default(&g, &inputs, faults, &rule, Box::new(CrashAdversary::new(3)));
         assert!(out.converged);
         assert!(out.validity.is_valid());
     }
@@ -693,7 +784,7 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 3.0, 4.0, 2.0, 2.0];
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);
-        let out = run_consensus(
+        let out = run_default(
             &g,
             &inputs,
             faults,
@@ -702,9 +793,7 @@ mod tests {
                 NodeSet::from_indices(7, [0, 1]),
                 -1e8,
             )),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        );
         assert!(out.converged);
         assert!(out.validity.is_valid());
     }
@@ -761,15 +850,13 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 3.0, 2.0];
         let faults = NodeSet::from_indices(5, [4]);
         let rule = TrimmedMean::new(1);
-        let out = run_consensus(
+        let out = run_default(
             &g,
             &inputs,
             faults,
             &rule,
             Box::new(ExtremesAdversary::new(100.0)),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        );
         assert!(out.converged);
         assert!(out.validity.is_valid());
         let v = out.trace.last().unwrap().states[0];

@@ -21,27 +21,35 @@
 //!   a permanent fixpoint, e.g. §7's empty survivor sets). See
 //!   [`run`](module docs) for exact semantics.
 //!
-//! The [`run_consensus`] one-call helper is kept as a thin compatibility
-//! shim over [`Scenario`] (deprecated in spirit — prefer the builder), and
-//! [`SimConfig`] remains as an alias of [`RunConfig`].
+//! # One synchronous kernel and the double-buffer contract
 //!
-//! # The compiled hot path and the double-buffer contract
+//! The paper's synchronous iteration is implemented **once**, by
+//! [`SyncEngine`]. It is generic over only two things:
 //!
-//! Every engine compiles its `(graph, fault set)` pair into an
+//! * a [`dynamic::TopologySchedule`] supplying each round's graph — a
+//!   plain [`iabc_graph::Digraph`] is the one-graph schedule, so
+//!   [`Simulation`] and [`dynamic::DynamicSimulation`] are one type;
+//! * a [`RoundRule`] adapter — bare values for an
+//!   [`iabc_core::rules::UpdateRule`] ([`Simulation`]), `(sender, value)`
+//!   pairs for an [`iabc_core::fault_model::IdentifiedRule`]
+//!   ([`model_engine::ModelSimulation`]).
+//!
+//! The kernel compiles the round's `(graph, fault set)` pair into an
 //! [`iabc_graph::CompiledTopology`] (CSR in-adjacency, dense fault flags,
-//! and a faulty-edge sub-CSR) at construction and steps with **two**
-//! state buffers: reads come from the current buffer, writes go to the next,
-//! and a `std::mem::swap` publishes the round — zero heap allocation per
-//! round in steady state. The contract that makes this safe:
+//! and a faulty-edge sub-CSR) and steps with **two** state buffers: reads
+//! come from the current buffer, writes go to the next, and a
+//! `std::mem::swap` publishes the round — zero heap allocation per round
+//! in steady state. The contract that makes this safe:
 //!
 //! * **faulty entries are never written** — both buffers carry the faulty
 //!   nodes' inputs forever (their "state" is meaningless in the Byzantine
 //!   model, §2.2), and every fault-free entry is rewritten each round;
 //! * **one [`adversary::AdversaryView`] per round** — the view snapshots
 //!   the read buffer, which no write of the same round can touch;
-//! * the dynamic-topology engine **rebuilds its CSR in place** (reusing
-//!   allocations) only when the schedule hands out a different graph,
-//!   detected by reference address.
+//! * **one schedule lookup per round** — the CSR is **rebuilt in place**
+//!   (reusing allocations) only when the schedule hands out a different
+//!   graph, detected by reference address, so a fixed graph never
+//!   recompiles.
 //!
 //! # The two-phase adversary protocol and the persistent executor
 //!
@@ -57,8 +65,8 @@
 //! are fed each round's work; `jobs = 1` runs inline with zero overhead.
 //! What fans across it, per engine:
 //!
-//! * **sync / model-aware / dynamic** — the phase-2 node loop (a pure
-//!   function of `(states, plan)` per node);
+//! * **the synchronous kernel** (scalar, model-aware, dynamic) — the
+//!   phase-2 node loop (a pure function of `(states, plan)` per node);
 //! * **delay-bounded** — the per-tick update loop over the frozen
 //!   mailbox; the send and deliver phases stay serial because the
 //!   scheduler's RNG stream and same-tick mailbox overwrites are
@@ -80,14 +88,16 @@
 //! The hot arithmetic itself (sort, trim `f` per side, equal-weight
 //! average) lives in [`iabc_core::rules::trim_kernel`], shared with the
 //! baselines and the threaded runtime. The pre-refactor engine is
-//! retained verbatim in [`reference`] and pinned bit-for-bit against the
-//! compiled engines by `tests/compiled_equivalence.rs` and the
+//! retained verbatim in [`mod@reference`] and pinned bit-for-bit against the
+//! kernel by `tests/compiled_equivalence.rs` and the
 //! `tests/engine_equivalence.rs` goldens.
 //!
 //! # Module map
 //!
 //! * [`scenario`] — the [`Scenario`] builder (start here).
 //! * [`run`] — [`Engine`], [`RunConfig`], [`Outcome`], [`Termination`].
+//! * [`SyncEngine`] — the synchronous round kernel, with its
+//!   [`Simulation`] alias and [`RoundRule`] adapters.
 //! * [`adversary`] — pluggable attack strategies (two-phase protocol),
 //!   including the exact adversary from the proof of Theorem 1
 //!   ([`adversary::SplitBrainAdversary`]).
@@ -95,9 +105,10 @@
 //! * [`trace`] — `U[t]`, `µ[t]` recording plus the Equation 1 validity audit.
 //! * [`async_engine`] — the §7 asynchronous models: bounded-delay mailboxes
 //!   and the totally-asynchronous withhold-and-trim-`2f` algorithm.
-//! * [`dynamic`] — time-varying topologies: round-indexed graph schedules.
+//! * [`dynamic`] — time-varying topologies: round-indexed graph schedules
+//!   and the [`dynamic::DynamicSimulation`] alias of the kernel.
 //! * [`vector`] — coordinate-wise Algorithm 1 on `ℝ^d` states.
-//! * [`model_engine`] — the engine for identity-aware rules
+//! * [`model_engine`] — the kernel for identity-aware rules
 //!   ([`iabc_core::fault_model::ModelTrimmedMean`]).
 //! * [`fastmath`] — the opt-in FastMath tier: the replica-batched
 //!   Monte-Carlo engine (`R` lockstep replicas on a replica-major
@@ -105,7 +116,7 @@
 //!   that bounds its per-round divergence against the exact engines.
 //! * [`certified`] — Lemma 5 a-priori termination certificates.
 //! * [`transcript`] — message-level recording and deterministic replay.
-//! * [`reference`] — the retained naive pre-refactor stepper (differential
+//! * [`mod@reference`] — the retained naive pre-refactor stepper (differential
 //!   testing witness and benchmark baseline).
 //!
 //! # Examples
@@ -156,13 +167,13 @@ pub mod transcript;
 pub mod vector;
 pub mod wire;
 
-pub use engine::{run_consensus, Simulation};
+pub use engine::{RoundRule, Simulation, SyncEngine};
 pub use error::SimError;
 /// The persistent worker pool every parallel path in this crate fans
 /// over ([`iabc_exec`], re-exported): one implementation, one
 /// determinism contract.
 pub use iabc_exec as exec;
-pub use run::{Engine, Outcome, RunConfig, SimConfig, StepStatus, Termination};
+pub use run::{Engine, Outcome, RunConfig, StepStatus, Termination};
 pub use scenario::Scenario;
 
 #[cfg(test)]
@@ -176,16 +187,5 @@ mod tests {
         assert_send::<SimError>();
         assert_send::<Termination>();
         assert_send::<trace::Trace>();
-    }
-
-    #[test]
-    fn sim_config_alias_still_constructs() {
-        // External snippets write `SimConfig { .. }` and
-        // `SimConfig::default()`; both must keep compiling.
-        let c = SimConfig {
-            record_states: false,
-            ..SimConfig::default()
-        };
-        assert_eq!(c.max_rounds, RunConfig::default().max_rounds);
     }
 }

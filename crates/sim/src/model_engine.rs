@@ -7,7 +7,7 @@
 //! ([`iabc_core::fault_model::ModelTrimmedMean`]) must know the senders:
 //! it trims the maximal *coverable prefix* — the longest run of extreme
 //! values whose senders could all be faulty in some feasible world. This
-//! engine is the same synchronous loop with `(sender, value)` pairs
+//! engine is the same synchronous kernel with `(sender, value)` pairs
 //! delivered to the rule.
 //!
 //! The payoff (experiment X10's closing row): on chord(7, 5) under the
@@ -17,23 +17,14 @@
 //! cross-partition edges alive.
 
 use iabc_core::fault_model::IdentifiedRule;
-use iabc_exec::{Chunking, Executor, ScratchPool};
-use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 
-use crate::adversary::{Adversary, AdversaryView};
-use crate::error::SimError;
-use crate::plan::{
-    dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, PlannedMessage, RoundPlan,
-};
-use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
+use crate::engine::SyncEngine;
 
 /// A synchronous simulation delivering `(sender, value)` pairs to an
-/// [`IdentifiedRule`]. Mirrors [`crate::Simulation`] otherwise, including
-/// its hot-path contract (compiled CSR topology, double-buffered states,
-/// one [`AdversaryView`] per round), the two-phase adversary protocol
-/// (the adversary plans each round once, serially; the node loop reads
-/// the plan by sub-CSR index), and the [`ModelSimulation::with_jobs`]
-/// parallel node loop with the same bit-for-bit determinism contract.
+/// [`IdentifiedRule`]: the synchronous kernel [`SyncEngine`] with the
+/// identity-aware rule adapter, so it shares [`crate::Simulation`]'s
+/// hot-path contract, two-phase adversary protocol, topology schedules
+/// and [`SyncEngine::with_jobs`] determinism contract.
 ///
 /// # Examples
 ///
@@ -58,245 +49,18 @@ use crate::run::{honest_range_of, Engine, Outcome, RunConfig, StepStatus};
 /// assert!(out.converged && out.validity.is_valid());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct ModelSimulation<'a> {
-    graph: &'a Digraph,
-    compiled: CompiledTopology,
-    fault_set: NodeSet,
-    rule: &'a dyn IdentifiedRule,
-    adversary: Box<dyn Adversary>,
-    states: Vec<f64>,
-    next: Vec<f64>,
-    round: usize,
-    planned_edges: Vec<PlannedEdge>,
-    slot_edges: Vec<PlannedEdge>,
-    plan: RoundPlan,
-    exec: Executor,
-    scratch_pool: ScratchPool<Vec<(NodeId, f64)>>,
-}
-
-impl<'a> ModelSimulation<'a> {
-    /// Sets up a simulation; validation matches [`crate::Simulation::new`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::Simulation::new`].
-    pub fn new(
-        graph: &'a Digraph,
-        inputs: &[f64],
-        fault_set: NodeSet,
-        rule: &'a dyn IdentifiedRule,
-        adversary: Box<dyn Adversary>,
-    ) -> Result<Self, SimError> {
-        let n = graph.node_count();
-        if inputs.len() != n {
-            return Err(SimError::InputLengthMismatch {
-                inputs: inputs.len(),
-                nodes: n,
-            });
-        }
-        if fault_set.universe() != n {
-            return Err(SimError::FaultSetMismatch {
-                universe: fault_set.universe(),
-                nodes: n,
-            });
-        }
-        if fault_set.len() == n {
-            return Err(SimError::NoFaultFreeNodes);
-        }
-        if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            return Err(SimError::NonFiniteInput { node, value });
-        }
-        let compiled = CompiledTopology::compile(graph, &fault_set);
-        let mut planned_edges = Vec::with_capacity(compiled.faulty_edge_count());
-        sub_csr_edges(&compiled, &mut planned_edges);
-        let mut slot_edges = Vec::new();
-        dense_slot_table(
-            compiled.faulty_edge_count(),
-            &planned_edges,
-            &mut slot_edges,
-        );
-        Ok(ModelSimulation {
-            graph,
-            compiled,
-            fault_set,
-            rule,
-            adversary,
-            states: inputs.to_vec(),
-            next: inputs.to_vec(),
-            round: 0,
-            planned_edges,
-            slot_edges,
-            plan: RoundPlan::new(),
-            exec: Executor::serial(),
-            scratch_pool: ScratchPool::new(),
-        })
-    }
-
-    /// Retains a pool of `jobs` workers (`0` = all available cores) —
-    /// threads spawn once, here, and serve every round's node loop and
-    /// `Sync`-tier plan fill; bit-for-bit identical for any value.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.set_jobs(jobs);
-        self
-    }
-
-    /// In-place form of [`ModelSimulation::with_jobs`].
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.exec = Executor::new(jobs);
-    }
-
-    /// Worker threads used by the node loop.
-    pub fn jobs(&self) -> usize {
-        self.exec.jobs()
-    }
-
-    /// Current iteration count.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Current state vector (only fault-free entries are meaningful).
-    pub fn states(&self) -> &[f64] {
-        &self.states
-    }
-
-    /// The faulty set.
-    pub fn fault_set(&self) -> &NodeSet {
-        &self.fault_set
-    }
-
-    /// Current fault-free range `U − µ`.
-    pub fn honest_range(&self) -> f64 {
-        honest_range_of(&self.states, &self.fault_set)
-    }
-
-    /// Executes one synchronous iteration (plan serially, then gather and
-    /// update per node, fanned across the configured workers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Rule`] if the rule fails at some node.
-    pub fn step(&mut self) -> Result<StepStatus, SimError> {
-        self.round += 1;
-        let view = AdversaryView {
-            round: self.round,
-            graph: self.graph,
-            states: &self.states,
-            fault_set: &self.fault_set,
-        };
-        fill_plan(
-            self.adversary.as_mut(),
-            &view,
-            &self.planned_edges,
-            &self.slot_edges,
-            true,
-            &mut self.plan,
-            &self.exec,
-        );
-        let (graph, compiled, rule, states, plan, round) = (
-            self.graph,
-            &self.compiled,
-            self.rule,
-            &self.states,
-            &self.plan,
-            self.round,
-        );
-        let pool = &self.scratch_pool;
-        self.exec.run_chunked(
-            &mut self.next,
-            Chunking::Auto(iabc_exec::MIN_CHUNK),
-            || pool.take(|| Vec::with_capacity(compiled.max_in_degree())),
-            |i, out, scratch| {
-                step_node(graph, compiled, rule, states, plan, round, i, out, scratch)
-            },
-        )?;
-        std::mem::swap(&mut self.states, &mut self.next);
-        Ok(StepStatus::Progressed)
-    }
-
-    /// Runs via the shared [`Engine::run`] driver (convenience wrapper so
-    /// callers need not import the trait).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::Rule`] from [`ModelSimulation::step`].
-    pub fn run(&mut self, config: &RunConfig) -> Result<Outcome, SimError> {
-        Engine::run(self, config)
-    }
-}
-
-/// Phase 2 body shared by the serial and parallel node loops: identical
-/// to the scalar engine's, except the rule receives `(sender, value)`
-/// pairs and the graph/node identity.
-#[allow(clippy::too_many_arguments)]
-fn step_node(
-    graph: &Digraph,
-    compiled: &CompiledTopology,
-    rule: &dyn IdentifiedRule,
-    states: &[f64],
-    plan: &RoundPlan,
-    round: usize,
-    i: usize,
-    out: &mut f64,
-    scratch: &mut Vec<(NodeId, f64)>,
-) -> Result<(), SimError> {
-    if compiled.is_faulty(i) {
-        return Ok(());
-    }
-    scratch.clear();
-    scratch.extend(compiled.in_neighbors_of(i).iter().map(|&j| {
-        (
-            NodeId::new(j as usize),
-            crate::engine::sanitize(states[j as usize]),
-        )
-    }));
-    let base = compiled.faulty_in_offset(i) as u32;
-    for (k, &(slot, _sender)) in compiled.faulty_in_edges_of(i).iter().enumerate() {
-        let raw = match plan.get(base + k as u32) {
-            PlannedMessage::Value(v) => v,
-            PlannedMessage::Omit => states[i],
-        };
-        scratch[slot as usize].1 = crate::engine::sanitize(raw);
-    }
-    *out = rule
-        .update(graph, NodeId::new(i), states[i], scratch)
-        .map_err(|source| SimError::Rule {
-            node: i,
-            round,
-            source,
-        })?;
-    Ok(())
-}
-
-impl Engine for ModelSimulation<'_> {
-    fn step(&mut self) -> Result<StepStatus, SimError> {
-        ModelSimulation::step(self)
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn states(&self) -> &[f64] {
-        &self.states
-    }
-
-    fn fault_set(&self) -> &NodeSet {
-        &self.fault_set
-    }
-}
+pub type ModelSimulation<'a> = SyncEngine<'a, &'a dyn IdentifiedRule>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{ConstantAdversary, ExtremesAdversary, SplitBrainAdversary};
-    use crate::Simulation;
+    use crate::error::SimError;
+    use crate::{RunConfig, Simulation};
     use iabc_core::fault_model::{AdversaryStructure, Blind, FaultModel, ModelTrimmedMean};
     use iabc_core::rules::TrimmedMean;
     use iabc_core::Witness;
-    use iabc_graph::generators;
+    use iabc_graph::{generators, NodeSet};
 
     #[test]
     fn blind_wrapper_reproduces_the_scalar_engine() {

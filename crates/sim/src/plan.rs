@@ -64,7 +64,7 @@ impl PlannedEdge {
 /// Engines that model omission (the synchronous family, transcripts)
 /// set [`RoundSlots::allows_omission`]; the delay-bounded and withholding
 /// engines do not — matching the pre-refactor protocol, where only the
-/// synchronous family ever consulted `Adversary::omits`.
+/// synchronous family modelled omission.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundSlots<'a> {
     edges: &'a [PlannedEdge],
@@ -85,8 +85,7 @@ impl<'a> RoundSlots<'a> {
 
     /// Whether the engine honours [`PlannedMessage::Omit`]. Adversaries
     /// planning omissions should check this and plan a value instead when
-    /// it is `false` (the default [`crate::adversary::Adversary::plan_round`]
-    /// shim does so automatically by skipping the `omits` query).
+    /// it is `false`.
     pub fn allows_omission(&self) -> bool {
         self.omissions
     }

@@ -73,10 +73,6 @@ impl RunConfig {
     }
 }
 
-/// Pre-unification name of [`RunConfig`], kept so existing code and
-/// external snippets compile. Prefer [`RunConfig`] in new code.
-pub type SimConfig = RunConfig;
-
 /// What one [`Engine::step`] reports back to the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepStatus {
@@ -129,18 +125,43 @@ pub(crate) fn honest_range_of(states: &[f64], fault_set: &NodeSet) -> f64 {
     hi - lo
 }
 
+/// The input validation every engine constructor shares: one finite input
+/// per node, a fault set over the same universe, and at least one
+/// fault-free node.
+pub(crate) fn check_inputs(n: usize, inputs: &[f64], fault_set: &NodeSet) -> Result<(), SimError> {
+    if inputs.len() != n {
+        return Err(SimError::InputLengthMismatch {
+            inputs: inputs.len(),
+            nodes: n,
+        });
+    }
+    if fault_set.universe() != n {
+        return Err(SimError::FaultSetMismatch {
+            universe: fault_set.universe(),
+            nodes: n,
+        });
+    }
+    if fault_set.len() == n {
+        return Err(SimError::NoFaultFreeNodes);
+    }
+    if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        return Err(SimError::NonFiniteInput { node, value });
+    }
+    Ok(())
+}
+
 /// A steppable iterative-consensus engine.
 ///
 /// Implementors provide the four state accessors and [`Engine::step`]; the
 /// provided [`Engine::run`] drives the convergence/round-cap loop, records
 /// the trace, audits validity, and assembles the unified [`Outcome`].
 ///
-/// All six engine variants ([`crate::Simulation`],
-/// [`crate::model_engine::ModelSimulation`],
-/// [`crate::dynamic::DynamicSimulation`],
+/// The synchronous kernel [`crate::SyncEngine`] (behind
+/// [`crate::Simulation`], [`crate::dynamic::DynamicSimulation`] and
+/// [`crate::model_engine::ModelSimulation`]),
 /// [`crate::async_engine::DelayBoundedSim`],
-/// [`crate::async_engine::WithholdingSim`],
-/// [`crate::vector::VectorSimulation`]) implement this trait, as does any
+/// [`crate::async_engine::WithholdingSim`] and
+/// [`crate::vector::VectorSimulation`] implement this trait, as does any
 /// engine built through [`crate::Scenario`]; the W-MSR and Dolev baseline
 /// rules are driven through it too (via
 /// [`crate::Scenario::rule`] + [`crate::Scenario::synchronous`]).

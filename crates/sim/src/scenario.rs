@@ -451,7 +451,7 @@ mod tests {
     use super::*;
     use crate::adversary::ConstantAdversary;
     use crate::async_engine::ImmediateScheduler;
-    use crate::dynamic::StaticSchedule;
+    use crate::dynamic::RoundRobinSchedule;
     use crate::run::{RunConfig, Termination};
     use iabc_core::fault_model::{FaultModel, ModelTrimmedMean};
     use iabc_core::rules::TrimmedMean;
@@ -504,7 +504,7 @@ mod tests {
         let g = generators::complete(7);
         let rule = TrimmedMean::new(2);
         let aware = ModelTrimmedMean::new(FaultModel::Total(2));
-        let schedule = StaticSchedule::new(generators::complete(7));
+        let schedule = RoundRobinSchedule::new(vec![generators::complete(7)], 1).unwrap();
         let base = || {
             Scenario::on(&g)
                 .inputs(&[0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0])
@@ -532,7 +532,7 @@ mod tests {
     fn dynamic_checks_schedule_node_count() {
         let g = generators::complete(5);
         let rule = TrimmedMean::new(0);
-        let schedule = StaticSchedule::new(generators::complete(6));
+        let schedule = generators::complete(6);
         assert!(matches!(
             Scenario::on(&g)
                 .inputs(&[0.0; 5])

@@ -16,8 +16,10 @@ use iabc_graph::{Digraph, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversaryView};
+use crate::engine::sanitize;
 use crate::error::SimError;
 use crate::plan::{faulty_edges_of, PlannedMessage, RoundPlan, RoundSlots};
+use crate::run::check_inputs;
 
 /// One recorded Byzantine message (or omission).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -217,24 +219,7 @@ pub fn record(
     rounds: usize,
 ) -> Result<Transcript, SimError> {
     let n = graph.node_count();
-    if inputs.len() != n {
-        return Err(SimError::InputLengthMismatch {
-            inputs: inputs.len(),
-            nodes: n,
-        });
-    }
-    if fault_set.universe() != n {
-        return Err(SimError::FaultSetMismatch {
-            universe: fault_set.universe(),
-            nodes: n,
-        });
-    }
-    if fault_set.len() == n {
-        return Err(SimError::NoFaultFreeNodes);
-    }
-    if let Some((node, &value)) = inputs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-        return Err(SimError::NonFiniteInput { node, value });
-    }
+    check_inputs(n, inputs, &fault_set)?;
     let mut transcript = Transcript {
         node_count: n,
         fault_set: fault_set.clone(),
@@ -456,14 +441,6 @@ pub fn replay(
         std::mem::swap(&mut states, &mut next);
     }
     Ok(states)
-}
-
-fn sanitize(v: f64) -> f64 {
-    if v.is_nan() {
-        1e100
-    } else {
-        v.clamp(-1e100, 1e100)
-    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@ use iabc_core::rules::UpdateRule;
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 
 use crate::adversary::{Adversary, AdversaryView};
+use crate::engine::sanitize;
 use crate::error::SimError;
 use crate::plan::{faulty_edges_into, PlannedEdge, PlannedMessage, RoundPlan, RoundSlots};
 use crate::run::{Engine, RunConfig, StepStatus};
@@ -653,11 +654,6 @@ impl Engine for VectorSimulation<'_> {
             violations: self.box_violations.clone(),
         })
     }
-}
-
-/// Scalar sanitization, re-used per coordinate.
-fn sanitize(v: f64) -> f64 {
-    crate::engine::sanitize(v)
 }
 
 /// `(µ, U)` of one coordinate column over fault-free nodes.

@@ -20,7 +20,7 @@ use iabc::core::rules::{TrimmedMean, UpdateRule};
 use iabc::core::theorem1;
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::{Adversary, PolarizingAdversary};
-use iabc::sim::SimConfig;
+use iabc::sim::RunConfig;
 
 fn run_workload(
     label: &str,
@@ -37,7 +37,7 @@ fn run_workload(
         inputs: &inputs,
         fault_set: NodeSet::from_indices(n, faulty.iter().copied()),
         adversary_factory: &adversary,
-        config: SimConfig {
+        config: RunConfig {
             record_states: false,
             epsilon: 1e-9,
             max_rounds: 50_000,

@@ -15,8 +15,8 @@ use iabc::core::rules::TrimmedMean;
 use iabc::core::{theorem1, Threshold, Witness};
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::{PullAdversary, SplitBrainAdversary};
+use iabc::sim::RunConfig;
 use iabc::sim::Scenario;
-use iabc::sim::SimConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The violated instance: f = 2, n = 7 ---------------------------
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .rule(&rule)
         .adversary(Box::new(PullAdversary::new(false)))
         .synchronous()?
-        .run(&SimConfig::default())?;
+        .run(&RunConfig::default())?;
     println!(
         "with one stealthy Byzantine node: converged = {} in {} rounds (validity {})",
         out.converged,

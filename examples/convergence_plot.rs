@@ -19,8 +19,8 @@ use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::{
     Adversary, ConformingAdversary, ExtremesAdversary, PolarizingAdversary,
 };
+use iabc::sim::RunConfig;
 use iabc::sim::Scenario;
-use iabc::sim::SimConfig;
 
 fn trace_ranges(adversary: Box<dyn Adversary>) -> (String, Vec<f64>) {
     let g = generators::core_network(9, 2);
@@ -36,7 +36,7 @@ fn trace_ranges(adversary: Box<dyn Adversary>) -> (String, Vec<f64>) {
         .adversary(adversary)
         .synchronous()
         .and_then(|mut sim| {
-            sim.run(&SimConfig {
+            sim.run(&RunConfig {
                 record_states: false,
                 epsilon: 1e-9,
                 max_rounds: 500,

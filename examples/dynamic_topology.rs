@@ -22,8 +22,8 @@ use iabc::core::theorem1;
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::{ExtremesAdversary, SplitBrainAdversary};
 use iabc::sim::dynamic::{sample_edge_drops, SwitchOnceSchedule, TopologySchedule};
+use iabc::sim::RunConfig;
 use iabc::sim::Scenario;
-use iabc::sim::SimConfig;
 
 fn main() {
     // Act 1 + 2: freeze on the violating graph, then repair to K7.
@@ -65,7 +65,7 @@ fn main() {
     );
 
     println!("round  40: switching topology chord(7,5) -> K7 (the repair)");
-    let out = sim.run(&SimConfig::default()).expect("post-repair run");
+    let out = sim.run(&RunConfig::default()).expect("post-repair run");
     println!(
         "repair outcome: converged = {}, rounds total = {}, final range = {:.2e}, valid = {}",
         out.converged,
@@ -100,7 +100,7 @@ fn main() {
         .adversary(Box::new(ExtremesAdversary::new(1e5)))
         .dynamic(&schedule)
         .expect("valid simulation");
-    let out = sim.run(&SimConfig::default()).expect("faded run");
+    let out = sim.run(&RunConfig::default()).expect("faded run");
     println!(
         "edge-fade outcome: converged = {} in {} rounds, valid = {}",
         out.converged,

@@ -17,8 +17,8 @@ use iabc::core::rules::TrimmedMean;
 use iabc::core::theorem1;
 use iabc::graph::{generators, Digraph, NodeSet};
 use iabc::sim::adversary::{ExtremesAdversary, SplitBrainAdversary};
+use iabc::sim::RunConfig;
 use iabc::sim::Scenario;
-use iabc::sim::SimConfig;
 
 fn repair_and_verify(name: &str, g: &Digraph, f: usize) -> Result<(), Box<dyn std::error::Error>> {
     println!(
@@ -80,7 +80,7 @@ fn repair_and_verify(name: &str, g: &Digraph, f: usize) -> Result<(), Box<dyn st
         .rule(&rule)
         .adversary(Box::new(ExtremesAdversary::new(1e6)))
         .synchronous()?
-        .run(&SimConfig::default())?;
+        .run(&RunConfig::default())?;
     println!(
         "   repaired under attack: converged = {} in {} rounds (validity {})\n",
         out.converged,

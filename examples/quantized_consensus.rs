@@ -17,8 +17,8 @@
 use iabc::core::quantized::{quantize_inputs, QuantizedTrimmedMean, Rounding};
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::ExtremesAdversary;
+use iabc::sim::RunConfig;
 use iabc::sim::Scenario;
-use iabc::sim::SimConfig;
 
 fn main() {
     let g = generators::complete(7);
@@ -44,7 +44,7 @@ fn main() {
                 .adversary(Box::new(ExtremesAdversary::new(1e6)))
                 .synchronous()
                 .and_then(|mut sim| {
-                    sim.run(&SimConfig {
+                    sim.run(&RunConfig {
                         epsilon: quantum, // the provable floor
                         max_rounds: 2_000,
                         record_states: false,

@@ -14,8 +14,8 @@ use iabc::core::rules::TrimmedMean;
 use iabc::core::theorem1;
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::ExtremesAdversary;
+use iabc::sim::RunConfig;
 use iabc::sim::Scenario;
-use iabc::sim::SimConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let f = 2;
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .rule(&rule)
         .adversary(Box::new(ExtremesAdversary::new(1e6)))
         .synchronous()
-        .and_then(|mut sim| sim.run(&SimConfig::default()))?;
+        .and_then(|mut sim| sim.run(&RunConfig::default()))?;
 
     println!(
         "converged: {} in {} rounds; final range {:.2e}; validity: {}",

@@ -16,7 +16,7 @@ use iabc::core::rules::TrimmedMean;
 use iabc::core::theorem1;
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::{Adversary, ConstantAdversary, PullAdversary, RandomAdversary};
-use iabc::sim::{Scenario, SimConfig};
+use iabc::sim::{RunConfig, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .rule(&rule)
             .adversary(adversary)
             .synchronous()?
-            .run(&SimConfig::default())?;
+            .run(&RunConfig::default())?;
         let fusedv = out.trace.last().expect("nonempty trace").states[0];
         println!(
             "attack {name:>18}: fused = {fusedv:.3} °C in {} rounds (|error| = {:.3}, validity {})",

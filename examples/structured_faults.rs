@@ -24,8 +24,8 @@ use iabc::core::fault_model::{check_model, AdversaryStructure, FaultModel, Model
 use iabc::core::rules::TrimmedMean;
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::SplitBrainAdversary;
+use iabc::sim::RunConfig;
 use iabc::sim::Scenario;
-use iabc::sim::SimConfig;
 
 fn verdict(satisfied: bool) -> &'static str {
     if satisfied {
@@ -131,7 +131,7 @@ fn main() {
         .adversary(Box::new(adversary))
         .model_aware(&aware)
         .expect("valid simulation");
-    let out = sim.run(&SimConfig::default()).expect("run succeeds");
+    let out = sim.run(&RunConfig::default()).expect("run succeeds");
     println!(
         "  converged = {} in {} rounds, final range {:.2e}, valid = {}",
         out.converged,

@@ -67,9 +67,6 @@
 //! # Ok::<(), iabc::sim::SimError>(())
 //! ```
 //!
-//! (The pre-unification one-call helper `iabc::sim::run_consensus` is kept
-//! as a compatibility shim over the builder.)
-//!
 //! See `examples/` for runnable walkthroughs of the paper's applications
 //! and `EXPERIMENTS.md` for the full reproduction record.
 

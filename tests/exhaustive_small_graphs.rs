@@ -9,7 +9,7 @@ use iabc::core::rules::TrimmedMean;
 use iabc::core::{relation, theorem1, Threshold};
 use iabc::graph::{Digraph, NodeId, NodeSet};
 use iabc::sim::adversary::ExtremesAdversary;
-use iabc::sim::{SimConfig, Simulation};
+use iabc::sim::{RunConfig, Simulation};
 
 const N: usize = 4;
 const F: usize = 1;
@@ -84,7 +84,7 @@ fn checker_matches_brute_force_on_all_4_node_digraphs() {
 #[test]
 fn every_satisfying_4_node_graph_converges_under_attack() {
     let inputs = [0.0, 1.0, 2.0, 3.0];
-    let config = SimConfig {
+    let config = RunConfig {
         record_states: false,
         epsilon: 1e-6,
         max_rounds: 2_000,

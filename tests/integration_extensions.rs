@@ -15,7 +15,7 @@ use iabc::sim::async_engine::MaxDelayScheduler;
 use iabc::sim::dynamic::{sample_edge_drops, DynamicSimulation, SwitchOnceSchedule};
 use iabc::sim::model_engine::ModelSimulation;
 use iabc::sim::vector::{CoordinateWise, VectorSimConfig, VectorSimulation};
-use iabc::sim::{RunConfig, Scenario, SimConfig, Simulation};
+use iabc::sim::{RunConfig, Scenario, Simulation};
 
 /// The §6.3 chord network operated by someone who knows the fault domain:
 /// f-total says impossible, the structure says possible, the structure-
@@ -56,7 +56,7 @@ fn rack_aware_deployment_pipeline() {
     let adv = SplitBrainAdversary::from_witness(&w, 0.0, 1.0, 0.5);
     let out = ModelSimulation::new(&g, &inputs, w.fault_set.clone(), &aware, Box::new(adv))
         .unwrap()
-        .run(&SimConfig::default())
+        .run(&RunConfig::default())
         .unwrap();
     assert!(out.converged && out.validity.is_valid());
 
@@ -89,7 +89,7 @@ fn rack_aware_deployment_pipeline() {
         Box::new(adv),
     )
     .unwrap()
-    .run(&SimConfig::default())
+    .run(&RunConfig::default())
     .unwrap();
     assert!(out.converged && out.validity.is_valid());
     assert!(out.rounds > 30, "convergence cannot predate the upgrade");
@@ -115,7 +115,7 @@ fn quantized_rule_survives_topology_churn() {
         Box::new(ExtremesAdversary::new(1e6)),
     )
     .unwrap()
-    .run(&SimConfig {
+    .run(&RunConfig {
         epsilon: quantum,
         max_rounds: 2_000,
         record_states: true,
@@ -206,7 +206,7 @@ fn quantized_vector_fusion() {
 }
 
 /// Cross-validation: the scalar engine, the identity-aware engine with
-/// `Blind`, and the dynamic engine on a static schedule all produce the
+/// `Blind`, and the dynamic engine on a one-graph schedule all produce the
 /// same trajectory for the same (stateless-adversary) workload.
 #[test]
 fn three_engines_one_trajectory() {
@@ -215,7 +215,7 @@ fn three_engines_one_trajectory() {
     let faults = NodeSet::from_indices(7, [5, 6]);
     let rule = TrimmedMean::new(2);
     let blind = Blind(TrimmedMean::new(2));
-    let schedule = iabc::sim::dynamic::StaticSchedule::new(g.clone());
+    let schedule = iabc::sim::dynamic::SequenceSchedule::new(vec![g.clone()]).unwrap();
 
     let mut scalar = Simulation::new(
         &g,

@@ -9,7 +9,7 @@ use iabc::graph::{generators, metrics, NodeId, NodeSet};
 use iabc::runtime::{run_threaded, ConstantLiar};
 use iabc::sim::adversary::PolarizingAdversary;
 use iabc::sim::certified::run_certified;
-use iabc::sim::{run_consensus, SimConfig};
+use iabc::sim::{RunConfig, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,15 +43,14 @@ fn stage2_simulate_under_attack() {
     let inputs: Vec<f64> = (0..N).map(|i| i as f64).collect();
     let faults = NodeSet::from_indices(N, [N - 1]);
     let rule = TrimmedMean::new(F);
-    let out = run_consensus(
-        &g,
-        &inputs,
-        faults,
-        &rule,
-        Box::new(PolarizingAdversary::new()),
-        &SimConfig::default(),
-    )
-    .expect("simulation runs");
+    let out = Scenario::on(&g)
+        .inputs(&inputs)
+        .faults(faults)
+        .rule(&rule)
+        .adversary(Box::new(PolarizingAdversary::new()))
+        .synchronous()
+        .and_then(|mut sim| sim.run(&RunConfig::default()))
+        .expect("simulation runs");
     assert!(out.converged && out.validity.is_valid());
 }
 
@@ -122,15 +121,14 @@ fn stage6_repair_a_broken_alternative() {
     let n = fix.graph.node_count();
     let inputs: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let rule = TrimmedMean::new(F);
-    let out = run_consensus(
-        &fix.graph,
-        &inputs,
-        NodeSet::from_indices(n, [0]),
-        &rule,
-        Box::new(PolarizingAdversary::new()),
-        &SimConfig::default(),
-    )
-    .expect("repaired graph simulates");
+    let out = Scenario::on(&fix.graph)
+        .inputs(&inputs)
+        .faults(NodeSet::from_indices(n, [0]))
+        .rule(&rule)
+        .adversary(Box::new(PolarizingAdversary::new()))
+        .synchronous()
+        .and_then(|mut sim| sim.run(&RunConfig::default()))
+        .expect("repaired graph simulates");
     assert!(out.converged && out.validity.is_valid());
 }
 

@@ -5,7 +5,7 @@ use iabc::core::rules::TrimmedMean;
 use iabc::core::{async_condition, corollaries, propagate, theorem1, Threshold, Witness};
 use iabc::graph::{algorithms, generators, NodeSet};
 use iabc::sim::adversary::{ConstantAdversary, PullAdversary, SplitBrainAdversary};
-use iabc::sim::{run_consensus, SimConfig, Simulation};
+use iabc::sim::{RunConfig, Scenario, Simulation};
 
 /// Theorem 1 + Theorems 2/3 (tightness): for a panel of graphs the checker
 /// verdict must exactly predict whether Algorithm 1 converges under attack.
@@ -31,15 +31,14 @@ fn checker_verdict_predicts_executability() {
         let n = g.node_count();
         let inputs: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
         let rule = TrimmedMean::new(f);
-        let out = run_consensus(
-            &g,
-            &inputs,
-            faults,
-            &rule,
-            Box::new(PullAdversary::new(true)),
-            &SimConfig::default(),
-        )
-        .expect("simulation runs");
+        let out = Scenario::on(&g)
+            .inputs(&inputs)
+            .faults(faults)
+            .rule(&rule)
+            .adversary(Box::new(PullAdversary::new(true)))
+            .synchronous()
+            .and_then(|mut sim| sim.run(&RunConfig::default()))
+            .expect("simulation runs");
         assert!(out.converged, "{g} f={f} did not converge");
         assert!(out.validity.is_valid(), "{g} f={f} validity broken");
     }
@@ -182,15 +181,14 @@ fn agreed_value_stays_in_honest_hull() {
     let inputs = [3.0, -2.0, 7.0, 0.5, 4.0, 1.0, 0.0, 0.0];
     let faults = NodeSet::from_indices(8, [6, 7]);
     let rule = TrimmedMean::new(2);
-    let out = run_consensus(
-        &g,
-        &inputs,
-        faults,
-        &rule,
-        Box::new(ConstantAdversary::new(1e9)),
-        &SimConfig::default(),
-    )
-    .unwrap();
+    let out = Scenario::on(&g)
+        .inputs(&inputs)
+        .faults(faults)
+        .rule(&rule)
+        .adversary(Box::new(ConstantAdversary::new(1e9)))
+        .synchronous()
+        .and_then(|mut sim| sim.run(&RunConfig::default()))
+        .unwrap();
     assert!(out.converged);
     let agreed = out.trace.last().unwrap().states[0];
     assert!(

@@ -6,7 +6,7 @@ use iabc::core::rules::{Mean, TrimmedMean, UpdateRule};
 use iabc::core::theorem1;
 use iabc::graph::{generators, NodeSet};
 use iabc::sim::adversary::PolarizingAdversary;
-use iabc::sim::{run_consensus, SimConfig};
+use iabc::sim::{RunConfig, Scenario};
 use proptest::prelude::*;
 
 fn finite_values(len: core::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -143,15 +143,14 @@ fn guaranteed_rules_converge_on_satisfying_graphs() {
         let inputs: Vec<f64> = (0..7).map(|_| rng.random_range(-50.0..50.0)).collect();
         let faults = NodeSet::from_indices(7, [1, 4]);
         let rule = TrimmedMean::new(2);
-        let out = run_consensus(
-            &g,
-            &inputs,
-            faults,
-            &rule,
-            Box::new(PolarizingAdversary::new()),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let out = Scenario::on(&g)
+            .inputs(&inputs)
+            .faults(faults)
+            .rule(&rule)
+            .adversary(Box::new(PolarizingAdversary::new()))
+            .synchronous()
+            .and_then(|mut sim| sim.run(&RunConfig::default()))
+            .unwrap();
         assert!(
             out.converged && out.validity.is_valid(),
             "seed {seed}: {out:?}"

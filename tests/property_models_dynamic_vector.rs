@@ -12,10 +12,10 @@ use iabc::core::theorem1;
 use iabc::graph::{generators, Digraph, NodeId, NodeSet};
 use iabc::sim::adversary::{ConstantAdversary, ExtremesAdversary};
 use iabc::sim::dynamic::{
-    sample_edge_drops, DynamicSimulation, RoundRobinSchedule, StaticSchedule, TopologySchedule,
+    sample_edge_drops, DynamicSimulation, RoundRobinSchedule, TopologySchedule,
 };
 use iabc::sim::vector::{CoordinateWise, VectorSimConfig, VectorSimulation};
-use iabc::sim::{SimConfig, Simulation};
+use iabc::sim::{RunConfig, Simulation};
 use proptest::prelude::*;
 
 fn arb_digraph(n: usize) -> impl Strategy<Value = Digraph> {
@@ -168,7 +168,7 @@ proptest! {
             &g, &inputs, rack, &rule,
             Box::new(ExtremesAdversary::new(1e7)),
         ).expect("sim");
-        let out = sim.run(&SimConfig { max_rounds: 150, ..SimConfig::default() }).expect("run");
+        let out = sim.run(&RunConfig { max_rounds: 150, ..RunConfig::default() }).expect("run");
         prop_assert!(out.validity.is_valid());
         prop_assert!(out.converged, "K8 under a 2-rack must converge (range {})", out.final_range);
     }
@@ -251,14 +251,14 @@ proptest! {
             Box::new(ExtremesAdversary::new(1e6)),
         )
         .expect("valid sim")
-        .run(&SimConfig { epsilon: q, max_rounds: 3_000, record_states: true })
+        .run(&RunConfig { epsilon: q, max_rounds: 3_000, record_states: true })
         .expect("run");
         prop_assert!(out.validity.is_valid());
         prop_assert!(out.final_range <= q + 1e-12, "range {} > quantum {}", out.final_range, q);
     }
 
-    /// The dynamic engine over a static schedule is the static engine,
-    /// trajectory for trajectory (stateless adversary).
+    /// The engine over a one-graph schedule object is the fixed-graph
+    /// engine, trajectory for trajectory (stateless adversary).
     #[test]
     fn dynamic_static_schedule_equals_static_engine(
         seed in 0u64..300,
@@ -267,7 +267,7 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let g = generators::complete(7);
-        let schedule = StaticSchedule::new(g.clone());
+        let schedule = RoundRobinSchedule::new(vec![g.clone()], 1).expect("schedule");
         let inputs: Vec<f64> = (0..7).map(|_| rng.random_range(-5.0..5.0)).collect();
         let faults = NodeSet::from_indices(7, [5, 6]);
         let rule = TrimmedMean::new(2);

@@ -11,7 +11,7 @@ use iabc::sim::adversary::{
     PullAdversary, RandomAdversary,
 };
 use iabc::sim::async_engine::{DelayBoundedSim, ImmediateScheduler};
-use iabc::sim::{SimConfig, Simulation};
+use iabc::sim::{RunConfig, Simulation};
 use proptest::prelude::*;
 
 fn adversary_from_id(id: u8) -> Box<dyn Adversary> {
@@ -52,7 +52,7 @@ proptest! {
         }
         let rule = TrimmedMean::new(f);
         let mut sim = Simulation::new(&g, &inputs, faults, &rule, adversary_from_id(adv_id)).unwrap();
-        let out = sim.run(&SimConfig { record_states: false, epsilon: 1e-6, max_rounds: 300 }).unwrap();
+        let out = sim.run(&RunConfig { record_states: false, epsilon: 1e-6, max_rounds: 300 }).unwrap();
         prop_assert!(out.validity.is_valid(), "validity violated (adv {adv_id})");
     }
 
@@ -80,7 +80,7 @@ proptest! {
             Box::new(PullAdversary::new(false)),
         )
         .unwrap();
-        let out = sim.run(&SimConfig { record_states: false, epsilon, max_rounds: bound }).unwrap();
+        let out = sim.run(&RunConfig { record_states: false, epsilon, max_rounds: bound }).unwrap();
         prop_assert!(out.converged, "did not converge within the Lemma 5 bound {bound}");
         prop_assert!(out.rounds <= bound);
     }
@@ -100,7 +100,7 @@ proptest! {
         let rule = TrimmedMean::new(f);
         let out = Simulation::new(&g, &inputs, faults, &rule, Box::new(ExtremesAdversary::new(5.0)))
             .unwrap()
-            .run(&SimConfig { record_states: false, epsilon: 1e-6, max_rounds: 3000 })
+            .run(&RunConfig { record_states: false, epsilon: 1e-6, max_rounds: 3000 })
             .unwrap();
         prop_assert!(out.converged);
         prop_assert!(out.validity.is_valid());

@@ -3,7 +3,7 @@
 //! execution produce **bit-identical** tables — the determinism contract
 //! the per-cell coordinate-derived seeding is supposed to guarantee.
 
-use iabc::analysis::batched::{run_census_conv_sweep, run_experiment_sweep_batched};
+use iabc::analysis::batched::run_census_conv_sweep;
 use iabc::analysis::sweep::{
     run_census_sweep, run_experiment_sweep, run_monte_carlo_sweep, MonteCarloSpec,
 };
@@ -98,13 +98,4 @@ fn convergence_census_batched_equals_dispatched_at_every_job_count() {
             );
         }
     }
-}
-
-#[test]
-fn experiment_sweep_accepts_batch_flag_inertly() {
-    // E-cells pin the exact tier; --batch must change nothing.
-    let ids = vec!["E3".to_string(), "E7".to_string()];
-    let (plain, _) = run_experiment_sweep(&ids, PARALLEL_JOBS);
-    let (batched, _) = run_experiment_sweep_batched(&ids, PARALLEL_JOBS, true);
-    assert_eq!(plain.to_string(), batched.to_string());
 }
