@@ -74,6 +74,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::StructureError;
 use crate::local_fault::is_f_local;
+use crate::scan::{self, Quiet, Rows, Width};
 use crate::witness::{ConditionReport, Witness};
 
 /// An explicit adversary structure: the downward-closed family of feasible
@@ -297,8 +298,11 @@ pub fn verify_model(w: &Witness, g: &Digraph, model: &FaultModel) -> bool {
 
 /// Exact checker for the generalized condition under `model`.
 ///
-/// Exponential like the Theorem 1 checker; intended for `n ≲ 13`
-/// ([`FaultModel::Local`]) or structures with few maximal sets. Returned
+/// Exponential like the Theorem 1 checker. [`FaultModel::Local`] scans up
+/// to `3^n` candidate sets and tests coverage against every node, so
+/// `chord(12, 5)` under `Local(2)` takes about 5 ms, and `Total(2)` about
+/// 0.25 ms (best of five, shared 2-core x86-64 host, release build); a
+/// structure costs its feasible fault sets times `2^|W|`. Returned
 /// witnesses validate with [`verify_model`].
 ///
 /// # Examples
@@ -325,30 +329,64 @@ pub fn check_model(g: &Digraph, model: &FaultModel) -> ConditionReport {
     if n <= 1 {
         return ConditionReport::Satisfied;
     }
-    let mut found: Option<Witness> = None;
-    for_each_scan_set(g, model, |fault| {
-        if let Some(wit) = scan_fault_set_model(g, fault, model) {
-            found = Some(wit);
-            false
-        } else {
-            true
+    let cover = Cover::new(n, model);
+    let fault_sets = |visit: &mut dyn FnMut(&NodeSet) -> bool| for_each_scan_set(g, model, visit);
+    let report = scan::search(g, &cover, None, fault_sets).report();
+    if let ConditionReport::Violated(w) = &report {
+        debug_assert!(verify_model(w, g, model), "invalid generalized witness {w}");
+    }
+    report
+}
+
+/// Coverage insularity for the scan kernel: node `v` of `L` is quiet when
+/// the model covers its slice `N⁻_v ∩ (W − L)` — [`FaultModel::covers`] on
+/// packed words.
+#[derive(Debug)]
+enum Cover {
+    /// At most `f` nodes.
+    Total(usize),
+    /// An f-local set: no node outside it has more than `f` in-neighbours
+    /// inside it.
+    Local(usize),
+    /// Empty, or inside one of the packed maximal sets.
+    Structure(Vec<u64>),
+}
+
+impl Cover {
+    fn new(n: usize, model: &FaultModel) -> Self {
+        match model {
+            FaultModel::Total(f) => Cover::Total(*f),
+            FaultModel::Local(f) => Cover::Local(*f),
+            FaultModel::Structure(a) => Cover::Structure(scan::pack_all(n, a.maximal_sets())),
         }
-    });
-    match found {
-        Some(w) => {
-            debug_assert!(
-                verify_model(&w, g, model),
-                "invalid generalized witness {w}"
-            );
-            ConditionReport::Violated(w)
+    }
+}
+
+impl Quiet for Cover {
+    fn quiet<W: Width>(&self, rows: &Rows<W>, v: usize, outside: &[u64]) -> bool {
+        let row = rows.row(v);
+        match self {
+            Cover::Total(f) => scan::count_and(row, outside) <= *f,
+            Cover::Local(f) => (0..rows.nodes()).all(|u| {
+                let in_slice = scan::has_bit(row, u) && scan::has_bit(outside, u);
+                in_slice || scan::count_and3(rows.row(u), row, outside) <= *f
+            }),
+            Cover::Structure(maximal) => {
+                scan::count_and(row, outside) == 0
+                    || maximal.chunks_exact(rows.words()).any(|m| {
+                        row.iter()
+                            .zip(outside)
+                            .zip(m)
+                            .all(|((r, o), m)| r & o & !m == 0)
+                    })
+            }
         }
-        None => ConditionReport::Satisfied,
     }
 }
 
 /// Visits every fault set the checker must scan for completeness (see the
 /// module docs); `visit` returns `false` to stop early.
-fn for_each_scan_set<F>(g: &Digraph, model: &FaultModel, mut visit: F)
+pub(crate) fn for_each_scan_set<F>(g: &Digraph, model: &FaultModel, mut visit: F)
 where
     F: FnMut(&NodeSet) -> bool,
 {
@@ -406,35 +444,6 @@ where
             }
         }
     }
-}
-
-/// Searches `W = V − fault` for two disjoint coverage-insular sets.
-fn scan_fault_set_model(g: &Digraph, fault: &NodeSet, model: &FaultModel) -> Option<Witness> {
-    let w = fault.complement();
-    let w_len = w.len();
-    if w_len < 2 {
-        return None;
-    }
-    let mut insular_sets: Vec<NodeSet> = Vec::new();
-    let mut hit: Option<Witness> = None;
-    for_each_subset_sized(&w, 1, w_len - 1, |l| {
-        if !is_insular_model(g, &w, l, model) {
-            return true;
-        }
-        if let Some(r) = insular_sets.iter().find(|prev| prev.is_disjoint(l)) {
-            let center = w.difference(l).difference(r);
-            hit = Some(Witness {
-                fault_set: fault.clone(),
-                left: r.clone(),
-                center,
-                right: l.clone(),
-            });
-            return false;
-        }
-        insular_sets.push(l.clone());
-        true
-    });
-    hit
 }
 
 /// An update rule that sees **sender identities**, not just values — what

@@ -62,6 +62,7 @@ pub mod relation;
 pub mod repair;
 pub mod robustness;
 pub mod rules;
+mod scan;
 pub mod search;
 pub mod theorem1;
 mod witness;

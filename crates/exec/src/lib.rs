@@ -706,12 +706,18 @@ impl SharedExecutor {
     /// is a different mutex from the pool's dispatch lock, so multi-
     /// dispatch jobs (sweeps) do not deadlock.
     pub fn with_compute_permit<R>(&self, f: impl FnOnce() -> R) -> R {
+        /// Leaves the queue on drop, so a panicking `f` leaves it too.
+        struct Queued<'a>(&'a AtomicUsize);
+        impl Drop for Queued<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
         self.compute_queue.fetch_add(1, Ordering::SeqCst);
-        let guard = self.compute.lock().unwrap_or_else(|e| e.into_inner());
-        let result = f();
-        drop(guard);
-        self.compute_queue.fetch_sub(1, Ordering::SeqCst);
-        result
+        let _queued = Queued(&self.compute_queue);
+        // Declared after `_queued`, so the permit is released first.
+        let _permit = self.compute.lock().unwrap_or_else(|e| e.into_inner());
+        f()
     }
 
     /// Threads currently holding or queued on the compute permit — a
@@ -1179,6 +1185,18 @@ mod tests {
                 assert_eq!(buf, (0..8).collect::<Vec<u64>>());
             }
         });
+        assert_eq!(shared.compute_queue_len(), 0);
+    }
+
+    #[test]
+    fn panicking_job_releases_its_compute_queue_slot() {
+        let shared = SharedExecutor::new(1);
+        let caught = std::panic::catch_unwind(|| {
+            shared.with_compute_permit(|| panic!("job panicked"));
+        });
+        assert!(caught.is_err());
+        assert_eq!(shared.compute_queue_len(), 0);
+        assert_eq!(shared.with_compute_permit(|| 7), 7);
         assert_eq!(shared.compute_queue_len(), 0);
     }
 

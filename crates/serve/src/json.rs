@@ -178,11 +178,18 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses one JSON value; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so the cap keeps a hostile frame from
+/// overflowing a handler thread's stack; protocol payloads nest a handful
+/// of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON value; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing data", pos));
@@ -212,10 +219,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err("nesting too deep", *pos)),
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -229,7 +238,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -251,7 +260,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -399,6 +408,27 @@ mod tests {
         let big = "x".repeat(200_000) + "→" + &"y".repeat(200_000);
         let text = Json::Str(big.clone()).render();
         assert_eq!(parse(&text).unwrap().as_str(), Some(big.as_str()));
+    }
+
+    #[test]
+    fn nesting_parses_up_to_max_depth_and_no_further() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&arrays(MAX_DEPTH + 1)).unwrap_err().at, MAX_DEPTH);
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_default_stack() {
+        // One megabyte of `[`, far under the frame cap, on a thread with
+        // the default stack — how the daemon's handlers run.
+        let text = "[".repeat(1_000_000);
+        let result = std::thread::spawn(move || parse(&text))
+            .join()
+            .expect("the parser must not overflow its stack");
+        assert!(result.is_err());
     }
 
     #[test]
