@@ -20,7 +20,7 @@ use iabc_baselines::{DolevMidpoint, DolevSelectMean, Wmsr};
 use iabc_core::quantized::{QuantizedTrimmedMean, Rounding};
 use iabc_core::rules::{Mean, TrimmedMean, TrimmedMidpoint, UpdateRule};
 use iabc_graph::fingerprint::Fnv64;
-use iabc_graph::{fingerprint, parse, CompiledTopology, NodeSet};
+use iabc_graph::{fingerprint, parse, GraphError, NodeSet};
 use iabc_sim::adversary::{
     Adversary, ConformingAdversary, ConstantAdversary, CrashAdversary, EchoAdversary,
     ExtremesAdversary, FlipFlopAdversary, NaNAdversary, PolarizingAdversary, PullAdversary,
@@ -147,17 +147,24 @@ impl ScenarioSpec {
         rule_by_name(&self.rule, self.f, self.quantum)
     }
 
-    /// Folds every output-determining ingredient into `h`. The schema is
-    /// the ISSUE-specified tuple; inputs are folded as resolved bit
-    /// patterns so explicit and seeded derivations can never alias.
+    fn resolve_faults(&self, n: usize) -> Result<NodeSet, ServeError> {
+        match self.faulty.iter().find(|&&node| node >= n) {
+            Some(node) => Err(ServeError::Job(format!("faulty node {node} >= n = {n}"))),
+            None => Ok(NodeSet::from_indices(n, self.faulty.iter().copied())),
+        }
+    }
+
+    /// Folds every output-determining ingredient into `h`; inputs are
+    /// folded as resolved bit patterns so explicit and seeded derivations
+    /// can never alias. The topology goes straight from the edge-list text
+    /// to CSR rows ([`parse::in_rows`]), so a cache hit never builds the
+    /// `Digraph` a miss runs on; both compile to the same topology.
     fn hash(&self, h: &mut Fnv64) -> Result<(), ServeError> {
-        let g = parse::parse_edge_list(&self.graph)
-            .map_err(|e| ServeError::Job(format!("bad graph: {e}")))?;
-        let n = g.node_count();
-        let faults = NodeSet::from_indices(n, self.faulty.iter().copied());
-        let topo = CompiledTopology::compile(&g, &faults);
+        let rows = parse::in_rows(&self.graph).map_err(bad_graph)?;
+        let n = rows.node_count();
+        let faults = self.resolve_faults(n)?;
         h.write_str("scenario");
-        h.write_u64(fingerprint::topology(&topo));
+        h.write_u64(fingerprint::topology(&rows.compile(&faults)));
         h.write_u64(fingerprint::fault_set(&faults));
         h.write_str(&self.adversary);
         h.write_u64(self.seed);
@@ -200,15 +207,9 @@ impl ScenarioSpec {
 
     /// Runs the scenario and returns the `IABCOUT1` payload bytes.
     pub fn execute(&self) -> Result<Vec<u8>, ServeError> {
-        let g = parse::parse_edge_list(&self.graph)
-            .map_err(|e| ServeError::Job(format!("bad graph: {e}")))?;
+        let g = parse::parse_edge_list(&self.graph).map_err(bad_graph)?;
         let n = g.node_count();
-        for &node in &self.faulty {
-            if node >= n {
-                return Err(ServeError::Job(format!("faulty node {node} >= n = {n}")));
-            }
-        }
-        let faults = NodeSet::from_indices(n, self.faulty.iter().copied());
+        let faults = self.resolve_faults(n)?;
         let inputs = self.resolve_inputs(n)?;
         let rule = self.resolve_rule()?;
         let adversary = adversary_by_name(&self.adversary, self.seed)?;
@@ -243,6 +244,10 @@ impl ScenarioSpec {
             }
         }
     }
+}
+
+fn bad_graph(e: GraphError) -> ServeError {
+    ServeError::Job(format!("bad graph: {e}"))
 }
 
 impl JobSpec {
@@ -826,6 +831,83 @@ mod tests {
         assert_eq!(a, b, "same spec must produce identical payload bytes");
         let decoded = iabc_sim::wire::decode_outcome(&a).unwrap();
         assert_eq!(decoded.final_states.len(), 3);
+    }
+
+    /// Run keys pinned as literals. A store written by an earlier build
+    /// resolves only while every one of these still holds, so any change
+    /// to the key schema, the edge-list parser or the topology feed that
+    /// moves a key fails here first.
+    #[test]
+    fn run_keys_are_pinned() {
+        use iabc_graph::generators;
+        let key = |job: JobSpec| job.key().unwrap().hex();
+        // The benchmark's complete/n128 hit spec (seed 7, first hit key).
+        let hit_seed = 0x92a1_731a_ed9a_48d6;
+        let hit = ScenarioSpec {
+            graph: parse::to_edge_list(&generators::complete(128)),
+            faulty: vec![0],
+            f: 1,
+            rule: "trimmed-mean".into(),
+            quantum: None,
+            adversary: "constant".into(),
+            seed: hit_seed,
+            inputs: InputSpec::Seeded(hit_seed),
+            epsilon: 1e-6,
+            max_rounds: 1000,
+            engine: EngineSpec::Synchronous,
+        };
+        let chord = ScenarioSpec {
+            graph: parse::to_edge_list(&generators::chord(256, 4)),
+            adversary: "random".into(),
+            seed: 7,
+            inputs: InputSpec::Seeded(7),
+            epsilon: 0.0,
+            max_rounds: 2000,
+            ..hit.clone()
+        };
+        // Comments, blank lines, CRLF, tabs, runs of spaces, and shuffled
+        // and duplicated edge lines: the same digraph as `tidy` below.
+        let messy = ScenarioSpec {
+            graph: "# header\r\n\r\n  5  \r\n2 0\n# mid comment\n\t0\t1\t\n\n3    4\r\n0 1\n  \
+                    1 2\r\n4 0\n2\t 0\n  # indented comment\n2 3\n"
+                .into(),
+            ..sample_scenario()
+        };
+        let tidy = ScenarioSpec {
+            graph: "5\n0 1\n1 2\n2 0\n2 3\n3 4\n4 0\n".into(),
+            ..sample_scenario()
+        };
+        let cases = [
+            (key(JobSpec::Scenario(hit)), "4dc32c6720c5a623"),
+            (key(JobSpec::Scenario(chord)), "c68221cfa53363ef"),
+            (key(JobSpec::Scenario(messy)), "da213c1432ec0e49"),
+            (key(JobSpec::Scenario(tidy)), "da213c1432ec0e49"),
+            (
+                key(JobSpec::Scenario(ScenarioSpec {
+                    engine: delay_bounded("random", 3, 11),
+                    ..sample_scenario()
+                })),
+                "0814346b8a14083e",
+            ),
+            (
+                key(JobSpec::Scenario(ScenarioSpec {
+                    inputs: InputSpec::Explicit(vec![1.0, -2.5, 3.75]),
+                    quantum: Some(0.5),
+                    rule: "quantized".into(),
+                    ..sample_scenario()
+                })),
+                "735d5b42499ccb24",
+            ),
+            (
+                key(JobSpec::Sweep {
+                    ids: vec!["e3".into(), "X2".into(), "E1".into()],
+                }),
+                "1c4325498ab51448",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -162,19 +162,28 @@ impl Json {
     }
 }
 
+/// Appends `s` as a JSON string literal, copying each run of bytes that
+/// needs no escape with one `push_str`. Only `"`, `\` and controls below
+/// 0x20 are escaped; they are ASCII, so every run ends on a char boundary.
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -189,7 +198,7 @@ pub const MAX_DEPTH: usize = 128;
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing data", pos));
@@ -220,7 +229,8 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
 }
 
 /// Parses the value at `pos`, inside `depth` open arrays and objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
@@ -235,10 +245,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -260,7 +270,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -272,7 +282,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -302,17 +312,28 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         .map_err(|_| err("bad number", start))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run of unescaped bytes up to the next quote or
+        // backslash in one slice. Both are ASCII, so the run starts and
+        // ends on char boundaries and `text` is already valid UTF-8:
+        // nothing is re-validated.
+        let start = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(&text[start..*pos]);
         match bytes.get(*pos) {
             None => return Err(err("unterminated string", *pos)),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: one escape follows.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -340,18 +361,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(err("bad escape", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume the whole run of unescaped bytes in one slice:
-                // validating from `pos` to end-of-input per character
-                // would make string parsing quadratic in the frame size.
-                let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
-                    *pos += 1;
-                }
-                let run = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| err("invalid utf-8", start))?;
-                out.push_str(run);
             }
         }
     }
@@ -429,6 +438,90 @@ mod tests {
             .join()
             .expect("the parser must not overflow its stack");
         assert!(result.is_err());
+    }
+
+    /// The per-char renderer `render_string` replaced: the oracle the
+    /// run-copying one must match byte for byte.
+    fn render_string_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Strings covering every escape class, every control character,
+    /// multi-byte runs next to escapes, and what `\u` escapes decode to,
+    /// lone surrogates included.
+    fn string_corpus() -> Vec<String> {
+        let mut corpus: Vec<String> = [
+            "",
+            "plain ascii",
+            "\"quoted\" and \\backslashed\\",
+            "\n\r\t",
+            "\u{0}\u{1}\u{8}\u{b}\u{c}\u{1f}\u{7f} \u{80}\u{85}",
+            "αβγ\\δε\"ζ\nηθ🎯 tail",
+            "é\u{1}é",
+            "\u{2028}\u{2029}\u{feff}\u{fffd}",
+            "0 1\n0 2\n1 0\n",
+        ]
+        .map(String::from)
+        .to_vec();
+        corpus.push((0u8..0x80).map(char::from).collect());
+        corpus.push((0x80u32..0x800).filter_map(char::from_u32).collect());
+        for escaped in [
+            r#""\ud800""#,
+            r#""a\udfffb""#,
+            r#""\ud83c\udfaf""#,
+            r#""\u0000\u001f\u00e9\u20ac""#,
+            r#""\b\f\/\"\\""#,
+        ] {
+            corpus.push(parse(escaped).unwrap().as_str().unwrap().to_string());
+        }
+        corpus
+    }
+
+    #[test]
+    fn render_string_matches_the_per_char_renderer() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let pool: Vec<char> = "\"\\\n\r\t\u{0}\u{1f}\u{7f}ab é€🎯\u{2028}\u{fffd}"
+            .chars()
+            .collect();
+        let mut rng = StdRng::seed_from_u64(16);
+        let random = (0..500).map(|_| {
+            let len = rng.random_range(0..40);
+            (0..len)
+                .map(|_| pool[rng.random_range(0..pool.len())])
+                .collect::<String>()
+        });
+        for s in string_corpus().into_iter().chain(random) {
+            let (mut runs, mut per_char) = (String::new(), String::new());
+            render_string(&s, &mut runs);
+            render_string_per_char(&s, &mut per_char);
+            assert_eq!(runs, per_char, "{s:?}");
+            assert_eq!(parse(&runs).unwrap().as_str(), Some(s.as_str()));
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_lone_surrogates_become_replacements() {
+        let decoded = |text: &str| parse(text).unwrap().as_str().unwrap().to_string();
+        assert_eq!(decoded(r#""\u00e9\u20ac""#), "é€");
+        assert_eq!(decoded(r#""a\ud800b""#), "a\u{fffd}b");
+        assert_eq!(decoded(r#""\ud83c\udfaf""#), "\u{fffd}\u{fffd}");
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\u12zz""#).is_err());
+        assert!(parse(r#""\q""#).is_err());
+        assert!(parse(r#""unterminated"#).is_err());
     }
 
     #[test]

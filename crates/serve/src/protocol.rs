@@ -185,25 +185,46 @@ pub enum Response {
     },
 }
 
+/// Lower-case hex digits: the one nibble table behind [`to_hex`],
+/// [`from_hex`] and [`RunKey`]'s hex form.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The inverse of [`HEX_DIGITS`]: each byte's nibble value, or `0xff` for
+/// a byte that is not a lower-case hex digit.
+const NIBBLES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut nibble = 0;
+    while nibble < 16 {
+        table[HEX_DIGITS[nibble] as usize] = nibble as u8;
+        nibble += 1;
+    }
+    table
+};
+
 /// Hex-encodes payload bytes for the wire.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
     }
     out
 }
 
-/// Decodes wire hex back to bytes.
+/// Decodes wire hex back to bytes. Only the form [`to_hex`] writes is
+/// accepted: an even number of lower-case hex digits.
 pub fn from_hex(text: &str) -> Result<Vec<u8>, ServeError> {
     if !text.len().is_multiple_of(2) {
         return Err(ServeError::Protocol("odd-length hex payload".into()));
     }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16)
-                .map_err(|_| ServeError::Protocol("bad hex payload".into()))
+    text.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+            if (hi | lo) > 0xf {
+                return Err(ServeError::Protocol("bad hex payload".into()));
+            }
+            Ok((hi << 4) | lo)
         })
         .collect()
 }
@@ -401,5 +422,39 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
         assert!(from_hex("0g").is_err());
         assert!(from_hex("abc").is_err());
+        let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&bytes), formatted);
+    }
+
+    /// A multi-byte character must be an error, not a slice through a
+    /// char boundary, and each byte has exactly one accepted spelling.
+    #[test]
+    fn hex_decoding_is_strict() {
+        for bad in [
+            "a\u{e9}b",
+            "\u{e9}\u{e9}",
+            "+1",
+            "-1",
+            " 1",
+            "1 ",
+            "0x",
+            "AB",
+            "aB",
+            "0\n",
+        ] {
+            assert!(
+                matches!(from_hex(bad), Err(ServeError::Protocol(_))),
+                "{bad:?}"
+            );
+        }
+        // A corrupt result frame is a protocol error for the client, not
+        // a panic.
+        let frame =
+            r#"{"type":"result","cache":"hit","key":"0123456789abcdef","payload":"a\u00e9b"}"#;
+        let parsed = crate::json::parse(frame).unwrap();
+        assert!(matches!(
+            Response::from_json(&parsed),
+            Err(ServeError::Protocol(_))
+        ));
     }
 }

@@ -63,15 +63,14 @@ impl RunKey {
     /// 16-char lower-hex rendering — the on-disk object name and the wire
     /// form.
     pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
+        crate::protocol::to_hex(&self.0.to_be_bytes())
     }
 
-    /// Parses the 16-char hex form.
+    /// Parses the 16-char lower-hex form [`RunKey::hex`] writes, and no
+    /// other spelling of the same key.
     pub fn from_hex(s: &str) -> Option<RunKey> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(RunKey)
+        let bytes = crate::protocol::from_hex(s).ok()?;
+        Some(RunKey(u64::from_be_bytes(bytes.try_into().ok()?)))
     }
 }
 
@@ -753,5 +752,33 @@ mod tests {
         assert_eq!(RunKey::from_hex(&key.hex()), Some(key));
         assert_eq!(RunKey::from_hex("xyz"), None);
         assert_eq!(RunKey::from_hex("0123"), None);
+        // Other spellings `u64::from_str_radix` would read as the same key.
+        for other in [
+            "+123456789abcdef",
+            "0123456789ABCDEF",
+            " 123456789abcdef",
+            "0123456789abcde\u{e9}",
+        ] {
+            assert_eq!(RunKey::from_hex(other), None, "{other:?}");
+        }
+    }
+
+    /// An object file whose name spells a live key another way is an
+    /// orphan: `get` never reads it, so compaction sweeps it.
+    #[test]
+    fn compaction_sweeps_objects_named_by_another_spelling() {
+        let dir = temp_dir("spelling");
+        let store = Store::open(&dir).unwrap();
+        let key = RunKey(0x0123_4567_89ab_cdef);
+        store.insert(key, b"payload", 0, 1).unwrap();
+        let objects = dir.join("objects");
+        for alias in ["+123456789abcdef.bin", "0123456789ABCDEF.bin"] {
+            fs::write(objects.join(alias), b"alias").unwrap();
+        }
+        let stats = store.compact().unwrap();
+        assert_eq!(stats.orphans_removed, 2);
+        assert_eq!(store.get(key).unwrap(), b"payload");
+        assert!(object_path_in(&dir, key).exists());
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

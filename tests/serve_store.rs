@@ -466,3 +466,43 @@ fn query_absent_key_is_clean() {
     assert_eq!(stats.job_hits, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A submit naming a faulty node `>= n` is answered with an error frame,
+/// and the daemon keeps serving: the key path rejects it instead of
+/// panicking the handler thread and, through it, the accept loop.
+#[test]
+fn faulty_node_out_of_range_is_an_error_frame_not_a_dead_daemon() {
+    let dir = temp_dir("faulty-range");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: 1,
+        store_dir: dir.clone(),
+        accept_limit: Some(3),
+        max_connections: 0,
+        max_store_bytes: None,
+    };
+    let mut server = Server::bind(&config).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    let good = JobSpec::Scenario(scenario(4, 1, 7, "constant", 6));
+    let bad = JobSpec::Scenario(ScenarioSpec {
+        faulty: vec![999],
+        ..scenario(4, 1, 7, "constant", 6)
+    });
+    match iabc::serve::submit(&addr, &bad) {
+        Err(iabc::serve::ServeError::Server(message)) => {
+            assert!(message.contains("faulty node 999 >= n = 4"), "{message}")
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let first = iabc::serve::submit(&addr, &good).unwrap();
+    let second = iabc::serve::submit(&addr, &good).unwrap();
+    assert!(!first.cache_hit && second.cache_hit);
+    assert_eq!(first.payload, second.payload);
+
+    let stats = daemon.join().unwrap().unwrap();
+    assert_eq!(stats.connections, 3);
+    assert_eq!((stats.job_misses, stats.job_hits), (1, 1));
+    std::fs::remove_dir_all(&dir).ok();
+}
