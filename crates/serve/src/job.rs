@@ -147,7 +147,13 @@ impl ScenarioSpec {
         rule_by_name(&self.rule, self.f, self.quantum)
     }
 
+    /// The fault set, checked against `n` on the key path and before a
+    /// compute: a faulty node `>= n`, or a fault bound `f > n` (a rule
+    /// trimming `2f` values per node would overflow), is a job error.
     fn resolve_faults(&self, n: usize) -> Result<NodeSet, ServeError> {
+        if self.f > n {
+            return Err(ServeError::Job(format!("f = {} exceeds n = {n}", self.f)));
+        }
         match self.faulty.iter().find(|&&node| node >= n) {
             Some(node) => Err(ServeError::Job(format!("faulty node {node} >= n = {n}"))),
             None => Ok(NodeSet::from_indices(n, self.faulty.iter().copied())),

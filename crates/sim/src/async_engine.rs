@@ -1,7 +1,6 @@
 //! Asynchronous execution models (paper Section 7).
 //!
-//! The paper sketches two generalizations; we make both concrete
-//! (documented as our concretization in DESIGN.md):
+//! The paper sketches two generalizations; we make both concrete:
 //!
 //! * **Partially asynchronous** (the model of Bertsekas–Tsitsiklis \[4\],
 //!   §7 of that book): messages may be delayed up to `B − 1` extra ticks.
@@ -16,13 +15,15 @@
 //!   withhold. Survivor count is `|N⁻_i| − 3f`, whence the §7 requirement
 //!   `|N⁻_i| ≥ 3f + 1` (and the `2f + 1` threshold in the async `⇒`).
 
-use iabc_core::rules::{trim_kernel, UpdateRule};
+use iabc_core::rules::{TrimmedMean, UpdateRule};
+use iabc_core::RuleError;
 use iabc_exec::{Chunking, Executor, ScratchPool};
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::adversary::{Adversary, AdversaryView};
+use crate::engine::{Kernel, RoundRule, SyncEngine};
 use crate::error::SimError;
 use crate::plan::{fill_plan, PlannedEdge, PlannedMessage, RoundPlan};
 use crate::run::{check_inputs, honest_range_of, Engine, Outcome, RunConfig, StepStatus};
@@ -481,46 +482,26 @@ impl Engine for DelayBoundedSim<'_> {
 /// With `|N⁻_i| = 3f` the survivor set is empty and states freeze — the
 /// engine exposes exactly the §7 threshold (`|N⁻_i| ≥ 3f + 1`).
 ///
-/// # Parallel rounds
+/// # One kernel
 ///
 /// Withholding is *static* — which messages are dropped depends only on
-/// topology and `f` — so once the adversary's round plan is filled, each
-/// honest node's update is a pure function of `(states, plan)`. The
-/// per-node plan cursor that the old serial sweep threaded through the
-/// loop is precomputed as a prefix sum (`plan_base`), which makes every
-/// node's update independent:
-/// [`WithholdingSim::with_jobs`] fans the update loop (and the plan fill,
-/// for adversaries with a `Sync` planning tier) across a persistent
-/// [`iabc_exec::Executor`], bit-for-bit identical to serial execution for
-/// any job count.
+/// topology and `f` — so the engine is the synchronous kernel
+/// ([`crate::SyncEngine`]) gathering over each honest node's *withheld*
+/// in-row, with Algorithm 1's trimmed mean at `f`. The adversary still
+/// views the whole graph and plans only the faulty messages that are
+/// delivered. Omission is the scheduler's power here, not the
+/// adversary's, so the round's slots disallow it. The kernel's
+/// determinism contract carries over: [`WithholdingSim::with_jobs`] fans
+/// the node loop (and the plan fill, for adversaries with a `Sync`
+/// planning tier) across a persistent [`iabc_exec::Executor`],
+/// bit-for-bit identical to serial execution for any job count.
 #[derive(Debug)]
 pub struct WithholdingSim<'a> {
-    graph: &'a Digraph,
-    compiled: CompiledTopology,
-    fault_set: NodeSet,
-    f: usize,
-    adversary: Box<dyn Adversary>,
-    states: Vec<f64>,
-    next: Vec<f64>,
-    round: usize,
-    /// The faulty edges that actually deliver (per honest receiver, the
-    /// faulty in-neighbours *beyond* the first `f` withheld ones) — the
-    /// withheld set depends only on topology and `f`, so this is static.
-    planned_edges: Vec<PlannedEdge>,
-    /// Where node `i`'s delivered faulty edges start in `planned_edges`
-    /// (prefix sum over receivers) — replaces the serial sweep's running
-    /// cursor so nodes can update in any order.
-    plan_base: Vec<u32>,
+    engine: SyncEngine<'a, WithheldTrim>,
     /// Whether *any* honest node has in-degree `> 3f`. Survivor membership
     /// is static (see type docs), so "this configuration is frozen" is a
     /// constructor-time fact, not a per-round discovery.
     has_survivors: bool,
-    plan: RoundPlan,
-    /// The persistent worker pool for the update phase (serial when
-    /// `jobs() == 1`).
-    exec: Executor,
-    /// Recycled per-participant receive buffers.
-    scratch_pool: ScratchPool<Vec<f64>>,
 }
 
 impl<'a> WithholdingSim<'a> {
@@ -536,54 +517,15 @@ impl<'a> WithholdingSim<'a> {
         f: usize,
         adversary: Box<dyn Adversary>,
     ) -> Result<Self, SimError> {
-        let n = graph.node_count();
-        check_inputs(n, inputs, &fault_set)?;
-        let compiled = CompiledTopology::compile(graph, &fault_set);
-        // Enumerate the faulty edges that deliver each round, in the
-        // update loop's query order (receiver-major, senders ascending,
-        // first f faulty in-neighbours withheld), recording each node's
-        // cursor start and whether any survivor set is ever non-empty —
-        // all static facts of (topology, f).
-        let mut planned_edges = Vec::new();
-        let mut plan_base = vec![0u32; n];
-        let mut has_survivors = false;
-        for (i, base) in plan_base.iter_mut().enumerate() {
-            *base = planned_edges.len() as u32;
-            if compiled.is_faulty(i) {
-                continue;
-            }
-            has_survivors |= compiled.in_degree(i) > 3 * f;
-            let mut withheld = 0usize;
-            for &j in compiled.in_neighbors_of(i) {
-                if !compiled.is_faulty(j as usize) {
-                    continue;
-                }
-                if withheld < f {
-                    withheld += 1;
-                    continue;
-                }
-                planned_edges.push(PlannedEdge {
-                    slot: planned_edges.len() as u32,
-                    sender: j,
-                    receiver: i as u32,
-                });
-            }
-        }
+        check_inputs(graph.node_count(), inputs, &fault_set)?;
+        let has_survivors = graph
+            .nodes()
+            .any(|v| !fault_set.contains(v) && graph.in_degree(v) > 3 * f);
+        let rows = withheld_rows(graph, &fault_set, f);
+        let kernel = Kernel::new(graph, rows, WithheldTrim(TrimmedMean::new(f)));
         Ok(WithholdingSim {
-            graph,
-            compiled,
-            fault_set,
-            f,
-            adversary,
-            states: inputs.to_vec(),
-            next: inputs.to_vec(),
-            round: 0,
-            planned_edges,
-            plan_base,
+            engine: SyncEngine::from_kernel(kernel, inputs, fault_set, adversary, false),
             has_survivors,
-            plan: RoundPlan::new(),
-            exec: Executor::serial(),
-            scratch_pool: ScratchPool::new(),
         })
     }
 
@@ -600,38 +542,38 @@ impl<'a> WithholdingSim<'a> {
 
     /// In-place form of [`WithholdingSim::with_jobs`].
     pub fn set_jobs(&mut self, jobs: usize) {
-        self.exec = Executor::new(jobs);
+        self.engine.set_jobs(jobs);
     }
 
     /// Worker threads used by the update phase.
     pub fn jobs(&self) -> usize {
-        self.exec.jobs()
+        self.engine.jobs()
     }
 
     /// The engine's worker pool (regression tests assert its threads are
     /// spawned once per run, never per round).
     pub fn executor(&self) -> &Executor {
-        &self.exec
+        self.engine.executor()
     }
 
     /// Current states.
     pub fn states(&self) -> &[f64] {
-        &self.states
+        self.engine.states()
     }
 
     /// Current round count.
     pub fn round(&self) -> usize {
-        self.round
+        self.engine.round()
     }
 
     /// The faulty set.
     pub fn fault_set(&self) -> &NodeSet {
-        &self.fault_set
+        self.engine.fault_set()
     }
 
     /// Current fault-free range.
     pub fn honest_range(&self) -> f64 {
-        honest_range_of(&self.states, &self.fault_set)
+        self.engine.honest_range()
     }
 
     /// One round. The adversary withholds the messages of up to `f` faulty
@@ -648,52 +590,7 @@ impl<'a> WithholdingSim<'a> {
     /// Returns [`SimError::Rule`] if a node has fewer than `2f` usable
     /// values after withholding (in-degree `< 3f`).
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
-        self.round += 1;
-        let view = AdversaryView {
-            round: self.round,
-            graph: self.graph,
-            states: &self.states,
-            fault_set: &self.fault_set,
-        };
-        // Phase 1: plan the non-withheld faulty messages. Omission is the
-        // scheduler's power here, not the adversary's (a planned Omit is
-        // treated as the receiver's own state, like the synchronous
-        // missing-message convention), so the slots disallow it. The slot
-        // space is dense (slot == list index), so the plan's slot table
-        // doubles as its own dense edge table for the parallel tier.
-        fill_plan(
-            self.adversary.as_mut(),
-            &view,
-            &self.planned_edges,
-            &self.planned_edges,
-            false,
-            &mut self.plan,
-            &self.exec,
-        );
-        // Phase 2: once the plan is frozen, each node's update is a pure
-        // function of `(states, plan)` — its plan cursor starts at the
-        // precomputed `plan_base[i]` instead of wherever the previous
-        // node's sweep left off, so the loop fans across the pool.
-        let (compiled, plan, plan_base, states, f, round) = (
-            &self.compiled,
-            &self.plan,
-            &self.plan_base,
-            &self.states,
-            self.f,
-            self.round,
-        );
-        let pool = &self.scratch_pool;
-        self.exec.run_chunked(
-            &mut self.next,
-            Chunking::Auto(iabc_exec::MIN_CHUNK),
-            || pool.take(|| Vec::with_capacity(compiled.max_in_degree())),
-            |i, out, received| {
-                withholding_update_node(
-                    compiled, plan, plan_base, states, f, round, i, out, received,
-                )
-            },
-        )?;
-        std::mem::swap(&mut self.states, &mut self.next);
+        self.engine.step()?;
         Ok(if self.has_survivors {
             StepStatus::Progressed
         } else {
@@ -715,68 +612,59 @@ impl<'a> WithholdingSim<'a> {
     }
 }
 
-/// The withholding update phase's per-node body, shared by the serial and
-/// pooled loops: withhold the first `f` faulty in-neighbours, read the
-/// delivered faulty values off the plan starting at `plan_base[i]`, apply
-/// pessimism pops, then the shared trim kernel. A pure function of
-/// `(states, plan)`, which is what makes serial and pooled rounds
-/// bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn withholding_update_node(
-    compiled: &CompiledTopology,
-    plan: &RoundPlan,
-    plan_base: &[u32],
-    states: &[f64],
-    f: usize,
-    round: usize,
-    i: usize,
-    out: &mut f64,
-    received: &mut Vec<f64>,
-) -> Result<(), SimError> {
-    if compiled.is_faulty(i) {
-        return Ok(());
-    }
-    // Withhold: drop messages from up to f faulty in-neighbours; the rest
-    // read off the plan in fill order from this node's cursor start.
-    received.clear();
-    let mut cursor = plan_base[i];
-    let mut withheld = 0usize;
-    for &j in compiled.in_neighbors_of(i) {
-        let j = j as usize;
-        if compiled.is_faulty(j) {
-            if withheld < f {
-                withheld += 1;
-                continue;
-            }
-            let raw = match plan.get(cursor) {
-                PlannedMessage::Value(v) => v,
-                PlannedMessage::Omit => states[i],
-            };
-            cursor += 1;
-            received.push(crate::engine::sanitize(raw));
-        } else {
-            received.push(crate::engine::sanitize(states[j]));
+/// The in-rows the withholding engine gathers over: each honest row
+/// without its first `f` faulty in-neighbours — the messages the
+/// scheduler withholds — and, when the row has fewer than `f` faulty
+/// senders, without its highest-id remaining senders until `f` are gone
+/// (the scheduler can delay honest messages too; dropping the largest ids
+/// keeps the choice deterministic). Faulty rows are empty: faulty nodes
+/// never update.
+fn withheld_rows(graph: &Digraph, fault_set: &NodeSet, f: usize) -> CompiledTopology {
+    CompiledTopology::from_in_rows(graph.node_count(), fault_set, |i, row| {
+        let node = NodeId::new(i);
+        if fault_set.contains(node) {
+            return;
         }
+        let mut withheld = 0;
+        for j in graph.in_neighbors(node).iter() {
+            if withheld < f && fault_set.contains(j) {
+                withheld += 1;
+            } else {
+                row.push(j.index() as u32);
+            }
+        }
+        row.truncate(row.len().saturating_sub(f - withheld));
+    })
+}
+
+/// §7's trim-`2f` update as the kernel's rule: Algorithm 1's trimmed mean
+/// at `f`, applied to the withheld rows.
+#[derive(Debug, Clone, Copy)]
+struct WithheldTrim(TrimmedMean);
+
+impl RoundRule for WithheldTrim {
+    type Msg = f64;
+
+    #[inline]
+    fn msg(_sender: u32, value: f64) -> f64 {
+        value
     }
-    // Pessimism: if fewer than f faulty in-neighbours exist, the scheduler
-    // can still delay honest messages; drop the remainder from the
-    // *largest-id* honest senders to keep determinism.
-    while withheld < f && !received.is_empty() {
-        received.pop();
-        withheld += 1;
+
+    #[inline]
+    fn set_value(msg: &mut f64, value: f64) {
+        *msg = value;
     }
-    if received.len() < 2 * f {
-        return Err(SimError::Rule {
-            node: i,
-            round,
-            source: iabc_core::RuleError::InsufficientValues {
-                needed: 2 * f,
-                got: received.len(),
-            },
-        });
+
+    #[inline]
+    fn apply(
+        self,
+        _graph: &Digraph,
+        _node: usize,
+        own: f64,
+        received: &mut Vec<f64>,
+    ) -> Result<f64, RuleError> {
+        UpdateRule::update(&self.0, own, received)
     }
-    *out = trim_kernel(states[i], received, f);
-    Ok(())
 }
 
 impl Engine for WithholdingSim<'_> {
@@ -785,15 +673,15 @@ impl Engine for WithholdingSim<'_> {
     }
 
     fn round(&self) -> usize {
-        self.round
+        self.engine.round()
     }
 
     fn states(&self) -> &[f64] {
-        &self.states
+        self.engine.states()
     }
 
     fn fault_set(&self) -> &NodeSet {
-        &self.fault_set
+        self.engine.fault_set()
     }
 }
 

@@ -20,6 +20,11 @@
 //!   [`UpdateRule`], `(sender, value)` pairs for an [`IdentifiedRule`]
 //!   ([`crate::model_engine::ModelSimulation`]).
 //!
+//! [`crate::transcript`], [`crate::async_engine::WithholdingSim`] (over
+//! each node's withheld in-rows) and [`crate::vector::VectorSimulation`]
+//! (the node loop once per coordinate) run on the same kernel; the crate
+//! docs say why [`crate::async_engine::DelayBoundedSim`] keeps its own.
+//!
 //! Non-finite Byzantine payloads are sanitized at the receiver boundary
 //! (clamped to huge-but-finite sentinels) before reaching the rule — rules
 //! also reject non-finite input themselves, as defense in depth.
@@ -140,9 +145,11 @@ pub type Simulation<'a> = SyncEngine<'a, &'a dyn UpdateRule>;
 
 /// The synchronous round kernel behind [`Simulation`],
 /// [`crate::dynamic::DynamicSimulation`] and
-/// [`crate::model_engine::ModelSimulation`]. It is generic over where each
-/// round's graph comes from (a [`TopologySchedule`]; a `&Digraph` is the
-/// one-graph schedule) and what the rule sees (a [`RoundRule`] adapter).
+/// [`crate::model_engine::ModelSimulation`], and under
+/// [`crate::transcript`] and [`crate::async_engine::WithholdingSim`]. It
+/// is generic over where each round's graph comes from (a
+/// [`TopologySchedule`]; a `&Digraph` is the one-graph schedule) and what
+/// the rule sees (a [`RoundRule`] adapter).
 ///
 /// # Hot-path contract
 ///
@@ -201,29 +208,19 @@ pub type Simulation<'a> = SyncEngine<'a, &'a dyn UpdateRule>;
 /// ```
 #[derive(Debug)]
 pub struct SyncEngine<'a, R: RoundRule> {
-    schedule: &'a dyn TopologySchedule,
+    kernel: Kernel<'a, R>,
     fault_set: NodeSet,
-    rule: R,
-    adversary: Box<dyn Adversary>,
+    adversary: Box<dyn Adversary + 'a>,
+    /// Whether the round's slots allow [`PlannedMessage::Omit`]: `true`
+    /// for the synchronous family, `false` for the §7 withholding engine,
+    /// whose withheld messages are the scheduler's power, not the
+    /// adversary's.
+    omissions: bool,
     states: Vec<f64>,
     next: Vec<f64>,
     round: usize,
-    compiled: CompiledTopology,
-    /// Address of the schedule graph `compiled` was built from.
-    compiled_for: usize,
-    /// Faulty edges delivered each round, slots keyed on the sub-CSR.
-    planned_edges: Vec<PlannedEdge>,
-    /// Dense slot → edge table for the parallel planning tier (holes for
-    /// sub-CSR rows of faulty receivers).
-    slot_edges: Vec<PlannedEdge>,
     /// The per-round message table (retained allocation).
     plan: RoundPlan,
-    /// The persistent worker pool (serial when `jobs() == 1`).
-    exec: Executor,
-    /// Recycled per-participant gather buffers (one per dispatch
-    /// participant — a single retained buffer in serial mode). After a
-    /// rebuild they grow on first use, then the larger buffers are kept.
-    scratch_pool: ScratchPool<Vec<R::Msg>>,
 }
 
 impl<'a, R: RoundRule> SyncEngine<'a, R> {
@@ -244,25 +241,34 @@ impl<'a, R: RoundRule> SyncEngine<'a, R> {
         adversary: Box<dyn Adversary>,
     ) -> Result<Self, SimError> {
         check_inputs(schedule.node_count(), inputs, &fault_set)?;
-        let first = schedule.graph_at(1);
-        let mut engine = SyncEngine {
-            schedule,
-            compiled: CompiledTopology::compile(first, &fault_set),
-            compiled_for: first as *const Digraph as usize,
+        let rows = CompiledTopology::compile(schedule.graph_at(1), &fault_set);
+        let kernel = Kernel::new(schedule, rows, rule);
+        Ok(SyncEngine::from_kernel(
+            kernel, inputs, fault_set, adversary, true,
+        ))
+    }
+
+    /// The engine around a prebuilt `kernel`, for the crate's other
+    /// kernel users (transcripts, the §7 withholding engine). `inputs`
+    /// and `fault_set` must already have passed [`check_inputs`];
+    /// `omissions` is the engine's fixed omission flag.
+    pub(crate) fn from_kernel(
+        kernel: Kernel<'a, R>,
+        inputs: &[f64],
+        fault_set: NodeSet,
+        adversary: Box<dyn Adversary + 'a>,
+        omissions: bool,
+    ) -> Self {
+        SyncEngine {
+            kernel,
             fault_set,
-            rule,
             adversary,
+            omissions,
             states: inputs.to_vec(),
             next: inputs.to_vec(),
             round: 0,
-            planned_edges: Vec::new(),
-            slot_edges: Vec::new(),
             plan: RoundPlan::new(),
-            exec: Executor::serial(),
-            scratch_pool: ScratchPool::new(),
-        };
-        engine.derive_slots();
-        Ok(engine)
+        }
     }
 
     /// Retains a pool of `jobs` workers (`0` = all available cores) that
@@ -279,18 +285,18 @@ impl<'a, R: RoundRule> SyncEngine<'a, R> {
     /// In-place form of [`SyncEngine::with_jobs`] (replaces the pool, so
     /// reconfiguring mid-run respawns workers — configure once).
     pub fn set_jobs(&mut self, jobs: usize) {
-        self.exec = Executor::new(jobs);
+        self.kernel.set_jobs(jobs);
     }
 
     /// Worker threads used by the node loop.
     pub fn jobs(&self) -> usize {
-        self.exec.jobs()
+        self.kernel.jobs()
     }
 
     /// The engine's worker pool (regression tests assert its threads are
     /// spawned once per run, never per step).
     pub fn executor(&self) -> &Executor {
-        &self.exec
+        &self.kernel.exec
     }
 
     /// Current iteration count.
@@ -325,13 +331,7 @@ impl<'a, R: RoundRule> SyncEngine<'a, R> {
     /// (e.g. this round's graph leaves a node too few messages to trim).
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
         self.round += 1;
-        let graph = self.schedule.graph_at(self.round);
-        let addr = graph as *const Digraph as usize;
-        if addr != self.compiled_for {
-            self.compiled.rebuild(graph);
-            self.compiled_for = addr;
-            self.derive_slots();
-        }
+        let graph = self.kernel.graph_at(self.round);
         let view = AdversaryView {
             round: self.round,
             graph,
@@ -341,28 +341,14 @@ impl<'a, R: RoundRule> SyncEngine<'a, R> {
         fill_plan(
             self.adversary.as_mut(),
             &view,
-            &self.planned_edges,
-            &self.slot_edges,
-            true,
+            &self.kernel.planned_edges,
+            &self.kernel.slot_edges,
+            self.omissions,
             &mut self.plan,
-            &self.exec,
+            &self.kernel.exec,
         );
-        let (compiled, rule, states, plan, round) = (
-            &self.compiled,
-            self.rule,
-            &self.states,
-            &self.plan,
-            self.round,
-        );
-        let pool = &self.scratch_pool;
-        self.exec.run_chunked(
-            &mut self.next,
-            Chunking::Auto(iabc_exec::MIN_CHUNK),
-            || pool.take(|| Vec::with_capacity(compiled.max_in_degree())),
-            |i, out, scratch| {
-                step_node(graph, compiled, rule, states, plan, round, i, out, scratch)
-            },
-        )?;
+        self.kernel
+            .node_loop(self.round, &self.states, &self.plan, &mut self.next)?;
         std::mem::swap(&mut self.states, &mut self.next);
         Ok(StepStatus::Progressed)
     }
@@ -375,6 +361,119 @@ impl<'a, R: RoundRule> SyncEngine<'a, R> {
     /// Propagates [`SimError::Rule`] from [`SyncEngine::step`].
     pub fn run(&mut self, config: &RunConfig) -> Result<Outcome, SimError> {
         Engine::run(self, config)
+    }
+
+    /// The last round's faulty edges (slot order) and the plan the
+    /// adversary filled for them — what transcripts record.
+    pub(crate) fn last_plan(&self) -> (&[PlannedEdge], &RoundPlan) {
+        (self.kernel.edges(), &self.plan)
+    }
+}
+
+/// The round machinery every kernel user shares: the compiled rows the
+/// node loop gathers over, their faulty-edge plan slots, the rule and the
+/// worker pool. [`SyncEngine`] adds the states and the adversary;
+/// [`crate::vector::VectorSimulation`] runs the node loop once per
+/// coordinate over its own states and plans.
+#[derive(Debug)]
+pub(crate) struct Kernel<'a, R: RoundRule> {
+    schedule: &'a dyn TopologySchedule,
+    /// The schedule graph `compiled` was built from.
+    graph: &'a Digraph,
+    compiled: CompiledTopology,
+    /// Faulty edges into honest receivers, slots keyed on the sub-CSR.
+    planned_edges: Vec<PlannedEdge>,
+    /// Dense slot → edge table for the parallel planning tier (holes for
+    /// sub-CSR rows of faulty receivers).
+    slot_edges: Vec<PlannedEdge>,
+    rule: R,
+    /// The persistent worker pool (serial when `jobs() == 1`).
+    exec: Executor,
+    /// Recycled per-participant gather buffers (one per dispatch
+    /// participant — a single retained buffer in serial mode). After a
+    /// rebuild they grow on first use, then the larger buffers are kept.
+    scratch_pool: ScratchPool<Vec<R::Msg>>,
+}
+
+impl<'a, R: RoundRule> Kernel<'a, R> {
+    /// A serial kernel whose node loop gathers over `rows`, compiled from
+    /// round 1's graph. The rows may be a subset of that graph's in-rows
+    /// (the adversary still views the whole graph) only when `schedule`
+    /// is a fixed graph: a schedule that hands out a new graph gets its
+    /// full rows recompiled.
+    pub(crate) fn new(schedule: &'a dyn TopologySchedule, rows: CompiledTopology, rule: R) -> Self {
+        let mut kernel = Kernel {
+            schedule,
+            graph: schedule.graph_at(1),
+            compiled: rows,
+            planned_edges: Vec::new(),
+            slot_edges: Vec::new(),
+            rule,
+            exec: Executor::serial(),
+            scratch_pool: ScratchPool::new(),
+        };
+        kernel.derive_slots();
+        kernel
+    }
+
+    /// Replaces the worker pool with one of `jobs` workers.
+    pub(crate) fn set_jobs(&mut self, jobs: usize) {
+        self.exec = Executor::new(jobs);
+    }
+
+    /// Worker threads used by the node loop.
+    pub(crate) fn jobs(&self) -> usize {
+        self.exec.jobs()
+    }
+
+    /// The faulty edges into honest receivers, in plan-slot order
+    /// (receivers ascending, each receiver's senders ascending).
+    pub(crate) fn edges(&self) -> &[PlannedEdge] {
+        &self.planned_edges
+    }
+
+    /// Slots in a round plan (sub-CSR rows of faulty receivers included,
+    /// as unread holes).
+    pub(crate) fn plan_len(&self) -> usize {
+        self.slot_edges.len()
+    }
+
+    /// The schedule's graph for `round`. The schedule is consulted once
+    /// per round; the rows are rebuilt in place only when it hands out a
+    /// different graph than the previous round (detected by address,
+    /// which is stable because [`TopologySchedule::graph_at`] returns
+    /// references into the schedule itself).
+    fn graph_at(&mut self, round: usize) -> &'a Digraph {
+        let graph = self.schedule.graph_at(round);
+        if !std::ptr::eq(graph, self.graph) {
+            self.compiled.rebuild(graph);
+            self.graph = graph;
+            self.derive_slots();
+        }
+        graph
+    }
+
+    /// Phase 2 over one state column: every fault-free node of `states`
+    /// applies the rule to its gathered row, faulty slots read from
+    /// `plan`, results written to `next`. Fanned across the pool; a rule
+    /// failure names the lowest failing node.
+    pub(crate) fn node_loop(
+        &self,
+        round: usize,
+        states: &[f64],
+        plan: &RoundPlan,
+        next: &mut [f64],
+    ) -> Result<(), SimError> {
+        let (graph, compiled, rule, pool) =
+            (self.graph, &self.compiled, self.rule, &self.scratch_pool);
+        self.exec.run_chunked(
+            next,
+            Chunking::Auto(iabc_exec::MIN_CHUNK),
+            || pool.take(|| Vec::with_capacity(compiled.max_in_degree())),
+            |i, out, scratch| {
+                step_node(graph, compiled, rule, states, plan, round, i, out, scratch)
+            },
+        )
     }
 
     /// Re-derives the round plan's faulty-edge slot lists from `compiled`.

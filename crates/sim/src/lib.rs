@@ -34,6 +34,14 @@
 //!   pairs for an [`iabc_core::fault_model::IdentifiedRule`]
 //!   ([`model_engine::ModelSimulation`]).
 //!
+//! Transcript recording and replay, the §7 withholding engine
+//! ([`Scenario::withholding`], the kernel over each node's withheld
+//! in-rows) and the vector engine ([`Scenario::vector`], the kernel's
+//! node loop once per coordinate) run on the same kernel. Only the
+//! delay-bounded engine keeps its own loop: its update reads a mailbox
+//! row, and its send and deliver phases follow the scheduler's per-edge
+//! RNG stream in sender-major order.
+//!
 //! The kernel compiles the round's `(graph, fault set)` pair into an
 //! [`iabc_graph::CompiledTopology`] (CSR in-adjacency, dense fault flags,
 //! and a faulty-edge sub-CSR) and steps with **two** state buffers: reads
@@ -65,7 +73,8 @@
 //! are fed each round's work; `jobs = 1` runs inline with zero overhead.
 //! What fans across it, per engine:
 //!
-//! * **the synchronous kernel** (scalar, model-aware, dynamic) — the
+//! * **the synchronous kernel** (scalar, model-aware, dynamic,
+//!   withholding, and each coordinate of the vector engine) — the
 //!   phase-2 node loop (a pure function of `(states, plan)` per node);
 //! * **delay-bounded** — the per-tick update loop over the frozen
 //!   mailbox; the send and deliver phases stay serial because the
@@ -77,13 +86,11 @@
 //!   the pure per-slot fill is fanned. RNG-streaming and wrapper
 //!   adversaries always plan fully serially.
 //!
-//! The withholding and vector engines execute serially regardless (a
-//! sequential withhold-cursor walk and lazily planned coordinates,
-//! respectively). In every case results are **bit-for-bit identical to
-//! serial execution for any job count** — the ownership contract (each
-//! output index written by exactly one worker, shared reads otherwise)
-//! and the min-index-deterministic error rule live in [`iabc_exec`], and
-//! the guarantee is pinned by `tests/parallel_equivalence.rs`.
+//! In every case results are **bit-for-bit identical to serial execution
+//! for any job count** — the ownership contract (each output index
+//! written by exactly one worker, shared reads otherwise) and the
+//! min-index-deterministic error rule live in [`iabc_exec`], and the
+//! guarantee is pinned by `tests/parallel_equivalence.rs`.
 //!
 //! The hot arithmetic itself (sort, trim `f` per side, equal-weight
 //! average) lives in [`iabc_core::rules::trim_kernel`], shared with the

@@ -18,13 +18,15 @@
 //! 2. **Execute** (parallelizable): the node loop reads the finished plan
 //!    by index. No trait call, no `&mut`, no allocation per edge.
 //!
-//! Slot numbering is chosen by each engine. The synchronous family keys
-//! slots on the [`iabc_graph::CompiledTopology`] faulty-edge sub-CSR
-//! (`faulty_in_offset(i) + k`); other consumers (the delay-bounded send
-//! loop, the withholding engine, transcripts, the reference stepper, the
-//! analysis matrix builder) use dense slot lists in their native query
-//! order, which keeps every per-edge RNG stream bit-identical to the
-//! pre-refactor one-call-per-edge protocol.
+//! Slot numbering is chosen by each engine. The synchronous kernel
+//! ([`crate::SyncEngine`], and through it transcripts, the withholding
+//! engine and the vector engine) keys slots on the
+//! [`iabc_graph::CompiledTopology`] faulty-edge sub-CSR
+//! (`faulty_in_offset(i) + k`). The delay-bounded send loop, the
+//! reference stepper and the analysis matrix builder use dense slot lists
+//! in their native query order. Every engine names its slots in the
+//! pre-refactor one-call-per-edge query order, which keeps every per-edge
+//! RNG stream bit-identical to that protocol.
 
 use iabc_exec::{Chunking, Executor};
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
@@ -62,9 +64,9 @@ impl PlannedEdge {
 /// model honours omissions.
 ///
 /// Engines that model omission (the synchronous family, transcripts)
-/// set [`RoundSlots::allows_omission`]; the delay-bounded and withholding
-/// engines do not — matching the pre-refactor protocol, where only the
-/// synchronous family modelled omission.
+/// set [`RoundSlots::allows_omission`]; the delay-bounded, withholding
+/// and vector engines do not — matching the pre-refactor protocol, where
+/// only the synchronous family modelled omission.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundSlots<'a> {
     edges: &'a [PlannedEdge],
@@ -177,20 +179,11 @@ impl RoundPlan {
 /// adversary RNG stream bit for bit.
 ///
 /// Used by the consumers that plan straight from a [`Digraph`] (the
-/// reference stepper, transcript recording, the analysis matrix builder,
-/// [`crate::vector::CoordinateWise`]); the compiled engines derive their
-/// edge lists from the [`iabc_graph::CompiledTopology`] sub-CSR instead.
+/// reference stepper, the analysis matrix builder); the kernel derives
+/// the same edges, in the same order, from the
+/// [`iabc_graph::CompiledTopology`] sub-CSR instead.
 pub fn faulty_edges_of(graph: &Digraph, fault_set: &NodeSet) -> Vec<PlannedEdge> {
     let mut edges = Vec::new();
-    faulty_edges_into(graph, fault_set, &mut edges);
-    edges
-}
-
-/// In-place form of [`faulty_edges_of`], reusing `edges`'s allocation —
-/// for per-round consumers that re-derive the list (e.g. after a dynamic
-/// topology change).
-pub fn faulty_edges_into(graph: &Digraph, fault_set: &NodeSet, edges: &mut Vec<PlannedEdge>) {
-    edges.clear();
     for i in graph.nodes() {
         if fault_set.contains(i) {
             continue;
@@ -205,6 +198,7 @@ pub fn faulty_edges_into(graph: &Digraph, fault_set: &NodeSet, edges: &mut Vec<P
             }
         }
     }
+    edges
 }
 
 /// Rebuilds `edges` as the faulty edges of **fault-free** receivers,

@@ -102,21 +102,20 @@ impl<'a> Scenario<'a> {
     }
 
     /// Retains a persistent worker pool of `jobs` threads (`0` = all
-    /// available cores) on the engines with a parallel phase:
-    /// [`Scenario::synchronous`], [`Scenario::model_aware`], and
-    /// [`Scenario::dynamic`] fan each round's node loop across it, and
+    /// available cores) on the engines with a parallel phase: every
+    /// terminal on the synchronous kernel ([`Scenario::synchronous`],
+    /// [`Scenario::model_aware`], [`Scenario::dynamic`],
+    /// [`Scenario::withholding`]) fans each round's node loop across it,
+    /// [`Scenario::vector`] fans each coordinate's node loop, and
     /// [`Scenario::delay_bounded`] fans each tick's **update phase**
     /// (its send/deliver phases stay serial to preserve the scheduler's
     /// RNG order and mailbox overwrite semantics). Adversaries offering
     /// the [`crate::adversary::Adversary::plan_round_sync`] tier
-    /// additionally fan their phase-1 plan fill. Threads are spawned
-    /// once when the terminal builds the engine — never per step — and
-    /// results are **bit-for-bit identical** to serial execution for
-    /// any value: parallelism is purely a performance knob, never a
-    /// semantic one. The remaining terminals (withholding, vector)
-    /// execute serially regardless; the withholding engine's
-    /// withhold-cursor walk and the vector engine's lazily planned
-    /// coordinates are inherently sequential per round.
+    /// additionally fan their phase-1 plan fill on the scalar terminals.
+    /// Threads are spawned once when the terminal builds the engine —
+    /// never per step — and results are **bit-for-bit identical** to
+    /// serial execution for any value: parallelism is purely a
+    /// performance knob, never a semantic one.
     #[must_use]
     pub fn parallel(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
@@ -326,6 +325,7 @@ impl<'a> Scenario<'a> {
         let fault_set = self.take_fault_set();
         let adversary = self.take_adversary()?;
         WithholdingSim::new(self.graph, &inputs, fault_set, f, adversary)
+            .map(|sim| sim.with_jobs(self.jobs))
     }
 
     /// Terminal: coordinate-wise Algorithm 1 on `ℝ^d`. Inputs are read as
@@ -376,6 +376,7 @@ impl<'a> Scenario<'a> {
             ))
         });
         VectorSimulation::new(self.graph, &rows, fault_set, rule, adversary)
+            .map(|sim| sim.with_jobs(self.jobs))
     }
 
     /// Terminal: the FastMath replica-batched Monte-Carlo engine —
@@ -526,6 +527,14 @@ mod tests {
             .vector(2)
             .unwrap();
         let _boxed: Box<dyn Engine + '_> = base().rule(&rule).boxed_synchronous().unwrap();
+    }
+
+    #[test]
+    fn parallel_reaches_the_withholding_terminal() {
+        let g = generators::complete(7);
+        let base = || Scenario::on(&g).inputs(&[0.0; 7]).fault_nodes([5, 6]);
+        assert_eq!(base().parallel(2).withholding(2).unwrap().jobs(), 2);
+        assert_eq!(base().withholding(2).unwrap().jobs(), 1);
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //! Transcripts serialize to a line-oriented text format (stable, diffable)
 //! and via `serde` derives.
 
+use std::collections::HashMap;
+
 use iabc_core::rules::UpdateRule;
-use iabc_graph::{Digraph, NodeId, NodeSet};
+use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversaryView};
-use crate::engine::sanitize;
+use crate::engine::{Kernel, SyncEngine};
 use crate::error::SimError;
-use crate::plan::{faulty_edges_of, PlannedMessage, RoundPlan, RoundSlots};
+use crate::plan::{PlannedEdge, PlannedMessage, RoundPlan, RoundSlots};
 use crate::run::check_inputs;
 
 /// One recorded Byzantine message (or omission).
@@ -207,6 +209,10 @@ impl Transcript {
 /// Records a live run: executes `rounds` iterations of `rule` on `graph`
 /// under `adversary`, capturing all Byzantine traffic and per-round states.
 ///
+/// The run is a [`crate::Simulation`]; each round's messages are copied
+/// from the plan the adversary filled, in the kernel's slot order (honest
+/// receivers ascending, each receiver's faulty senders ascending).
+///
 /// # Errors
 ///
 /// Propagates the usual [`SimError`] validation and rule failures.
@@ -218,85 +224,116 @@ pub fn record(
     adversary: &mut dyn Adversary,
     rounds: usize,
 ) -> Result<Transcript, SimError> {
-    let n = graph.node_count();
-    check_inputs(n, inputs, &fault_set)?;
+    check_inputs(graph.node_count(), inputs, &fault_set)?;
     let mut transcript = Transcript {
-        node_count: n,
+        node_count: graph.node_count(),
         fault_set: fault_set.clone(),
         initial_states: inputs.to_vec(),
         rounds: Vec::with_capacity(rounds),
     };
-    // Double-buffered like the engines: faulty entries are never written,
-    // so both buffers carry the faulty inputs forever. The adversary
-    // plans each round once (two-phase protocol) over the same edge
-    // enumeration the recording loop walks, so recorded values match the
-    // pre-plan per-edge protocol bit for bit.
-    let edges = faulty_edges_of(graph, &fault_set);
-    let mut plan = RoundPlan::new();
-    let mut states = inputs.to_vec();
-    let mut next = inputs.to_vec();
-    let mut received: Vec<f64> = Vec::new();
+    let kernel = Kernel::new(graph, CompiledTopology::compile(graph, &fault_set), rule);
+    let mut sim =
+        SyncEngine::from_kernel(kernel, inputs, fault_set, Box::new(Lent(adversary)), true);
     for round in 1..=rounds {
-        let view = AdversaryView {
-            round,
-            graph,
-            states: &states,
-            fault_set: &fault_set,
-        };
-        plan.begin(edges.len());
-        adversary.plan_round(&view, RoundSlots::new(&edges, true), &mut plan);
-        let mut cursor = 0u32;
-        let mut messages = Vec::new();
-        for i in graph.nodes() {
-            if fault_set.contains(i) {
-                continue;
-            }
-            received.clear();
-            for j in graph.in_neighbors(i).iter() {
-                let raw = if fault_set.contains(j) {
-                    let planned = plan.get(cursor);
-                    cursor += 1;
-                    match planned {
-                        PlannedMessage::Omit => {
-                            messages.push(MessageRecord {
-                                sender: j,
-                                receiver: i,
-                                value: 0.0,
-                                omitted: true,
-                            });
-                            states[i.index()]
-                        }
-                        PlannedMessage::Value(v) => {
-                            messages.push(MessageRecord {
-                                sender: j,
-                                receiver: i,
-                                value: v,
-                                omitted: false,
-                            });
-                            v
-                        }
-                    }
-                } else {
-                    states[j.index()]
+        sim.step()?;
+        let (edges, plan) = sim.last_plan();
+        let messages = edges
+            .iter()
+            .map(|edge| {
+                let (value, omitted) = match plan.get(edge.slot) {
+                    PlannedMessage::Value(v) => (v, false),
+                    PlannedMessage::Omit => (0.0, true),
                 };
-                received.push(sanitize(raw));
-            }
-            next[i.index()] = rule
-                .update(states[i.index()], &mut received)
-                .map_err(|source| SimError::Rule {
-                    node: i.index(),
-                    round,
-                    source,
-                })?;
-        }
-        std::mem::swap(&mut states, &mut next);
+                MessageRecord {
+                    sender: edge.sender_id(),
+                    receiver: edge.receiver_id(),
+                    value,
+                    omitted,
+                }
+            })
+            .collect();
         transcript.rounds.push(RoundTranscript {
             round,
             messages,
-            states_after: states.clone(),
+            states_after: sim.states().to_vec(),
         });
     }
     Ok(transcript)
+}
+
+/// The caller's adversary, lent to the kernel for one recording.
+#[derive(Debug)]
+struct Lent<'a>(&'a mut dyn Adversary);
+
+impl Adversary for Lent<'_> {
+    fn plan_round(
+        &mut self,
+        view: &AdversaryView<'_>,
+        slots: RoundSlots<'_>,
+        plan: &mut RoundPlan,
+    ) {
+        self.0.plan_round(view, slots, plan);
+    }
+}
+
+/// Replays recorded traffic: `plans[t]` holds round `t + 1`'s messages in
+/// the kernel's slot order.
+#[derive(Debug)]
+struct Recorded<'a> {
+    plans: &'a [Vec<PlannedMessage>],
+}
+
+impl Adversary for Recorded<'_> {
+    fn plan_round(
+        &mut self,
+        view: &AdversaryView<'_>,
+        slots: RoundSlots<'_>,
+        plan: &mut RoundPlan,
+    ) {
+        for (edge, &message) in slots.iter().zip(&self.plans[view.round - 1]) {
+            if let PlannedMessage::Value(v) = message {
+                plan.set_value(edge.slot, v);
+            }
+        }
+    }
+}
+
+/// Each round's recorded message for every edge in `edges` (slot order),
+/// looked up by `(sender, receiver)` in an index built once per round.
+/// Stops at the first round missing a message: returns the plans of the
+/// rounds before it, and that round's error.
+fn recorded_plans(
+    edges: &[PlannedEdge],
+    transcript: &Transcript,
+) -> (Vec<Vec<PlannedMessage>>, Option<ReplayError>) {
+    let mut plans = Vec::with_capacity(transcript.rounds.len());
+    for rt in &transcript.rounds {
+        let mut recorded = HashMap::with_capacity(rt.messages.len());
+        for m in &rt.messages {
+            let message = if m.omitted {
+                PlannedMessage::Omit
+            } else {
+                PlannedMessage::Value(m.value)
+            };
+            // Of two records for one edge, the first wins.
+            recorded.entry((m.sender, m.receiver)).or_insert(message);
+        }
+        let mut plan = Vec::with_capacity(edges.len());
+        for edge in edges {
+            let (sender, receiver) = (edge.sender_id(), edge.receiver_id());
+            let Some(&message) = recorded.get(&(sender, receiver)) else {
+                let missing = ReplayError::MissingMessage {
+                    round: rt.round,
+                    sender,
+                    receiver,
+                };
+                return (plans, Some(missing));
+            };
+            plan.push(message);
+        }
+        plans.push(plan);
+    }
+    (plans, None)
 }
 
 /// A replay failure: where and how the transcript diverged.
@@ -359,10 +396,16 @@ impl std::error::Error for ReplayError {}
 /// Replays a transcript against `graph` and `rule`, verifying every round's
 /// states. Returns the final state vector on success.
 ///
+/// The replay is a [`crate::Simulation`] whose adversary plans every slot
+/// from the round's recorded messages. A missing message is reported at
+/// the start of its round, before that round's rule errors.
+///
 /// # Errors
 ///
 /// Returns [`ReplayError`] naming the first divergence — any tampering with
-/// recorded values or states is caught here.
+/// recorded values or states is caught here. A transcript [`record`] could
+/// not have written (non-finite initial states, a fault set over another
+/// universe, no fault-free node) is a [`ReplayError::Shape`].
 pub fn replay(
     graph: &Digraph,
     rule: &dyn UpdateRule,
@@ -382,40 +425,22 @@ pub fn replay(
         )));
     }
     let fault_set = &transcript.fault_set;
-    let mut states = transcript.initial_states.clone();
-    let mut next = transcript.initial_states.clone();
-    let mut received: Vec<f64> = Vec::new();
-    for rt in &transcript.rounds {
-        for i in graph.nodes() {
-            if fault_set.contains(i) {
-                continue;
-            }
-            received.clear();
-            for j in graph.in_neighbors(i).iter() {
-                let raw = if fault_set.contains(j) {
-                    let rec = rt
-                        .messages
-                        .iter()
-                        .find(|m| m.sender == j && m.receiver == i)
-                        .ok_or(ReplayError::MissingMessage {
-                            round: rt.round,
-                            sender: j,
-                            receiver: i,
-                        })?;
-                    if rec.omitted {
-                        states[i.index()]
-                    } else {
-                        rec.value
-                    }
-                } else {
-                    states[j.index()]
-                };
-                received.push(sanitize(raw));
-            }
-            next[i.index()] = rule
-                .update(states[i.index()], &mut received)
-                .map_err(|e| ReplayError::Rule(e.to_string()))?;
-        }
+    check_inputs(n, &transcript.initial_states, fault_set)
+        .map_err(|e| ReplayError::Shape(e.to_string()))?;
+    let kernel = Kernel::new(graph, CompiledTopology::compile(graph, fault_set), rule);
+    let (plans, missing) = recorded_plans(kernel.edges(), transcript);
+    let mut sim = SyncEngine::from_kernel(
+        kernel,
+        &transcript.initial_states,
+        fault_set.clone(),
+        Box::new(Recorded { plans: &plans }),
+        true,
+    );
+    for rt in &transcript.rounds[..plans.len()] {
+        sim.step().map_err(|e| match e {
+            SimError::Rule { source, .. } => ReplayError::Rule(source.to_string()),
+            other => ReplayError::Rule(other.to_string()),
+        })?;
         // Verify honest coordinates against the recorded snapshot.
         if rt.states_after.len() != n {
             return Err(ReplayError::Shape(format!(
@@ -428,7 +453,7 @@ pub fn replay(
             if fault_set.contains(i) {
                 continue;
             }
-            let (recorded, replayed) = (rt.states_after[i.index()], next[i.index()]);
+            let (recorded, replayed) = (rt.states_after[i.index()], sim.states()[i.index()]);
             if (recorded - replayed).abs() > 1e-12 {
                 return Err(ReplayError::StateMismatch {
                     round: rt.round,
@@ -438,9 +463,11 @@ pub fn replay(
                 });
             }
         }
-        std::mem::swap(&mut states, &mut next);
     }
-    Ok(states)
+    match missing {
+        Some(err) => Err(err),
+        None => Ok(sim.states().to_vec()),
+    }
 }
 
 #[cfg(test)]
@@ -510,6 +537,53 @@ mod tests {
             replay(&g, &rule, &t),
             Err(ReplayError::MissingMessage { round: 1, .. })
         ));
+    }
+
+    #[test]
+    fn rule_failure_keeps_the_rule_message() {
+        let (g, t) = record_k7();
+        // K7 leaves 6 received values; trimming 4 per side needs 8.
+        assert_eq!(
+            replay(&g, &TrimmedMean::new(4), &t),
+            Err(ReplayError::Rule(
+                "rule needs at least 8 received values, got 6".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn missing_message_is_reported_before_that_rounds_rule_errors() {
+        // Node 0's rule would fail first, but round 1 misses a message to
+        // node 4: the missing message is reported at the start of the
+        // round, before any rule runs.
+        let (g, mut t) = record_k7();
+        let at = t.rounds[0]
+            .messages
+            .iter()
+            .position(|m| m.receiver == NodeId::new(4))
+            .unwrap();
+        t.rounds[0].messages.remove(at);
+        assert_eq!(
+            replay(&g, &TrimmedMean::new(4), &t),
+            Err(ReplayError::MissingMessage {
+                round: 1,
+                sender: NodeId::new(5),
+                receiver: NodeId::new(4),
+            })
+        );
+    }
+
+    #[test]
+    fn unrecordable_transcripts_are_shape_errors() {
+        // `record` validates its inputs, so no recording has a non-finite
+        // initial state or a fault set over another universe.
+        let rule = TrimmedMean::new(2);
+        let (g, mut t) = record_k7();
+        t.initial_states[0] = f64::NAN;
+        assert!(matches!(replay(&g, &rule, &t), Err(ReplayError::Shape(_))));
+        let (g, mut t) = record_k7();
+        t.fault_set = NodeSet::from_indices(8, [5, 6]);
+        assert!(matches!(replay(&g, &rule, &t), Err(ReplayError::Shape(_))));
     }
 
     #[test]

@@ -31,6 +31,10 @@
 //! The adversary interface is vector-native ([`VectorAdversary`]), so
 //! attacks may correlate coordinates; [`CoordinateWise`] adapts a stack of
 //! scalar [`Adversary`] strategies, one per axis.
+//!
+//! The engine runs on the synchronous kernel ([`crate::SyncEngine`]'s
+//! node loop): the adversary plans the round once, one [`RoundPlan`] per
+//! coordinate, and the kernel updates each coordinate column as one lane.
 
 use std::fmt;
 
@@ -38,9 +42,9 @@ use iabc_core::rules::UpdateRule;
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 
 use crate::adversary::{Adversary, AdversaryView};
-use crate::engine::sanitize;
+use crate::engine::Kernel;
 use crate::error::SimError;
-use crate::plan::{faulty_edges_into, PlannedEdge, PlannedMessage, RoundPlan, RoundSlots};
+use crate::plan::{RoundPlan, RoundSlots};
 use crate::run::{Engine, RunConfig, StepStatus};
 use crate::trace::{ValidityReport, ValidityViolation};
 
@@ -86,18 +90,18 @@ impl VectorAdversaryView<'_> {
 
 /// A joint strategy for all faulty nodes over vector states.
 pub trait VectorAdversary: fmt::Debug + Send {
-    /// Writes the `d`-dimensional value faulty `sender` puts on its edge
-    /// to `receiver` into `out` (length `view.dim()`). The engine
-    /// prefills `out` with the **receiver's own coordinates**, so any
-    /// coordinate the adversary leaves untouched stays in-hull — the
-    /// out-parameter form of the old truncate-and-pad defensive boundary,
-    /// minus the old per-message `Vec<f64>` allocation.
-    fn message(
+    /// Plans every faulty-edge message of the round — the vector form of
+    /// [`Adversary::plan_round`], called once per round. `plans[k]` holds
+    /// coordinate `k` of each message, keyed by the slots `slots` names
+    /// (one plan per coordinate, so `plans.len() == view.dim()`). Every
+    /// slot arrives [`crate::plan::PlannedMessage::Omit`], which delivers
+    /// the **receiver's own coordinate**: any coordinate the adversary
+    /// leaves unplanned stays in-hull.
+    fn plan_round(
         &mut self,
         view: &VectorAdversaryView<'_>,
-        sender: NodeId,
-        receiver: NodeId,
-        out: &mut [f64],
+        slots: RoundSlots<'_>,
+        plans: &mut [RoundPlan],
     );
 
     /// Short identifier for reports.
@@ -110,97 +114,37 @@ pub trait VectorAdversary: fmt::Debug + Send {
 ///
 /// This is the natural product construction: coordinate `k`'s messages come
 /// from `strategies[k]` viewing only coordinate `k`'s states — exactly the
-/// model under which the per-coordinate guarantees are inherited.
-///
-/// Scalar adversaries speak the two-phase protocol, so the adapter plans
-/// each round lazily on its first query: one [`RoundPlan`] per
-/// coordinate over the round's faulty edges (in the engine's query
-/// order, which keeps per-coordinate RNG streams identical to the old
-/// per-edge adapter), then answers every per-edge query by plan lookup.
+/// model under which the per-coordinate guarantees are inherited. Each
+/// strategy plans its coordinate's plan over the engine's slots, so its
+/// RNG stream draws in the same slot order as a scalar engine's would.
 #[derive(Debug)]
 pub struct CoordinateWise {
     strategies: Vec<Box<dyn Adversary>>,
-    planned_round: usize,
-    /// Address of the graph `edges` was derived from: graph and fault set
-    /// are fixed for a simulation's lifetime, so the edge list is
-    /// re-derived only if the adapter is queried against a different
-    /// graph — per-round planning reuses it allocation-free.
-    edges_for: usize,
-    edges: Vec<PlannedEdge>,
-    plans: Vec<RoundPlan>,
 }
 
 impl CoordinateWise {
     /// Builds the adapter from one strategy per coordinate.
     pub fn new(strategies: Vec<Box<dyn Adversary>>) -> Self {
-        CoordinateWise {
-            strategies,
-            planned_round: usize::MAX,
-            edges_for: 0,
-            edges: Vec::new(),
-            plans: Vec::new(),
-        }
-    }
-
-    /// Plans the round: one scalar plan per (used) coordinate.
-    fn plan_now(&mut self, view: &VectorAdversaryView<'_>) {
-        self.planned_round = view.round;
-        let graph_addr = view.graph as *const Digraph as usize;
-        if self.edges_for != graph_addr {
-            self.edges_for = graph_addr;
-            faulty_edges_into(view.graph, view.fault_set, &mut self.edges);
-        }
-        let used = self.strategies.len().min(view.dim());
-        if self.plans.len() < used {
-            self.plans.resize_with(used, RoundPlan::new);
-        }
-        for k in 0..used {
-            let scalar_view = AdversaryView {
-                round: view.round,
-                graph: view.graph,
-                states: &view.coords[k],
-                fault_set: view.fault_set,
-            };
-            self.plans[k].begin(self.edges.len());
-            self.strategies[k].plan_round(
-                &scalar_view,
-                RoundSlots::new(&self.edges, false),
-                &mut self.plans[k],
-            );
-        }
-    }
-
-    /// Dense slot of `(sender, receiver)` in the receiver-major edge list.
-    fn slot_of(&self, sender: u32, receiver: u32) -> Option<u32> {
-        let idx = self
-            .edges
-            .partition_point(|e| (e.receiver, e.sender) < (receiver, sender));
-        match self.edges.get(idx) {
-            Some(e) if (e.sender, e.receiver) == (sender, receiver) => Some(idx as u32),
-            _ => None,
-        }
+        CoordinateWise { strategies }
     }
 }
 
 impl VectorAdversary for CoordinateWise {
-    fn message(
+    fn plan_round(
         &mut self,
         view: &VectorAdversaryView<'_>,
-        sender: NodeId,
-        receiver: NodeId,
-        out: &mut [f64],
+        slots: RoundSlots<'_>,
+        plans: &mut [RoundPlan],
     ) {
-        if self.planned_round != view.round {
-            self.plan_now(view);
-        }
-        let Some(slot) = self.slot_of(sender.index() as u32, receiver.index() as u32) else {
-            return; // not a faulty->honest edge this round; leave own state
-        };
-        let used = self.strategies.len().min(out.len());
-        for (k, out_k) in out.iter_mut().enumerate().take(used) {
-            if let PlannedMessage::Value(v) = self.plans[k].get(slot) {
-                *out_k = v;
-            }
+        let coordinates = self.strategies.iter_mut().zip(view.coords).zip(plans);
+        for ((strategy, states), plan) in coordinates {
+            let scalar_view = AdversaryView {
+                round: view.round,
+                graph: view.graph,
+                states,
+                fault_set: view.fault_set,
+            };
+            strategy.plan_round(&scalar_view, slots, plan);
         }
     }
 
@@ -215,52 +159,30 @@ impl VectorAdversary for CoordinateWise {
 /// toward the box maximum. Against honest inputs on a diagonal (where the
 /// hull is the diagonal itself), the limit lands near an off-diagonal box
 /// corner — the module-level caveat made executable. The box corner is
-/// memoized per round (the hull-caching discipline of the scalar
-/// two-phase families, applied to the vector side).
-#[derive(Debug, Clone)]
+/// computed once per round and written into every slot.
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
-pub struct CornerPullAdversary {
-    cached_round: usize,
-    corner: Vec<f64>,
-}
+pub struct CornerPullAdversary;
 
 impl CornerPullAdversary {
     /// Creates the adversary.
     pub fn new() -> Self {
-        CornerPullAdversary {
-            cached_round: usize::MAX,
-            corner: Vec::new(),
-        }
-    }
-}
-
-impl Default for CornerPullAdversary {
-    fn default() -> Self {
-        CornerPullAdversary::new()
+        CornerPullAdversary
     }
 }
 
 impl VectorAdversary for CornerPullAdversary {
-    fn message(
+    fn plan_round(
         &mut self,
         view: &VectorAdversaryView<'_>,
-        _sender: NodeId,
-        _receiver: NodeId,
-        out: &mut [f64],
+        slots: RoundSlots<'_>,
+        plans: &mut [RoundPlan],
     ) {
-        if self.cached_round != view.round || self.corner.len() != view.dim() {
-            self.cached_round = view.round;
-            self.corner.clear();
-            self.corner
-                .extend(
-                    view.honest_box()
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &(lo, hi))| if k == 0 { lo } else { hi }),
-                );
-        }
-        for (out_k, &corner_k) in out.iter_mut().zip(&self.corner) {
-            *out_k = corner_k;
+        for (k, (plan, (lo, hi))) in plans.iter_mut().zip(view.honest_box()).enumerate() {
+            let corner = if k == 0 { lo } else { hi };
+            for edge in slots.iter() {
+                plan.set_value(edge.slot, corner);
+            }
         }
     }
 
@@ -315,19 +237,16 @@ pub struct VectorOutcome {
 #[derive(Debug)]
 pub struct VectorSimulation<'a> {
     graph: &'a Digraph,
-    compiled: CompiledTopology,
+    /// The node loop every coordinate runs through.
+    kernel: Kernel<'a, &'a dyn UpdateRule>,
     fault_set: NodeSet,
-    rule: &'a dyn UpdateRule,
     adversary: Box<dyn VectorAdversary>,
     /// Column-major states: `coords[k][i]`.
     coords: Vec<Vec<f64>>,
     /// Double buffer written by [`VectorSimulation::step`] and swapped in.
     next_coords: Vec<Vec<f64>>,
-    /// Retained per-coordinate receive scratch.
-    scratch: Vec<Vec<f64>>,
-    /// Retained `d`-wide buffer handed to [`VectorAdversary::message`] as
-    /// the out-parameter, prefilled with the receiver's own coordinates.
-    msg_buf: Vec<f64>,
+    /// The round's plans, one per coordinate (retained allocations).
+    plans: Vec<RoundPlan>,
     round: usize,
     /// Row-major flattened view (`flat[i*d + k]`) kept in sync with
     /// `coords` for the [`Engine`] state surface.
@@ -410,13 +329,11 @@ impl<'a> VectorSimulation<'a> {
                 return Err(SimError::NonFiniteInput { node, value });
             }
         }
-        let compiled = CompiledTopology::compile(graph, &fault_set);
+        let kernel = Kernel::new(graph, CompiledTopology::compile(graph, &fault_set), rule);
         let coords: Vec<Vec<f64>> = (0..d)
             .map(|k| inputs.iter().map(|row| row[k]).collect())
             .collect();
         let next_coords = coords.clone();
-        let scratch = vec![Vec::with_capacity(compiled.max_in_degree()); d];
-        let msg_buf = vec![0.0; d];
         let flat = inputs.concat();
         let flat_faults = NodeSet::from_indices(
             n * d,
@@ -430,14 +347,12 @@ impl<'a> VectorSimulation<'a> {
             .collect();
         Ok(VectorSimulation {
             graph,
-            compiled,
+            kernel,
             fault_set,
-            rule,
             adversary,
             coords,
             next_coords,
-            scratch,
-            msg_buf,
+            plans: std::iter::repeat_with(RoundPlan::new).take(d).collect(),
             round: 0,
             flat,
             flat_faults,
@@ -482,17 +397,25 @@ impl<'a> VectorSimulation<'a> {
             .collect()
     }
 
-    /// Executes one synchronous iteration. Like the scalar engines this is
-    /// double-buffered: coordinate columns are read from `coords`, written
-    /// to `next_coords`, and swapped — and with the out-parameter
-    /// [`VectorAdversary`] API the adversary's payload lands in a retained
-    /// `d`-wide buffer, so the per-step `coords.clone()`, the scratch
-    /// allocations, *and* the old per-message `Vec<f64>` payload of the
-    /// naive loop are all gone: zero steady-state allocation per round.
+    /// Retains a pool of `jobs` workers (`0` = all available cores) that
+    /// every coordinate's node loop is fanned across; bit-for-bit
+    /// identical to serial execution for any value.
+    #[must_use]
+    pub(crate) fn with_jobs(mut self, jobs: usize) -> Self {
+        self.kernel.set_jobs(jobs);
+        self
+    }
+
+    /// Executes one synchronous iteration: the adversary plans the round
+    /// once, one [`RoundPlan`] per coordinate, then the kernel's node loop
+    /// updates each coordinate column from its plan into the double
+    /// buffer, and the buffers swap — zero steady-state allocation per
+    /// round.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Rule`] if the update rule fails at some node.
+    /// Returns [`SimError::Rule`] if the update rule fails at some node —
+    /// the lowest failing node, as a node-by-node sweep would report it.
     pub fn step(&mut self) -> Result<StepStatus, SimError> {
         self.round += 1;
         let view = VectorAdversaryView {
@@ -501,48 +424,24 @@ impl<'a> VectorSimulation<'a> {
             coords: &self.coords,
             fault_set: &self.fault_set,
         };
-        for i in 0..self.compiled.node_count() {
-            if self.compiled.is_faulty(i) {
-                continue;
-            }
-            for col in &mut self.scratch {
-                col.clear();
-            }
-            for &j in self.compiled.in_neighbors_of(i) {
-                let j = j as usize;
-                if self.compiled.is_faulty(j) {
-                    // Defensive boundary: prefill with the receiver's own
-                    // coordinates — whatever the adversary leaves
-                    // untouched stays in-hull (the out-parameter form of
-                    // the old truncate-and-pad).
-                    for (k, slot) in self.msg_buf.iter_mut().enumerate() {
-                        *slot = view.coords[k][i];
-                    }
-                    self.adversary.message(
-                        &view,
-                        NodeId::new(j),
-                        NodeId::new(i),
-                        &mut self.msg_buf,
-                    );
-                    for (k, col) in self.scratch.iter_mut().enumerate() {
-                        col.push(sanitize(self.msg_buf[k]));
-                    }
-                } else {
-                    for (k, col) in self.scratch.iter_mut().enumerate() {
-                        col.push(view.coords[k][j]);
-                    }
-                }
-            }
-            for (k, col) in self.scratch.iter_mut().enumerate() {
-                self.next_coords[k][i] =
-                    self.rule
-                        .update(view.coords[k][i], col)
-                        .map_err(|source| SimError::Rule {
-                            node: i,
-                            round: self.round,
-                            source,
-                        })?;
-            }
+        for plan in &mut self.plans {
+            plan.begin(self.kernel.plan_len());
+        }
+        let slots = RoundSlots::new(self.kernel.edges(), false);
+        self.adversary.plan_round(&view, slots, &mut self.plans);
+        let (kernel, round) = (&self.kernel, self.round);
+        let failure = self
+            .coords
+            .iter()
+            .zip(&mut self.next_coords)
+            .zip(&self.plans)
+            .filter_map(|((states, next), plan)| kernel.node_loop(round, states, plan, next).err())
+            .min_by_key(|err| match err {
+                SimError::Rule { node, .. } => *node,
+                _ => usize::MAX,
+            });
+        if let Some(err) = failure {
+            return Err(err);
         }
         std::mem::swap(&mut self.coords, &mut self.next_coords);
         self.refresh_flat();
@@ -826,20 +725,21 @@ mod tests {
 
     #[test]
     fn wrong_dimension_payloads_are_padded_in_hull() {
-        // An adversary that writes only 1 coordinate of 2: the engine's
-        // prefill leaves the receiver's own state in the untouched
-        // coordinate, so the run must stay valid.
+        // An adversary that plans only 1 coordinate of 2: the unplanned
+        // coordinate delivers the receiver's own state, so the run must
+        // stay valid.
         #[derive(Debug)]
         struct Short;
         impl VectorAdversary for Short {
-            fn message(
+            fn plan_round(
                 &mut self,
                 _view: &VectorAdversaryView<'_>,
-                _s: NodeId,
-                _r: NodeId,
-                out: &mut [f64],
+                slots: RoundSlots<'_>,
+                plans: &mut [RoundPlan],
             ) {
-                out[0] = 1e9;
+                for edge in slots.iter() {
+                    plans[0].set_value(edge.slot, 1e9);
+                }
             }
         }
         let g = generators::complete(7);
@@ -858,6 +758,31 @@ mod tests {
         let out = sim.run(&VectorSimConfig::default()).unwrap();
         assert!(out.converged);
         assert!(out.box_validity);
+        // Final states pinned under the per-edge protocol `plan_round` replaced.
+        assert_eq!(out.rounds, 36);
+        let bits: Vec<u64> = crate::Engine::states(&sim)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                0x4008000000000000,
+                0x4027fffff0a32d01,
+                0x4008000000000000,
+                0x4027fffff0a32d01,
+                0x4008000000000000,
+                0x4028000000000000,
+                0x4008000000000000,
+                0x402800000f5cd2fc,
+                0x4008000000000000,
+                0x402800000f5cd2fc,
+                0x4000000000000000,
+                0x4028000000000000,
+                0x4000000000000000,
+                0x4028000000000000,
+            ]
+        );
     }
 
     #[test]
@@ -950,6 +875,67 @@ mod tests {
             out.box_validity,
             "violations from warmup steps leaked into the run's audit"
         );
+    }
+
+    #[test]
+    fn parallel_reaches_the_vector_terminal() {
+        let g = generators::complete(7);
+        let rule = TrimmedMean::new(2);
+        let base = || {
+            crate::Scenario::on(&g)
+                .inputs(&[0.0; 14])
+                .fault_nodes([5, 6])
+                .rule(&rule)
+        };
+        assert_eq!(base().parallel(3).vector(2).unwrap().kernel.jobs(), 3);
+        assert_eq!(base().vector(2).unwrap().kernel.jobs(), 1);
+    }
+
+    #[test]
+    fn rule_failure_names_the_lowest_failing_node_across_coordinates() {
+        // Fails wherever a node's own value exceeds 5: coordinate 0 first
+        // at node 3, coordinate 1 at node 1. A node-by-node sweep reports
+        // node 1, and so must the coordinate-by-coordinate kernel.
+        #[derive(Debug)]
+        struct FailsAboveFive;
+        impl UpdateRule for FailsAboveFive {
+            fn update(&self, own: f64, _received: &mut [f64]) -> Result<f64, iabc_core::RuleError> {
+                if own > 5.0 {
+                    Err(iabc_core::RuleError::InvalidParameter {
+                        message: format!("own value {own}"),
+                    })
+                } else {
+                    Ok(own)
+                }
+            }
+
+            fn min_weight(&self, _in_degree: usize) -> Option<f64> {
+                None
+            }
+
+            fn name(&self) -> &'static str {
+                "fails-above-five"
+            }
+        }
+        let g = generators::complete(4);
+        let inputs = rows(&[&[0.0, 0.0], &[0.0, 9.0], &[0.0, 0.0], &[9.0, 0.0]]);
+        let adv = CoordinateWise::new(vec![]);
+        let mut sim = VectorSimulation::new(
+            &g,
+            &inputs,
+            NodeSet::with_universe(4),
+            &FailsAboveFive,
+            Box::new(adv),
+        )
+        .unwrap();
+        assert!(matches!(
+            sim.step(),
+            Err(SimError::Rule {
+                node: 1,
+                round: 1,
+                ..
+            })
+        ));
     }
 
     #[test]

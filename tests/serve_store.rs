@@ -506,3 +506,60 @@ fn faulty_node_out_of_range_is_an_error_frame_not_a_dead_daemon() {
     assert_eq!((stats.job_misses, stats.job_hits), (1, 1));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A submit whose fault bound `f` exceeds its node count is answered with
+/// an error frame, and the daemon keeps serving. The typed client cannot
+/// send such an `f` (it renders `f` as a JSON number), but the decoder
+/// reads a decimal string too, so a raw frame can carry `2^63` — whose
+/// `2f` trim count would overflow in the rule.
+#[test]
+fn fault_bound_above_node_count_is_an_error_frame_not_a_dead_daemon() {
+    use iabc::serve::json::Json;
+    let dir = temp_dir("f-range");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: 1,
+        store_dir: dir.clone(),
+        accept_limit: Some(3),
+        max_connections: 0,
+        max_store_bytes: None,
+    };
+    let mut server = Server::bind(&config).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    let good = JobSpec::Scenario(scenario(4, 1, 7, "constant", 6));
+    let mut frame = protocol::Request::Submit(good.clone()).to_json();
+    let Json::Obj(request) = &mut frame else {
+        panic!("a request renders as an object")
+    };
+    let Some((_, Json::Obj(job))) = request.iter_mut().find(|(k, _)| k == "job") else {
+        panic!("a submit carries its job")
+    };
+    let Some((_, f)) = job.iter_mut().find(|(k, _)| k == "f") else {
+        panic!("a scenario carries its f")
+    };
+    *f = Json::Str("9223372036854775808".into());
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    protocol::write_frame(&mut stream, &frame).unwrap();
+    let reply = protocol::read_frame(&mut stream)
+        .unwrap()
+        .expect("a reply frame");
+    match protocol::Response::from_json(&reply).unwrap() {
+        protocol::Response::Error { message } => assert!(
+            message.contains("f = 9223372036854775808 exceeds n = 4"),
+            "{message}"
+        ),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    drop(stream);
+    let first = iabc::serve::submit(&addr, &good).unwrap();
+    let second = iabc::serve::submit(&addr, &good).unwrap();
+    assert!(!first.cache_hit && second.cache_hit);
+    assert_eq!(first.payload, second.payload);
+
+    let stats = daemon.join().unwrap().unwrap();
+    assert_eq!(stats.connections, 3);
+    assert_eq!((stats.job_misses, stats.job_hits), (1, 1));
+    std::fs::remove_dir_all(&dir).ok();
+}
