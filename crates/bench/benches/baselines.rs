@@ -1,6 +1,6 @@
 //! Bench: the baseline rules (Dolev \[5\], W-MSR \[11\]) against Algorithm 1 —
-//! per-update cost by in-degree, and end-to-end rounds on a fixed workload.
-//! Regenerates the X5 cost series of EXPERIMENTS.md.
+//! per-update cost by in-degree, and end-to-end rounds on a fixed workload,
+//! the cost side of experiment X5.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

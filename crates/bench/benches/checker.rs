@@ -1,6 +1,5 @@
 //! Bench: exact Theorem 1 checking cost across families and sizes, plus the
-//! sequential/parallel and heuristic variants. This regenerates the
-//! "condition-checking scalability" series of EXPERIMENTS.md.
+//! sequential/parallel and heuristic variants.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,6 +1,5 @@
 //! Bench: propagation machinery (Definition 3 closures) and the (r, s)-
-//! robustness checker, across sizes. Regenerates the "propagation cost"
-//! series of EXPERIMENTS.md.
+//! robustness checker, across sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

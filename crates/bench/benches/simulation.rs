@@ -1,6 +1,5 @@
 //! Bench: full-simulation throughput (rounds of Algorithm 1 per second)
-//! under a stateful adversary, across network sizes. Regenerates the
-//! "simulation throughput" series of EXPERIMENTS.md.
+//! under a stateful adversary, across network sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

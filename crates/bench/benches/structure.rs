@@ -1,6 +1,6 @@
 //! Bench: the structural probes beyond the core checker — (r, s)-robustness,
 //! vertex connectivity, minimality pruning, and satisfying-by-construction
-//! growth. Regenerates the X4/X7 cost series of EXPERIMENTS.md.
+//! growth: the cost side of experiments X4 and X7.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

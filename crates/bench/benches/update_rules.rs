@@ -1,6 +1,5 @@
 //! Bench: per-iteration cost of the update rules (Algorithm 1 vs variants)
-//! as a function of in-degree. Regenerates the "rule cost" series of
-//! EXPERIMENTS.md.
+//! as a function of in-degree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -16,8 +16,7 @@
 //! local iteration) collapses to cache reads — byte-identical results,
 //! guaranteed by the engines' determinism.
 //!
-//! Output is the per-experiment table plus a PASS/FAIL verdict; the recorded
-//! results live in `EXPERIMENTS.md`.
+//! Output is the per-experiment table plus a PASS/FAIL verdict.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

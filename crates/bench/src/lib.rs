@@ -1,12 +1,13 @@
-//! Benchmark workloads shared by the Criterion benches.
+//! Benchmark workloads and the `iabc perf` instrument.
 //!
-//! The benches themselves live in `benches/`; this library provides the
-//! graph/parameter grids they sweep so that the same workloads are used
-//! consistently (and can be unit-tested for shape).
+//! [`perf`] measures the datapoints of `BENCH_hotpath.json` and checks a
+//! run against a committed baseline; `iabc perf` is its command line. The
+//! grids below are the workloads the criterion benches in `benches/`
+//! sweep, kept here so they can be unit-tested for shape.
+
+pub mod perf;
 
 use iabc_graph::{generators, Digraph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A named benchmark workload: a graph plus the fault bound to check/run.
 #[derive(Debug, Clone)]
@@ -63,64 +64,6 @@ pub fn simulation_grid() -> Vec<Workload> {
         .collect()
 }
 
-/// Grid for the hot-path bench (`benches/hotpath.rs`, `iabc perf`):
-/// rounds/sec of the compiled synchronous engine at production scale, on
-/// three topology families per size:
-///
-/// * `complete/n{N}` — the dense worst case; `f = (n - 1) / 30` faults
-///   (n = 1000 lands on the acceptance workload `f = 33`);
-/// * `random/n{N}` — seeded Erdős–Rényi with `f` derived from the realized
-///   minimum in-degree so the trimming rule stays total;
-/// * `kite/n{N}` — a lollipop (clique + directed tail): skewed degrees,
-///   `f = 0` because tail nodes have in-degree 1.
-///
-/// `quick` limits sizes to {100, 1000} for CI smoke runs; the full grid
-/// adds n = 5000.
-pub fn hotpath_grid(quick: bool) -> Vec<Workload> {
-    let sizes: &[usize] = if quick {
-        &[100, 1000]
-    } else {
-        &[100, 1000, 5000]
-    };
-    let mut out = Vec::new();
-    for &n in sizes {
-        out.push(Workload {
-            name: format!("complete/n{n}"),
-            graph: generators::complete(n),
-            f: (n - 1) / 30,
-        });
-        let p = (20.0 / n as f64).clamp(0.02, 0.3);
-        let mut rng = StdRng::seed_from_u64(0xB00B5 ^ n as u64);
-        let g = generators::erdos_renyi(n, p, &mut rng);
-        let f = g.min_in_degree() / 3;
-        out.push(Workload {
-            name: format!("random/n{n}"),
-            graph: g,
-            f,
-        });
-        let tail = n / 10;
-        out.push(Workload {
-            name: format!("kite/n{n}"),
-            graph: generators::lollipop(n - tail, tail),
-            f: 0,
-        });
-    }
-    out
-}
-
-/// Initial states shared by every hot-path measurement (`benches/
-/// hotpath.rs` and `iabc perf`): a fixed spread over `[0, 100]` so both
-/// consumers provably time the same workload.
-pub fn hotpath_inputs(n: usize) -> Vec<f64> {
-    (0..n).map(|i| (i % 101) as f64).collect()
-}
-
-/// Fault placement shared by the hot-path measurements: the `f`
-/// highest-numbered nodes.
-pub fn hotpath_fault_nodes(n: usize, f: usize) -> std::ops::Range<usize> {
-    n - f..n
-}
-
 /// Grid for the propagation bench: growing core networks.
 pub fn propagation_grid() -> Vec<Workload> {
     [10usize, 20, 40, 80]
@@ -147,36 +90,6 @@ mod tests {
             assert!(w.graph.node_count() > 0, "{}", w.name);
             assert!(!w.name.is_empty());
             assert!(w.graph.node_count() > w.f, "{}", w.name);
-        }
-    }
-
-    #[test]
-    fn hotpath_grid_is_runnable_and_quick_is_a_prefix_family() {
-        let quick = hotpath_grid(true);
-        let full = hotpath_grid(false);
-        assert_eq!(quick.len(), 6, "quick grid: 2 sizes x 3 families");
-        assert_eq!(full.len(), 9, "full grid: 3 sizes x 3 families");
-        for w in &full {
-            // Trimming must be total: every node's in-degree supports 2f.
-            assert!(
-                w.graph.min_in_degree() >= 2 * w.f,
-                "{}: min in-degree {} < 2f = {}",
-                w.name,
-                w.graph.min_in_degree(),
-                2 * w.f
-            );
-        }
-        // The acceptance workload is present: complete graph, n=1000, f=33.
-        let accept = full
-            .iter()
-            .find(|w| w.name == "complete/n1000")
-            .expect("acceptance workload");
-        assert_eq!(accept.f, 33);
-        // Determinism: the random family reproduces across calls.
-        let again = hotpath_grid(false);
-        for (a, b) in full.iter().zip(&again) {
-            assert_eq!(a.graph.edge_count(), b.graph.edge_count(), "{}", a.name);
-            assert_eq!(a.f, b.f);
         }
     }
 

@@ -85,6 +85,14 @@ impl ParsedArgs {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The first flag whose name is not in `known`.
+    pub fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+        self.flags
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .find(|k| !known.contains(k))
+    }
+
     /// `true` if `--key` was passed (with or without a value).
     pub fn has_flag(&self, key: &str) -> bool {
         self.flag(key).is_some()

@@ -1382,1186 +1382,60 @@ pub fn query_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// A fresh scratch store directory for one perf datapoint. The name
-/// carries the process id and a per-call counter, so two perf runs in one
-/// process (e.g. parallel unit tests) never share or delete each other's
-/// store.
-fn perf_store_dir(tag: &str) -> std::path::PathBuf {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let call = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("iabc-perf-{tag}-{}-{call}", std::process::id()))
-}
-
-/// `iabc perf [--quick] [--steps S] [--jobs N] [--out FILE]` — measures
-/// the compiled synchronous engine's step throughput (rounds/sec) against
-/// the retained pre-refactor reference stepper on the
-/// [`iabc_bench::hotpath_grid`] workloads, adds a **parallel-vs-serial**
-/// datapoint (the same compiled engine at `--jobs N` vs one worker) and a
-/// **pool-vs-per-step-spawn** datapoint (the retained executor vs
-/// respawning its workers before every step, at small n / large round
-/// counts where the spawn cost dominates), a **deploy** datapoint (the
-/// runtime's threaded vs multiplexed tiers on the same circulant
-/// workload, plus a multiplexed-only scale measurement at an n no
-/// threaded deployment could host), a **serve-cache** datapoint (the same
-/// scenario batch submitted cold then warm against a scratch result
-/// store, asserting the warm payloads are byte-identical), a
-/// **serve-concurrent** datapoint (the real daemon over loopback: four
-/// hit clients measured while one expensive miss holds the compute
-/// permit, concurrent `--max-conn` vs the sequential `--max-conn 1`
-/// baseline, all hit payloads asserted byte-identical to the store;
-/// plus an informational journal compaction-ratio line), a **fastmath**
-/// datapoint (the columnar merge-network sort across 32 lanes vs per-lane
-/// exact sorting, with the scalar one-row kernel faceoff kept as an
-/// informational line), a **replica-batch** datapoint (R batched SoA
-/// replicas vs R dispatched engines), a **batched-sweep** datapoint (a
-/// same-topology census slice grouped into one width-32 batch vs per-cell
-/// dispatch, results asserted identical), and writes the machine-readable
-/// `BENCH_hotpath.json` so the repo accumulates a perf trajectory across
-/// commits. The parallel datapoint is demoted to informational when the
-/// host has fewer cores than `--jobs` (pure scheduler noise there).
-///
-/// `iabc perf --check [--baseline FILE] [--tolerance T]` additionally
-/// diffs the fresh run against the committed baseline JSON and **fails**
-/// (non-zero exit) if any workload's compiled-vs-reference speedup — or
-/// the parallel, pool, deploy, serve-cache, or serve-concurrent
-/// datapoint's speedup —
-/// regressed by more than the noise tolerance (default 0.4, i.e. a 40% drop). Workloads missing
-/// from either side (e.g. quick-mode runs checked against a full-mode
-/// baseline) are skipped, so CI smoke runs can check against the
-/// committed full grid.
+/// `iabc perf [--quick] [--steps S] [--jobs N] [--out FILE] [--check
+/// [--baseline FILE] [--tolerance T]]`: measures the
+/// [`iabc_bench::perf`] datapoints and writes them to `--out` (default
+/// `BENCH_hotpath.json`). Arguments are checked before anything is timed,
+/// so a typo or `--help` never overwrites the file.
 pub fn perf_cmd(args: &ParsedArgs) -> Result<String, CliError> {
-    use iabc_sim::reference::{ReferenceStepper, ReferenceTrimmedMean};
-    use std::time::Instant;
-
-    let quick = args.has_flag("quick");
-    let out_path = args.flag("out").unwrap_or("BENCH_hotpath.json").to_string();
-    let steps_override = args.optional::<usize>("steps")?;
-    let jobs: usize = args.optional("jobs")?.unwrap_or(4);
-    let check = args.has_flag("check");
-    let baseline_path = args.flag("baseline").unwrap_or("BENCH_hotpath.json");
-    let tolerance: f64 = args.optional("tolerance")?.unwrap_or(0.4);
-    let baseline = if check {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| CliError::Io(format!("{baseline_path}: {e}")))?;
-        Some(parse_bench_json(&text))
-    } else {
-        None
-    };
-
-    let mut report = format!(
-        "hotpath throughput ({} grid): compiled engine vs pre-refactor reference\n\
-         {:<16} {:>4} {:>6} {:>14} {:>14} {:>8}\n",
-        if quick { "quick" } else { "full" },
-        "workload",
-        "f",
+    use iabc_bench::perf::{self, PerfError};
+    const FLAGS: [&str; 7] = [
+        "quick",
         "steps",
-        "compiled/s",
-        "reference/s",
-        "speedup"
-    );
-    let mut entries = Vec::new();
-    let mut fresh: Vec<BenchEntry> = Vec::new();
-    for w in iabc_bench::hotpath_grid(quick) {
-        let n = w.graph.node_count();
-        let steps = steps_override
-            .unwrap_or(if n >= 5000 { 4 } else { 40 })
-            .max(1);
-        // Same inputs and fault placement as benches/hotpath.rs — both
-        // consumers share the iabc_bench helpers so they provably time the
-        // same workload.
-        let inputs = iabc_bench::hotpath_inputs(n);
-        let faults = NodeSet::from_indices(n, iabc_bench::hotpath_fault_nodes(n, w.f));
-
-        let rule = TrimmedMean::new(w.f);
-        let mut compiled_sim = iabc_sim::Simulation::new(
-            &w.graph,
-            &inputs,
-            faults.clone(),
-            &rule,
-            Box::new(ConstantAdversary::new(1e9)),
-        )
-        .map_err(|e| CliError::Run(e.to_string()))?;
-        let time_steps = |step: &mut dyn FnMut() -> Result<(), CliError>| -> Result<f64, CliError> {
-            for _ in 0..2 {
-                step()?; // warmup
-            }
-            let start = Instant::now();
-            for _ in 0..steps {
-                step()?;
-            }
-            Ok(steps as f64 / start.elapsed().as_secs_f64().max(1e-12))
-        };
-        let compiled = time_steps(&mut || {
-            compiled_sim
-                .step()
-                .map(|_| ())
-                .map_err(|e| CliError::Run(e.to_string()))
-        })?;
-
-        let slow_rule = ReferenceTrimmedMean::new(w.f);
-        let mut reference_sim = ReferenceStepper::new(
-            &w.graph,
-            &inputs,
-            faults,
-            &slow_rule,
-            Box::new(ConstantAdversary::new(1e9)),
-        )
-        .map_err(|e| CliError::Run(e.to_string()))?;
-        let reference = time_steps(&mut || {
-            reference_sim
-                .step()
-                .map_err(|e| CliError::Run(e.to_string()))
-        })?;
-
-        let speedup = compiled / reference;
-        report.push_str(&format!(
-            "{:<16} {:>4} {:>6} {:>14.1} {:>14.1} {:>7.2}x\n",
-            w.name, w.f, steps, compiled, reference, speedup
-        ));
-        let topology = w.name.split('/').next().unwrap_or(&w.name).to_string();
-        fresh.push(BenchEntry {
-            topology: topology.clone(),
-            n,
-            f: w.f,
-            speedup,
-        });
-        entries.push(format!(
-            "    {{\"topology\": \"{}\", \"n\": {}, \"f\": {}, \"steps\": {}, \
-             \"compiled_steps_per_sec\": {:.3}, \"reference_steps_per_sec\": {:.3}, \
-             \"speedup\": {:.3}}}",
-            topology, n, w.f, steps, compiled, reference, speedup
-        ));
-    }
-
-    // Parallel-vs-serial datapoint: the acceptance workload is the dense
-    // synchronous engine at n = 10^4 (complete, f = n/30); quick mode
-    // scales it down to n = 10^3 for CI smoke runs. Both sides are the
-    // SAME compiled engine — only the phase 2 worker count differs — and
-    // the trajectories are bit-identical by construction.
-    let par_n = if quick { 1_000 } else { 10_000 };
-    let par_f = (par_n - 1) / 30;
-    let par_steps = steps_override.unwrap_or(if quick { 10 } else { 3 }).max(1);
-    let par_graph = iabc_graph::generators::complete(par_n);
-    let par_inputs = iabc_bench::hotpath_inputs(par_n);
-    let par_faults = NodeSet::from_indices(par_n, iabc_bench::hotpath_fault_nodes(par_n, par_f));
-    let rule = TrimmedMean::new(par_f);
-    let time_engine = |engine_jobs: usize| -> Result<f64, CliError> {
-        let mut sim = iabc_sim::Simulation::new(
-            &par_graph,
-            &par_inputs,
-            par_faults.clone(),
-            &rule,
-            Box::new(ConstantAdversary::new(1e9)),
-        )
-        .map_err(|e| CliError::Run(e.to_string()))?
-        .with_jobs(engine_jobs);
-        sim.step().map_err(|e| CliError::Run(e.to_string()))?; // warmup
-        let start = Instant::now();
-        for _ in 0..par_steps {
-            sim.step().map_err(|e| CliError::Run(e.to_string()))?;
-        }
-        Ok(par_steps as f64 / start.elapsed().as_secs_f64().max(1e-12))
-    };
-    let serial_rate = time_engine(1)?;
-    let parallel_rate = time_engine(jobs)?;
-    let par_speedup = parallel_rate / serial_rate;
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let par_informational = parallel_speedup_is_informational(host_cores, jobs);
-    report.push_str(&format!(
-        "parallel: complete/n{par_n} f={par_f} — {serial_rate:.1} steps/s serial vs \
-         {parallel_rate:.1} steps/s at --jobs {jobs} ({par_speedup:.2}x){}\n",
-        if par_informational {
-            format!(" [informational: host has {host_cores} core(s) < --jobs {jobs}]")
-        } else {
-            String::new()
-        }
-    ));
-    let parallel_json = format!(
-        "  \"parallel\": {{\"topology\": \"complete\", \"n\": {par_n}, \"f\": {par_f}, \
-         \"steps\": {par_steps}, \"jobs\": {jobs},{} \"serial_steps_per_sec\": {serial_rate:.3}, \
-         \"parallel_steps_per_sec\": {parallel_rate:.3}, \"speedup\": {par_speedup:.3}}},",
-        if par_informational {
-            " \"informational\": true,"
-        } else {
-            ""
-        }
-    );
-
-    // Pool-vs-per-step-spawn datapoint: at small n / large round counts
-    // the old design's per-step scoped-thread spawn dominated the round
-    // arithmetic — exactly the regime the persistent executor exists for.
-    // Both sides run the SAME engine at the SAME job count; the "respawn"
-    // side replaces the pool before every step (`set_jobs` drops and
-    // respawns the workers), reproducing the per-step spawn cost.
-    // Trajectories are bit-identical by construction, only wall-clock
-    // differs.
-    // Small n on purpose: at n = 128 one round is tens of microseconds of
-    // arithmetic, so the old per-step spawn cost (3 threads at --jobs 4)
-    // dominates — the regime the persistent pool exists for.
-    let pool_n = if quick { 64 } else { 128 };
-    let pool_f = pool_n / 30;
-    // Deliberately NOT governed by --steps: the override exists to shrink
-    // the heavy grid for smoke runs, but this datapoint's signal IS the
-    // per-step cost amortized over a large round count — at 5–20 steps the
-    // ~1 ms timing window would be scheduler-noise-dominated and --check
-    // would flake. 300 steps at n = 64 still cost only milliseconds.
-    let pool_steps = if quick { 300 } else { 1_000 };
-    let pool_graph = iabc_graph::generators::complete(pool_n);
-    let pool_inputs = iabc_bench::hotpath_inputs(pool_n);
-    let pool_faults =
-        NodeSet::from_indices(pool_n, iabc_bench::hotpath_fault_nodes(pool_n, pool_f));
-    let pool_rule = TrimmedMean::new(pool_f);
-    let mut pooled_sim = iabc_sim::Simulation::new(
-        &pool_graph,
-        &pool_inputs,
-        pool_faults.clone(),
-        &pool_rule,
-        Box::new(ConstantAdversary::new(1e9)),
-    )
-    .map_err(|e| CliError::Run(e.to_string()))?
-    .with_jobs(jobs);
-    pooled_sim
-        .step()
-        .map_err(|e| CliError::Run(e.to_string()))?; // warmup
-    let start = Instant::now();
-    for _ in 0..pool_steps {
-        pooled_sim
-            .step()
-            .map_err(|e| CliError::Run(e.to_string()))?;
-    }
-    let pooled_rate = pool_steps as f64 / start.elapsed().as_secs_f64().max(1e-12);
-    let mut respawn_sim = iabc_sim::Simulation::new(
-        &pool_graph,
-        &pool_inputs,
-        pool_faults.clone(),
-        &pool_rule,
-        Box::new(ConstantAdversary::new(1e9)),
-    )
-    .map_err(|e| CliError::Run(e.to_string()))?
-    .with_jobs(jobs);
-    respawn_sim
-        .step()
-        .map_err(|e| CliError::Run(e.to_string()))?; // warmup
-    let start = Instant::now();
-    for _ in 0..pool_steps {
-        respawn_sim.set_jobs(jobs); // drop + respawn the pool: per-step cost
-        respawn_sim
-            .step()
-            .map_err(|e| CliError::Run(e.to_string()))?;
-    }
-    let respawn_rate = pool_steps as f64 / start.elapsed().as_secs_f64().max(1e-12);
-    let pool_speedup = pooled_rate / respawn_rate;
-    report.push_str(&format!(
-        "pool: complete/n{pool_n} f={pool_f} at --jobs {jobs} — {pooled_rate:.1} steps/s \
-         retained pool vs {respawn_rate:.1} steps/s respawning per step ({pool_speedup:.2}x)\n"
-    ));
-    let pool_json = format!(
-        "  \"pool\": {{\"topology\": \"complete\", \"n\": {pool_n}, \"f\": {pool_f}, \
-         \"steps\": {pool_steps}, \"jobs\": {jobs}, \"pooled_steps_per_sec\": {pooled_rate:.3}, \
-         \"respawn_steps_per_sec\": {respawn_rate:.3}, \"speedup\": {pool_speedup:.3}}},"
-    );
-
-    // Deploy datapoint: the runtime's two deployment tiers on the SAME
-    // circulant workload at the largest n the threaded tier comfortably
-    // hosts. Both sides produce bit-identical trajectories (pinned by the
-    // runtime test suite); only the execution substrate differs — n OS
-    // threads + channels vs a `--jobs`-thread pool + mailboxes — so the
-    // speedup isolates the multiplexing win. Whole-deployment time is
-    // measured (construction included): thread spawn IS the threaded
-    // tier's cost model.
-    let dep_n = if quick { 512 } else { 4_096 };
-    let dep_f = 2usize;
-    let dep_degree = 8usize;
-    let dep_rounds = if quick { 10 } else { 20 };
-    let dep_inputs: Vec<f64> = (0..dep_n).map(|i| ((i * 37) % 1000) as f64).collect();
-    let dep_faults = NodeSet::from_indices(dep_n, 0..dep_f);
-    let dep_graph = generators::circulant(dep_n, 1..=dep_degree);
-    let start = Instant::now();
-    iabc_runtime::run_threaded(
-        &dep_graph,
-        &dep_inputs,
-        &dep_faults,
-        dep_f,
-        dep_rounds,
-        |_| Box::new(iabc_runtime::ConstantLiar { value: 1e6 }),
-    )
-    .map_err(|e| CliError::Run(e.to_string()))?;
-    let dep_threaded = dep_rounds as f64 / start.elapsed().as_secs_f64().max(1e-12);
-    let dep_topology = iabc_graph::CompiledTopology::circulant(dep_n, dep_degree, &dep_faults);
-    let time_multiplexed = |topology: &iabc_graph::CompiledTopology,
-                            inputs: &[f64],
-                            f: usize,
-                            rounds: usize|
-     -> Result<f64, CliError> {
-        let start = Instant::now();
-        let mut deployment = iabc_runtime::MultiplexedDeployment::new(
-            topology,
-            inputs,
-            f,
-            rounds,
-            |_| Box::new(iabc_runtime::ConstantLiar { value: 1e6 }),
-            iabc_runtime::LocalTransport,
-            iabc_runtime::MultiplexConfig {
-                jobs,
-                shared_pool: true,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| CliError::Run(e.to_string()))?;
-        deployment.run().map_err(|e| CliError::Run(e.to_string()))?;
-        Ok(rounds as f64 / start.elapsed().as_secs_f64().max(1e-12))
-    };
-    let dep_multiplexed = time_multiplexed(&dep_topology, &dep_inputs, dep_f, dep_rounds)?;
-    let dep_speedup = dep_multiplexed / dep_threaded;
-    report.push_str(&format!(
-        "deploy: circulant/n{dep_n} degree={dep_degree} f={dep_f} — {dep_threaded:.1} rounds/s \
-         threaded ({dep_n} OS threads) vs {dep_multiplexed:.1} rounds/s multiplexed at \
-         --jobs {jobs} ({dep_speedup:.2}x)\n"
-    ));
-    let deploy_json = format!(
-        "  \"deploy\": {{\"topology\": \"circulant\", \"n\": {dep_n}, \"f\": {dep_f}, \
-         \"degree\": {dep_degree}, \"rounds\": {dep_rounds}, \"jobs\": {jobs}, \
-         \"threaded_steps_per_sec\": {dep_threaded:.3}, \
-         \"multiplexed_steps_per_sec\": {dep_multiplexed:.3}, \"speedup\": {dep_speedup:.3}}},"
-    );
-
-    // Scale datapoint: multiplexed-only, at an n no threaded deployment
-    // could host. Marked `"informational": true` so `perf --check`
-    // explicitly skips it — an absolute rate is not machine-portable,
-    // but the recorded trajectory shows the tier working at scale.
-    let scale_n = if quick { 20_000 } else { 100_000 };
-    let scale_rounds = 10;
-    let scale_inputs: Vec<f64> = (0..scale_n).map(|i| ((i * 37) % 1000) as f64).collect();
-    let scale_faults = NodeSet::from_indices(scale_n, 0..dep_f);
-    let scale_topology =
-        iabc_graph::CompiledTopology::circulant(scale_n, dep_degree, &scale_faults);
-    let scale_rate = time_multiplexed(&scale_topology, &scale_inputs, dep_f, scale_rounds)?;
-    report.push_str(&format!(
-        "deploy scale: circulant/n{scale_n} degree={dep_degree} f={dep_f} multiplexed-only — \
-         {scale_rate:.1} rounds/s at --jobs {jobs}\n"
-    ));
-    let deploy_scale_json = format!(
-        "  \"deploy_scale\": {{\"topology\": \"circulant\", \"n\": {scale_n}, \"f\": {dep_f}, \
-         \"degree\": {dep_degree}, \"rounds\": {scale_rounds}, \"jobs\": {jobs}, \
-         \"informational\": true, \"multiplexed_steps_per_sec\": {scale_rate:.3}}},"
-    );
-
-    // Serve-cache datapoint: the serving tier's whole value proposition is
-    // that a warm store answers in file-read time what a cold store pays
-    // engine time for. Submit the SAME batch of scenario jobs twice
-    // against a scratch store via the daemon's own `answer_submit` path
-    // (no socket — the store and executor are what's measured): the first
-    // pass is all misses, the second all hits, and determinism guarantees
-    // the hit payloads are byte-identical to the miss payloads (asserted
-    // here, not just trusted).
-    // Same n in quick and full mode ON PURPOSE: the warm/cold ratio grows
-    // with the cold job's engine time, so comparing a quick-mode run
-    // against a full-grid baseline is only meaningful if both measured
-    // the same workload. The batch costs a few ms either way.
-    let cache_n = 128;
-    let cache_f = (cache_n / 30).max(1);
-    let cache_batch = 6usize;
-    let cache_graph = generators::complete(cache_n);
-    let cache_edges = iabc_graph::parse::to_edge_list(&cache_graph);
-    let cache_dir = perf_store_dir("serve");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let cache_store = iabc_serve::Store::open(&cache_dir)
-        .map_err(|e| CliError::Io(format!("{}: {e}", cache_dir.display())))?;
-    let cache_flights = iabc_serve::SingleFlight::new();
-    let cache_jobs: Vec<iabc_serve::JobSpec> = (0..cache_batch as u64)
-        .map(|seed| {
-            iabc_serve::JobSpec::Scenario(iabc_serve::ScenarioSpec {
-                graph: cache_edges.clone(),
-                faulty: (0..cache_f).collect(),
-                f: cache_f,
-                rule: "trimmed-mean".into(),
-                quantum: None,
-                adversary: "constant".into(),
-                seed,
-                inputs: iabc_serve::InputSpec::Seeded(seed),
-                epsilon: 1e-9,
-                max_rounds: 400,
-                engine: iabc_serve::EngineSpec::Synchronous,
-            })
-        })
+        "jobs",
+        "out",
+        "check",
+        "baseline",
+        "tolerance",
+    ];
+    let usage = || format!("usage:\n{}", crate::PERF_USAGE);
+    // A value after a switch is a stray argument too.
+    let strays: Vec<&str> = args
+        .positionals()
+        .iter()
+        .map(String::as_str)
+        .chain(["quick", "check"].into_iter().filter_map(|k| args.flag(k)))
+        .filter(|v| !v.is_empty())
         .collect();
-    let submit_batch = |store: &iabc_serve::Store| -> Result<(f64, Vec<Vec<u8>>), CliError> {
-        let start = Instant::now();
-        let mut payloads = Vec::with_capacity(cache_jobs.len());
-        for job in &cache_jobs {
-            let (response, _) =
-                iabc_serve::server::answer_submit(store, &cache_flights, job, jobs, |_, _, _| {})
-                    .map_err(|e| CliError::Run(e.to_string()))?;
-            let iabc_serve::protocol::Response::Result { payload, .. } = response else {
-                return Err(CliError::Run("submit did not return a result".into()));
-            };
-            payloads.push(payload);
-        }
-        Ok((
-            cache_jobs.len() as f64 / start.elapsed().as_secs_f64().max(1e-12),
-            payloads,
-        ))
-    };
-    let (cold_rate, cold_payloads) = submit_batch(&cache_store)?;
-    let (warm_rate, warm_payloads) = submit_batch(&cache_store)?;
-    if cold_payloads != warm_payloads {
-        return Err(CliError::Run(
-            "serve cache datapoint: warm payloads differ from cold payloads".into(),
-        ));
+    if args.has_flag("help") || strays.contains(&"-h") {
+        return Ok(usage());
     }
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let cache_speedup = warm_rate / cold_rate;
-    report.push_str(&format!(
-        "serve cache: complete/n{cache_n} f={cache_f} × {cache_batch} scenario jobs — \
-         {cold_rate:.1} jobs/s cold (all misses) vs {warm_rate:.1} jobs/s warm (all hits, \
-         byte-identical) ({cache_speedup:.2}x)\n"
-    ));
-    let serve_cache_json = format!(
-        "  \"serve_cache\": {{\"topology\": \"complete\", \"n\": {cache_n}, \"f\": {cache_f}, \
-         \"batch\": {cache_batch}, \"jobs\": {jobs}, \"cold_jobs_per_sec\": {cold_rate:.3}, \
-         \"warm_hits_per_sec\": {warm_rate:.3}, \"speedup\": {cache_speedup:.3}}},"
-    );
-
-    // Serve-concurrent datapoint (enforced): the concurrent daemon's
-    // defining property — hit clients keep being answered from the
-    // store's read lock while one expensive miss occupies the compute
-    // permit. Both sides run the REAL daemon over loopback sockets with
-    // identical workloads; the only difference is `--max-conn` (1 = the
-    // old sequential accept loop, where every hit queues behind the
-    // in-flight miss connection). Every hit payload is asserted
-    // byte-identical to the store's object (fetched via `query`), not
-    // just trusted.
-    let sc_clients = 4usize;
-    let sc_hits_per_client = 10usize;
-    // Epsilon 0 keeps the miss stepping to the round cap: a fixed, slow
-    // workload that reliably outlasts the hit barrage (the barrage is
-    // ~0.1 s of small frames; the cap is sized so the miss runs for
-    // seconds even on a fast multicore host).
-    let sc_miss_rounds = 40_000usize;
-    let sc_hit_job = iabc_serve::JobSpec::Scenario(iabc_serve::ScenarioSpec {
-        graph: cache_edges.clone(),
-        faulty: (0..cache_f).collect(),
-        f: cache_f,
-        rule: "trimmed-mean".into(),
-        quantum: None,
-        adversary: "constant".into(),
-        seed: 101,
-        inputs: iabc_serve::InputSpec::Seeded(101),
-        epsilon: 1e-9,
-        max_rounds: 400,
-        engine: iabc_serve::EngineSpec::Synchronous,
+    let unknown = match strays.first() {
+        Some(stray) => Some(format!("unexpected argument {stray:?}")),
+        None => args
+            .unknown_flag(&FLAGS)
+            .map(|flag| format!("unknown flag --{flag}")),
+    };
+    if let Some(unknown) = unknown {
+        return Err(CliError::Usage(format!("perf: {unknown}\n\n{}", usage())));
+    }
+    let config = perf::Config {
+        quick: args.has_flag("quick"),
+        steps: args.optional("steps")?,
+        jobs: args.optional("jobs")?.unwrap_or(4),
+    };
+    let tolerance = args.optional("tolerance")?.unwrap_or(0.4);
+    let gate = args.has_flag("check").then(|| perf::Gate {
+        baseline: args.flag("baseline").unwrap_or("BENCH_hotpath.json"),
+        tolerance,
     });
-    // The miss must genuinely run for seconds: on a complete graph every
-    // adversary converges to exact equality in ~a dozen rounds, so the
-    // slow job is a sparse chord graph (information travels one hop per
-    // round) under the seeded random adversary (keeps perturbing values,
-    // so epsilon 0 steps to the round cap).
-    let sc_miss_n = 512usize;
-    let sc_miss_job = iabc_serve::JobSpec::Scenario(iabc_serve::ScenarioSpec {
-        graph: iabc_graph::parse::to_edge_list(&generators::chord(sc_miss_n, 4)),
-        faulty: vec![0],
-        f: 1,
-        rule: "trimmed-mean".into(),
-        quantum: None,
-        adversary: "random".into(),
-        seed: 102,
-        inputs: iabc_serve::InputSpec::Seeded(102),
-        epsilon: 0.0,
-        max_rounds: sc_miss_rounds,
-        engine: iabc_serve::EngineSpec::Synchronous,
-    });
-    let run_tier = |max_conn: usize,
-                    compact: bool|
-     -> Result<(f64, Option<iabc_serve::CompactionStats>), CliError> {
-        let dir = perf_store_dir(&format!("serve-conc{max_conn}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = iabc_serve::ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            jobs,
-            store_dir: dir.clone(),
-            accept_limit: None,
-            max_connections: max_conn,
-            max_store_bytes: None,
-        };
-        let mut server =
-            iabc_serve::Server::bind(&config).map_err(|e| CliError::Run(e.to_string()))?;
-        let addr = server
-            .local_addr()
-            .map_err(|e| CliError::Run(e.to_string()))?
-            .to_string();
-        let daemon = std::thread::spawn(move || server.run());
-        let err = |e: iabc_serve::ServeError| CliError::Run(e.to_string());
-        // Warm the hit job (one journaled miss) and pin its payload.
-        let warm = iabc_serve::submit(&addr, &sc_hit_job).map_err(err)?;
-        // The expensive miss starts first; the sleep lets it take the
-        // compute permit before the hit clients arrive.
-        let miss_addr = addr.clone();
-        let miss_job = sc_miss_job.clone();
-        let miss = std::thread::spawn(move || iabc_serve::submit(&miss_addr, &miss_job));
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        let start = Instant::now();
-        let clients: Vec<_> = (0..sc_clients)
-            .map(|_| {
-                let addr = addr.clone();
-                let job = sc_hit_job.clone();
-                std::thread::spawn(move || -> Result<Vec<Vec<u8>>, iabc_serve::ServeError> {
-                    (0..sc_hits_per_client)
-                        .map(|_| iabc_serve::submit(&addr, &job).map(|o| o.payload))
-                        .collect()
-                })
-            })
-            .collect();
-        let mut hit_payloads = Vec::new();
-        for c in clients {
-            hit_payloads.extend(c.join().expect("hit client panicked").map_err(err)?);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        miss.join().expect("miss client panicked").map_err(err)?;
-        let stored = iabc_serve::query(&addr, warm.key)
-            .map_err(err)?
-            .ok_or_else(|| CliError::Run("serve concurrent: warmed key absent".into()))?;
-        if stored != warm.payload || hit_payloads.iter().any(|p| *p != stored) {
-            return Err(CliError::Run(
-                "serve concurrent datapoint: hit payloads are not byte-identical to the store"
-                    .into(),
-            ));
-        }
-        let stats = if compact {
-            Some(iabc_serve::compact(&addr).map_err(err)?)
-        } else {
-            None
-        };
-        iabc_serve::shutdown(&addr).map_err(err)?;
-        let _ = daemon.join();
-        let _ = std::fs::remove_dir_all(&dir);
-        Ok((
-            (sc_clients * sc_hits_per_client) as f64 / elapsed.max(1e-12),
-            stats,
-        ))
-    };
-    let (sc_seq_rate, _) = run_tier(1, false)?;
-    let (sc_conc_rate, sc_compaction) = run_tier(sc_clients + 1, true)?;
-    let sc_speedup = sc_conc_rate / sc_seq_rate;
-    let sc_total_hits = sc_clients * sc_hits_per_client;
-    report.push_str(&format!(
-        "serve concurrent: {sc_clients} hit clients x {sc_hits_per_client} \
-         (complete/n{cache_n}) behind 1 slow miss (chord/n{sc_miss_n}) — \
-         {sc_seq_rate:.0} hits/s sequential (--max-conn 1) vs {sc_conc_rate:.0} hits/s \
-         concurrent, byte-identical payloads ({sc_speedup:.2}x)\n"
-    ));
-    let serve_concurrent_json = format!(
-        "  \"serve_concurrent\": {{\"topology\": \"complete\", \"n\": {cache_n}, \
-         \"f\": {cache_f}, \"clients\": {sc_clients}, \"hits\": {sc_total_hits}, \
-         \"jobs\": {jobs}, \"sequential_hits_per_sec\": {sc_seq_rate:.3}, \
-         \"concurrent_hits_per_sec\": {sc_conc_rate:.3}, \"speedup\": {sc_speedup:.3}}},"
-    );
-
-    // Compaction-ratio line (informational): the concurrent run's
-    // journal — two misses plus every journaled hit — rewritten down to
-    // one record per live object. The ratio tracks how much replay work
-    // a daemon restart saves; it is recorded, never regression-checked
-    // (it measures workload shape, not implementation speed).
-    let sc_stats = sc_compaction
-        .ok_or_else(|| CliError::Run("serve concurrent: compaction stats missing".into()))?;
-    let sc_ratio = sc_stats.records_before as f64 / (sc_stats.records_after as f64).max(1.0);
-    report.push_str(&format!(
-        "serve compaction (informational): {} -> {} journal record(s), {} -> {} byte(s) \
-         ({sc_ratio:.1}x smaller)\n",
-        sc_stats.records_before,
-        sc_stats.records_after,
-        sc_stats.bytes_before,
-        sc_stats.bytes_after
-    ));
-    let serve_compaction_json = format!(
-        "  \"serve_compaction\": {{\"topology\": \"complete\", \"n\": {cache_n}, \
-         \"f\": {cache_f}, \"jobs\": {jobs}, \"informational\": true, \
-         \"records_before\": {}, \"records_after\": {}, \"journal_bytes_before\": {}, \
-         \"journal_bytes_after\": {}, \"compaction_ratio\": {sc_ratio:.3}}},",
-        sc_stats.records_before,
-        sc_stats.records_after,
-        sc_stats.bytes_before,
-        sc_stats.bytes_after
-    );
-
-    // FastMath datapoint (enforced): the **columnar** sort — the vertical
-    // compare-exchange network across replica lanes, running the merge
-    // networks at in-degree 64 — against per-lane exact sorting
-    // (`sort_unstable_by(total_cmp)`, what the exact tier's trim kernel
-    // does) on the same slot-major data. Sorting dominates the trim
-    // kernel's cost, and the lane batching is where the tier actually
-    // wins; the scalar one-row faceoff below is recorded informationally.
-    let fm_lanes = 32usize;
-    let fm_len = 64usize; // in-degree per row: on the merge-network path
-    let fm_f = 2usize;
-    let fm_blocks = if quick { 200 } else { 800 };
-    let fm_reps = if quick { 10 } else { 25 };
-    let fm_columns: Vec<f64> = (0..fm_blocks * fm_len * fm_lanes)
-        .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 * 1e-12)
-        .collect();
-    let col_updates = (fm_reps * fm_blocks * fm_lanes) as f64;
-    let time_columnar = || -> f64 {
-        let mut block = vec![0.0f64; fm_len * fm_lanes];
-        // One untimed pass warms caches and the CPU feature detection.
-        for src in fm_columns.chunks_exact(fm_len * fm_lanes) {
-            block.copy_from_slice(src);
-            iabc_core::fastmath::sort_columns_total_fast(&mut block, fm_lanes);
-            std::hint::black_box(&block);
-        }
-        let start = Instant::now();
-        for _ in 0..fm_reps {
-            for src in fm_columns.chunks_exact(fm_len * fm_lanes) {
-                block.copy_from_slice(src);
-                iabc_core::fastmath::sort_columns_total_fast(&mut block, fm_lanes);
-                std::hint::black_box(&block);
-            }
-        }
-        col_updates / start.elapsed().as_secs_f64().max(1e-12)
-    };
-    let time_exact_lanes = || -> f64 {
-        let mut rowbuf = vec![0.0f64; fm_len];
-        let gather = |src: &[f64], lane: usize, rowbuf: &mut [f64]| {
-            for (s, slot) in rowbuf.iter_mut().enumerate() {
-                *slot = src[s * fm_lanes + lane];
-            }
-        };
-        for src in fm_columns.chunks_exact(fm_len * fm_lanes) {
-            for lane in 0..fm_lanes {
-                gather(src, lane, &mut rowbuf);
-                rowbuf.sort_unstable_by(f64::total_cmp);
-                std::hint::black_box(&rowbuf);
-            }
-        }
-        let start = Instant::now();
-        for _ in 0..fm_reps {
-            for src in fm_columns.chunks_exact(fm_len * fm_lanes) {
-                for lane in 0..fm_lanes {
-                    gather(src, lane, &mut rowbuf);
-                    rowbuf.sort_unstable_by(f64::total_cmp);
-                    std::hint::black_box(&rowbuf);
-                }
-            }
-        }
-        col_updates / start.elapsed().as_secs_f64().max(1e-12)
-    };
-    let exact_rate = time_exact_lanes();
-    let fast_rate = time_columnar();
-    let fm_speedup = fast_rate / exact_rate;
-    report.push_str(&format!(
-        "fastmath: {fm_blocks} blocks x len {fm_len} x {fm_lanes} lanes — {exact_rate:.0} \
-         sorts/s exact per-lane vs {fast_rate:.0} sorts/s columnar merge network \
-         ({fm_speedup:.2}x)\n"
-    ));
-    let fastmath_json = format!(
-        "  \"fastmath\": {{\"topology\": \"columns\", \"n\": {fm_len}, \"f\": {fm_f}, \
-         \"lanes\": {fm_lanes}, \"blocks\": {fm_blocks}, \"jobs\": {jobs}, \
-         \"exact_updates_per_sec\": {exact_rate:.3}, \
-         \"fast_updates_per_sec\": {fast_rate:.3}, \"speedup\": {fm_speedup:.3}}},"
-    );
-
-    // Scalar kernel faceoff (informational): `trim_kernel_fast` vs the
-    // exact `rules::trim_kernel` one row at a time — the honest ~1x
-    // number from before the columnar tier existed. It records the
-    // trajectory but is never regression-checked: a one-row scalar sort
-    // is not where this tier claims a win.
-    let fms_rows = if quick { 2_000 } else { 8_000 };
-    let fms_len = 16usize;
-    let fms_reps = if quick { 20 } else { 50 };
-    let fms_values: Vec<f64> = (0..fms_rows * fms_len)
-        .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 * 1e-12)
-        .collect();
-    let time_kernel = |kernel: &dyn Fn(f64, &mut [f64], usize) -> f64| -> f64 {
-        let mut rowbuf = vec![0.0f64; fms_len];
-        let mut sink = 0.0f64;
-        for row in fms_values.chunks_exact(fms_len) {
-            rowbuf.copy_from_slice(row);
-            sink += kernel(rowbuf[0], &mut rowbuf, fm_f);
-        }
-        let start = Instant::now();
-        for _ in 0..fms_reps {
-            for row in fms_values.chunks_exact(fms_len) {
-                rowbuf.copy_from_slice(row);
-                sink += kernel(rowbuf[0], &mut rowbuf, fm_f);
-            }
-        }
-        std::hint::black_box(sink);
-        (fms_reps * fms_rows) as f64 / start.elapsed().as_secs_f64().max(1e-12)
-    };
-    let fms_exact_rate = time_kernel(&iabc_core::rules::trim_kernel);
-    let fms_fast_rate = time_kernel(&iabc_core::fastmath::trim_kernel_fast);
-    let fms_speedup = fms_fast_rate / fms_exact_rate;
-    report.push_str(&format!(
-        "fastmath scalar (informational): {fms_rows} rows x len {fms_len} f={fm_f} — \
-         {fms_exact_rate:.0} updates/s exact kernel vs {fms_fast_rate:.0} updates/s scalar \
-         FastMath ({fms_speedup:.2}x)\n"
-    ));
-    let fastmath_scalar_json = format!(
-        "  \"fastmath_scalar\": {{\"topology\": \"rows\", \"n\": {fms_len}, \"f\": {fm_f}, \
-         \"rows\": {fms_rows}, \"jobs\": {jobs}, \"informational\": true, \
-         \"exact_updates_per_sec\": {fms_exact_rate:.3}, \
-         \"fast_updates_per_sec\": {fms_fast_rate:.3}, \"speedup\": {fms_speedup:.3}}},"
-    );
-
-    // Replica-batch datapoint: R same-topology Monte-Carlo replicas
-    // advanced by ONE replica-major SoA engine (a single CSR row walk
-    // feeds all R lanes) versus R independently dispatched exact engines
-    // — construction included on both sides, because amortizing per-run
-    // setup across the batch is half the point. Both tiers run serially;
-    // the speedup isolates batching, not threading.
-    // Circulant with in-degree 16: rows fit the vertical sorting
-    // network (in-degree <= 32), which is where batching pays — a
-    // deployment-shaped sparse topology, not a clique.
-    let rb_replicas = 32usize;
-    let rb_n = if quick { 256 } else { 512 };
-    let rb_f = 2usize;
-    let rb_rounds = if quick { 20 } else { 40 };
-    let rb_graph = generators::circulant(rb_n, 1..=16);
-    let rb_faults = NodeSet::from_indices(rb_n, iabc_bench::hotpath_fault_nodes(rb_n, rb_f));
-    let rb_inputs: Vec<f64> = (0..rb_n * rb_replicas)
-        .map(|i| ((i * 37) % 1000) as f64)
-        .collect();
-    // Best-of-reps on both sides: each side's window is a handful of
-    // milliseconds, and single-shot timings on a shared single-core box
-    // are too noisy for a checked ratio.
-    let rb_reps = 3;
-    let mut batched_secs = f64::INFINITY;
-    for _ in 0..rb_reps {
-        let start = Instant::now();
-        let mut batch = iabc_sim::fastmath::BatchedSimulation::new(
-            &rb_graph,
-            &rb_inputs,
-            rb_faults.clone(),
-            iabc_core::fastmath::FastRule::TrimmedMean(rb_f),
-            rb_replicas,
-            |_| Box::new(ConstantAdversary::new(1e9)),
-        )
-        .map_err(|e| CliError::Run(e.to_string()))?;
-        for _ in 0..rb_rounds {
-            batch.step().map_err(|e| CliError::Run(e.to_string()))?;
-        }
-        batched_secs = batched_secs.min(start.elapsed().as_secs_f64());
-    }
-    let batched_rate = (rb_rounds * rb_replicas) as f64 / batched_secs.max(1e-12);
-    let mut dispatch_secs = f64::INFINITY;
-    for _ in 0..rb_reps {
-        let start = Instant::now();
-        for r in 0..rb_replicas {
-            let rule = TrimmedMean::new(rb_f);
-            let replica_inputs: Vec<f64> =
-                (0..rb_n).map(|i| rb_inputs[i * rb_replicas + r]).collect();
-            let mut sim = iabc_sim::Simulation::new(
-                &rb_graph,
-                &replica_inputs,
-                rb_faults.clone(),
-                &rule,
-                Box::new(ConstantAdversary::new(1e9)),
-            )
-            .map_err(|e| CliError::Run(e.to_string()))?;
-            for _ in 0..rb_rounds {
-                sim.step().map_err(|e| CliError::Run(e.to_string()))?;
-            }
-        }
-        dispatch_secs = dispatch_secs.min(start.elapsed().as_secs_f64());
-    }
-    let dispatch_rate = (rb_rounds * rb_replicas) as f64 / dispatch_secs.max(1e-12);
-    let rb_speedup = batched_rate / dispatch_rate;
-    report.push_str(&format!(
-        "replica batch: circulant/n{rb_n} f={rb_f} x {rb_replicas} replicas, {rb_rounds} rounds — \
-         {dispatch_rate:.0} replica-steps/s dispatched per replica vs {batched_rate:.0} \
-         replica-steps/s batched SoA ({rb_speedup:.2}x)\n"
-    ));
-    let replica_batch_json = format!(
-        "  \"replica_batch\": {{\"topology\": \"circulant\", \"n\": {rb_n}, \"f\": {rb_f}, \
-         \"replicas\": {rb_replicas}, \"rounds\": {rb_rounds}, \"jobs\": {jobs}, \
-         \"dispatch_replica_steps_per_sec\": {dispatch_rate:.3}, \
-         \"batched_replica_steps_per_sec\": {batched_rate:.3}, \"speedup\": {rb_speedup:.3}}},"
-    );
-
-    // Batched-sweep datapoint: a same-topology census slice of 32 cells
-    // (one dense complete graph, differing only in their coordinate
-    // seeds) executed per-cell-dispatched vs grouped into ONE width-32
-    // replica batch (`sweep … --batch`), both on one worker. The results
-    // are asserted identical — the ratio times the grouping alone. The
-    // in-degree puts every row on the merge-network columnar path, and
-    // the constant adversary family activates the shared-plan fast path,
-    // exactly as a real `--batch` census run would.
-    let bs_cells_count = 32usize;
-    let bs_n = if quick { 48 } else { 96 };
-    let bs_f = bs_n / 30;
-    let bs_rounds = if quick { 8 } else { 15 };
-    let bs_spec = iabc_analysis::batched::SimCellSpec {
-        topology: iabc_analysis::batched::Topology::Complete(bs_n),
-        f: bs_f,
-        rule: iabc_core::fastmath::FastRule::TrimmedMean(bs_f),
-        adversary: iabc_analysis::batched::AdversarySpec::Constant(1e9),
-        // Epsilon 0 keeps every cell stepping to the round cap, so both
-        // sides execute the same fixed amount of work and the timing
-        // window is stable.
-        epsilon: 0.0,
-        max_rounds: bs_rounds,
-    };
-    let bs_cells: Vec<iabc_analysis::batched::SimCell> = (0..bs_cells_count)
-        .map(|i| iabc_analysis::batched::SimCell {
-            coords: sweep::CellCoords::new("bench-batched-sweep").with("i", i),
-            spec: bs_spec.clone(),
-        })
-        .collect();
-    let bs_reps = 3;
-    let mut bs_dispatch_secs = f64::INFINITY;
-    let mut bs_batched_secs = f64::INFINITY;
-    let mut bs_reference = None;
-    for _ in 0..bs_reps {
-        let start = Instant::now();
-        let dispatched = iabc_analysis::batched::run_sim_cells(&bs_cells, 1, false);
-        bs_dispatch_secs = bs_dispatch_secs.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let grouped = iabc_analysis::batched::run_sim_cells(&bs_cells, 1, true);
-        bs_batched_secs = bs_batched_secs.min(start.elapsed().as_secs_f64());
-        let dispatched: Vec<_> = dispatched.into_iter().map(|o| o.value).collect();
-        let grouped: Vec<_> = grouped.into_iter().map(|o| o.value).collect();
-        if dispatched != grouped {
-            return Err(CliError::Run(
-                "batched sweep datapoint: grouped results differ from dispatched".into(),
-            ));
-        }
-        bs_reference = Some(dispatched);
-    }
-    std::hint::black_box(bs_reference);
-    let bs_dispatch_rate = bs_cells_count as f64 / bs_dispatch_secs.max(1e-12);
-    let bs_batched_rate = bs_cells_count as f64 / bs_batched_secs.max(1e-12);
-    let bs_speedup = bs_batched_rate / bs_dispatch_rate;
-    report.push_str(&format!(
-        "batched sweep: complete/n{bs_n} f={bs_f} x {bs_cells_count} census cells, \
-         {bs_rounds} rounds — {bs_dispatch_rate:.1} cells/s dispatched per cell vs \
-         {bs_batched_rate:.1} cells/s grouped --batch, identical tables ({bs_speedup:.2}x)\n"
-    ));
-    let batched_sweep_json = format!(
-        "  \"batched_sweep\": {{\"topology\": \"complete\", \"n\": {bs_n}, \"f\": {bs_f}, \
-         \"cells\": {bs_cells_count}, \"rounds\": {bs_rounds}, \"jobs\": {jobs}, \
-         \"dispatch_cells_per_sec\": {bs_dispatch_rate:.3}, \
-         \"batched_cells_per_sec\": {bs_batched_rate:.3}, \"speedup\": {bs_speedup:.3}}},"
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"mode\": \"{}\",\n  \"unit\": \"steps_per_sec\",\n  \
-         \"adversary\": \"constant\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        if quick { "quick" } else { "full" },
-        parallel_json,
-        pool_json,
-        deploy_json,
-        deploy_scale_json,
-        serve_cache_json,
-        serve_concurrent_json,
-        serve_compaction_json,
-        fastmath_json,
-        fastmath_scalar_json,
-        replica_batch_json,
-        batched_sweep_json,
-        entries.join(",\n")
-    );
-
-    if let Some(baseline) = baseline {
-        let mut regressions = Vec::new();
-        let mut compared = 0usize;
-        for e in &fresh {
-            let Some(base) = baseline
-                .results
-                .iter()
-                .find(|b| b.topology == e.topology && b.n == e.n && b.f == e.f)
-            else {
-                continue;
-            };
-            compared += 1;
-            if e.speedup < base.speedup * (1.0 - tolerance) {
-                regressions.push(format!(
-                    "{}/n{} f={}: speedup {:.2}x vs baseline {:.2}x (tolerance {:.0}%)",
-                    e.topology,
-                    e.n,
-                    e.f,
-                    e.speedup,
-                    base.speedup,
-                    tolerance * 100.0
-                ));
-            }
-        }
-        // The parallel datapoint is compared on the job count alone: the
-        // committed baseline records the full-grid n = 10^4 workload while
-        // CI's quick mode measures n = 10^3, and requiring equal n would
-        // silently skip the one trajectory this guard exists for. Speedup
-        // (parallel/serial on the SAME engine and machine) is the
-        // scale-portable quantity; the generous tolerance absorbs the
-        // residual n-dependence of scheduling overhead.
-        // On a host with fewer cores than --jobs the fresh measurement is
-        // scheduler noise (see `parallel_speedup_is_informational`), so
-        // no comparison is made even if the baseline recorded one.
-        if let Some((base_n, base_jobs, base_speedup)) = baseline.parallel {
-            if base_jobs == jobs && !par_informational {
-                compared += 1;
-                if par_speedup < base_speedup * (1.0 - tolerance) {
-                    regressions.push(format!(
-                        "parallel complete/n{par_n} --jobs {jobs}: speedup {par_speedup:.2}x \
-                         vs baseline {base_speedup:.2}x at n={base_n} (tolerance {:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // The pool datapoint is compared like the parallel one — on the
-        // job count alone (quick mode measures a smaller n than the
-        // committed full grid), speedup being the scale-portable quantity.
-        if let Some((base_n, base_jobs, base_speedup)) = baseline.pool {
-            if base_jobs == jobs {
-                compared += 1;
-                if pool_speedup < base_speedup * (1.0 - tolerance) {
-                    regressions.push(format!(
-                        "pool complete/n{pool_n} --jobs {jobs}: pool-vs-respawn speedup \
-                         {pool_speedup:.2}x vs baseline {base_speedup:.2}x at n={base_n} \
-                         (tolerance {:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // The deploy datapoint: multiplexed-vs-threaded speedup on the
-        // circulant workload, again compared on the job count alone. The
-        // scale datapoint carries no speedup and is never checked.
-        if let Some((base_n, base_jobs, base_speedup)) = baseline.deploy {
-            if base_jobs == jobs {
-                compared += 1;
-                if dep_speedup < base_speedup * (1.0 - tolerance) {
-                    regressions.push(format!(
-                        "deploy circulant/n{dep_n} --jobs {jobs}: multiplexed-vs-threaded \
-                         speedup {dep_speedup:.2}x vs baseline {base_speedup:.2}x at \
-                         n={base_n} (tolerance {:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // The serve-cache datapoint: warm-vs-cold submission speedup on
-        // the scratch store, compared on the job count alone like the
-        // other pool-dependent datapoints. The expected margin is an
-        // order of magnitude (file read vs engine run), so the default
-        // tolerance has plenty of headroom.
-        if let Some((base_n, base_jobs, base_speedup)) = baseline.serve_cache {
-            if base_jobs == jobs {
-                compared += 1;
-                if cache_speedup < base_speedup * (1.0 - tolerance) {
-                    regressions.push(format!(
-                        "serve_cache complete/n{cache_n} --jobs {jobs}: warm-vs-cold speedup \
-                         {cache_speedup:.2}x vs baseline {base_speedup:.2}x at n={base_n} \
-                         (tolerance {:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // The serve-concurrent datapoint: concurrent-vs-sequential hit
-        // throughput behind one in-flight miss, compared on the job count
-        // alone. The expected margin is large (hits answer from the read
-        // lock while the sequential tier queues them all behind the
-        // miss), so the default tolerance has plenty of headroom.
-        if let Some((base_n, base_jobs, base_speedup)) = baseline.serve_concurrent {
-            if base_jobs == jobs {
-                compared += 1;
-                if sc_speedup < base_speedup * (1.0 - tolerance) {
-                    regressions.push(format!(
-                        "serve_concurrent complete/n{cache_n} --jobs {jobs}: \
-                         concurrent-vs-sequential speedup {sc_speedup:.2}x vs baseline \
-                         {base_speedup:.2}x at n={base_n} (tolerance {:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // The FastMath kernel datapoint: fast-vs-exact kernel speedup on
-        // the same row set — same workload in quick and full mode, so it
-        // is compared whenever the baseline recorded it.
-        if let Some((base_len, base_jobs, base_speedup)) = baseline.fastmath {
-            if base_jobs == jobs {
-                compared += 1;
-                if fm_speedup < base_speedup * (1.0 - tolerance) {
-                    regressions.push(format!(
-                        "fastmath rows/len{fm_len}: kernel speedup {fm_speedup:.2}x vs \
-                         baseline {base_speedup:.2}x at len={base_len} (tolerance {:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // The replica-batch datapoint: batched-SoA-vs-dispatched speedup,
-        // compared on the job count alone like the other engine-level
-        // datapoints (quick mode runs a smaller n).
-        if let Some((base_n, base_jobs, base_speedup)) = baseline.replica_batch {
-            if base_jobs == jobs {
-                compared += 1;
-                if rb_speedup < base_speedup * (1.0 - tolerance) {
-                    regressions.push(format!(
-                        "replica_batch circulant/n{rb_n} x{rb_replicas}: batched-vs-dispatch \
-                         speedup {rb_speedup:.2}x vs baseline {base_speedup:.2}x at \
-                         n={base_n} (tolerance {:.0}%)",
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // The batched-sweep datapoint: grouped-vs-dispatched census-slice
-        // speedup (both sides on one worker, so it is compared regardless
-        // of --jobs; quick mode runs a smaller n).
-        if let Some((base_n, _base_jobs, base_speedup)) = baseline.batched_sweep {
-            compared += 1;
-            if bs_speedup < base_speedup * (1.0 - tolerance) {
-                regressions.push(format!(
-                    "batched_sweep complete/n{bs_n} x{bs_cells_count}: grouped-vs-dispatch \
-                     speedup {bs_speedup:.2}x vs baseline {base_speedup:.2}x at \
-                     n={base_n} (tolerance {:.0}%)",
-                    tolerance * 100.0
-                ));
-            }
-        }
-        if !regressions.is_empty() {
-            return Err(CliError::Run(format!(
-                "perf regression against {baseline_path} ({compared} workloads compared):\n  {}",
-                regressions.join("\n  ")
-            )));
-        }
-        report.push_str(&format!(
-            "perf check PASSED: {compared} workload(s) within {:.0}% of {baseline_path}\n",
-            tolerance * 100.0
-        ));
-    }
-
-    std::fs::write(&out_path, &json).map_err(|e| CliError::Io(format!("{out_path}: {e}")))?;
-    report.push_str(&format!("wrote {out_path}\n"));
-    Ok(report)
-}
-
-/// One parsed baseline workload (the fields `perf --check` compares).
-struct BenchEntry {
-    topology: String,
-    n: usize,
-    f: usize,
-    speedup: f64,
-}
-
-/// A parsed `BENCH_hotpath.json` baseline.
-struct BenchBaseline {
-    results: Vec<BenchEntry>,
-    /// `(n, jobs, speedup)` of the parallel datapoint, if recorded.
-    parallel: Option<(usize, usize, f64)>,
-    /// `(n, jobs, speedup)` of the pool-vs-respawn datapoint, if recorded.
-    pool: Option<(usize, usize, f64)>,
-    /// `(n, jobs, speedup)` of the multiplexed-vs-threaded deploy
-    /// datapoint, if recorded.
-    deploy: Option<(usize, usize, f64)>,
-    /// `(n, jobs, speedup)` of the serve-cache warm-vs-cold datapoint, if
-    /// recorded.
-    serve_cache: Option<(usize, usize, f64)>,
-    /// `(n, jobs, speedup)` of the serve concurrent-vs-sequential hit
-    /// throughput datapoint, if recorded.
-    serve_concurrent: Option<(usize, usize, f64)>,
-    /// `(n, jobs, speedup)` of the FastMath-vs-exact kernel datapoint, if
-    /// recorded (`n` here is the row length).
-    fastmath: Option<(usize, usize, f64)>,
-    /// `(n, jobs, speedup)` of the batched-vs-dispatched replica
-    /// datapoint, if recorded.
-    replica_batch: Option<(usize, usize, f64)>,
-    /// `(n, jobs, speedup)` of the grouped-vs-dispatched sweep-slice
-    /// datapoint, if recorded.
-    batched_sweep: Option<(usize, usize, f64)>,
-}
-
-/// True when the host cannot actually run `jobs` workers concurrently:
-/// the parallel-vs-serial datapoint then measures scheduler timeslicing,
-/// not parallelism (≈1.00x of pure noise on a single-core container), so
-/// `perf` records it as `"informational": true` and `--check` neither
-/// emits nor compares it as an enforced datapoint.
-fn parallel_speedup_is_informational(host_cores: usize, jobs: usize) -> bool {
-    host_cores < jobs
-}
-
-/// Extracts the value of `"key": value` from a single JSON object line
-/// (the self-emitted `BENCH_hotpath.json` is line-oriented; this avoids a
-/// JSON dependency the container does not have).
-fn json_field<'s>(line: &'s str, key: &str) -> Option<&'s str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Parses the entries of a self-emitted `BENCH_hotpath.json`. Unparsable
-/// lines are skipped — the checker then simply has fewer workloads to
-/// compare, which it reports.
-fn parse_bench_json(text: &str) -> BenchBaseline {
-    let mut results = Vec::new();
-    let mut parallel = None;
-    let mut pool = None;
-    let mut deploy = None;
-    let mut serve_cache = None;
-    let mut serve_concurrent = None;
-    let mut fastmath = None;
-    let mut replica_batch = None;
-    let mut batched_sweep = None;
-    for line in text.lines() {
-        // Datapoints marked `"informational": true` record a trajectory
-        // (e.g. an absolute rate at scale) but are never regression-checked
-        // — the explicit opt-out, rather than relying on a line happening
-        // to lack some checked field.
-        if json_field(line, "informational") == Some("true") {
-            continue;
-        }
-        let (Some(topology), Some(n), Some(f), Some(speedup)) = (
-            json_field(line, "topology"),
-            json_field(line, "n").and_then(|v| v.parse::<usize>().ok()),
-            json_field(line, "f").and_then(|v| v.parse::<usize>().ok()),
-            json_field(line, "speedup").and_then(|v| v.parse::<f64>().ok()),
-        ) else {
-            continue;
-        };
-        if let Some(jobs) = json_field(line, "jobs").and_then(|v| v.parse::<usize>().ok()) {
-            // The special datapoints all record a job count; each is
-            // recognized by a field only it emits.
-            if json_field(line, "pooled_steps_per_sec").is_some() {
-                pool = Some((n, jobs, speedup));
-            } else if json_field(line, "threaded_steps_per_sec").is_some() {
-                deploy = Some((n, jobs, speedup));
-            } else if json_field(line, "warm_hits_per_sec").is_some() {
-                serve_cache = Some((n, jobs, speedup));
-            } else if json_field(line, "concurrent_hits_per_sec").is_some() {
-                serve_concurrent = Some((n, jobs, speedup));
-            } else if json_field(line, "fast_updates_per_sec").is_some() {
-                fastmath = Some((n, jobs, speedup));
-            } else if json_field(line, "batched_replica_steps_per_sec").is_some() {
-                replica_batch = Some((n, jobs, speedup));
-            } else if json_field(line, "batched_cells_per_sec").is_some() {
-                batched_sweep = Some((n, jobs, speedup));
-            } else {
-                parallel = Some((n, jobs, speedup));
-            }
-        } else {
-            results.push(BenchEntry {
-                topology: topology.to_string(),
-                n,
-                f,
-                speedup,
-            });
-        }
-    }
-    BenchBaseline {
-        results,
-        parallel,
-        pool,
-        deploy,
-        serve_cache,
-        serve_concurrent,
-        fastmath,
-        replica_batch,
-        batched_sweep,
-    }
+    let out_path = args.flag("out").unwrap_or("BENCH_hotpath.json");
+    let output = perf::run(config, gate).map_err(|e| match e {
+        PerfError::Io(m) => CliError::Io(m),
+        PerfError::Run(m) => CliError::Run(m),
+    })?;
+    std::fs::write(out_path, &output.json).map_err(|e| CliError::Io(format!("{out_path}: {e}")))?;
+    Ok(format!("{}wrote {out_path}\n", output.report))
 }
 
 #[cfg(test)]
@@ -3477,37 +2351,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_informational_detection_compares_cores_to_jobs() {
-        // Under-provisioned hosts: the datapoint is scheduler noise.
-        assert!(parallel_speedup_is_informational(1, 4));
-        assert!(parallel_speedup_is_informational(3, 4));
-        // Exactly enough or more cores: the datapoint is enforced.
-        assert!(!parallel_speedup_is_informational(4, 4));
-        assert!(!parallel_speedup_is_informational(16, 4));
-        assert!(!parallel_speedup_is_informational(1, 1));
-    }
-
-    #[test]
-    fn bench_baseline_parser_obeys_the_informational_marker() {
-        // An informational line is skipped even if it DOES carry every
-        // checked field — the marker, not a missing field, is the rule.
-        let text = concat!(
-            "  \"deploy_scale\": {\"topology\": \"circulant\", \"n\": 9, \"f\": 1, ",
-            "\"jobs\": 4, \"informational\": true, \"speedup\": 99.0},\n",
-            "  \"fastmath\": {\"topology\": \"rows\", \"n\": 16, \"f\": 2, \"jobs\": 4, ",
-            "\"exact_updates_per_sec\": 1.0, \"fast_updates_per_sec\": 2.0, ",
-            "\"speedup\": 2.0},\n",
-            "  \"replica_batch\": {\"topology\": \"complete\", \"n\": 96, \"f\": 3, ",
-            "\"jobs\": 4, \"dispatch_replica_steps_per_sec\": 1.0, ",
-            "\"batched_replica_steps_per_sec\": 3.0, \"speedup\": 3.0},\n",
-        );
-        let baseline = parse_bench_json(text);
-        assert!(
-            baseline.parallel.is_none(),
-            "informational line must not fall through"
-        );
-        assert_eq!(baseline.fastmath, Some((16, 4, 2.0)));
-        assert_eq!(baseline.replica_batch, Some((96, 4, 3.0)));
+    fn perf_rejects_help_typos_and_strays_before_measuring() {
+        let out = std::env::temp_dir().join("iabc-cli-test-perf-never-written.json");
+        let out = out.to_string_lossy().into_owned();
+        std::fs::remove_file(&out).ok();
+        for extra in [&["--help"][..], &["-h"], &["--quick", "-h"]] {
+            let mut args = vec!["perf", "--out", &out];
+            args.extend_from_slice(extra);
+            let usage = run(&argv(&args)).unwrap();
+            assert!(usage.contains("perf [--quick]"), "{usage}");
+        }
+        for extra in [
+            &["--quik"][..],
+            &["extra"],
+            &["--check", "BENCH_hotpath.json"],
+        ] {
+            let mut args = vec!["perf", "--out", &out];
+            args.extend_from_slice(extra);
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{extra:?}: {err}");
+        }
+        assert!(!std::path::Path::new(&out).exists(), "perf wrote {out}");
     }
 
     #[test]

@@ -173,19 +173,29 @@ pub fn usage() -> String {
        compact (--addr HOST:PORT | --store DIR)\n\
                                       rewrite a store's run journal to one\n\
                                       record per live object (replay-equivalent)\n\
-                                      and sweep orphaned object files\n\
-       perf [--quick] [--steps S] [--jobs N] [--out BENCH_hotpath.json]\n\
-                                      hot-path rounds/sec (compiled vs pre-refactor\n\
-                                      reference) on complete/random/kite topologies,\n\
-                                      plus parallel-vs-serial, pool-vs-respawn, and\n\
-                                      threaded-vs-multiplexed deploy datapoints at\n\
-                                      --jobs N; writes the JSON perf trajectory artifact\n\
+                                      and sweep orphaned object files\n"
+        .to_string()
+        + PERF_USAGE
+}
+
+/// The `perf` entry of [`usage`], which `iabc perf --help` prints.
+pub const PERF_USAGE: &str = "perf [--quick] [--steps S] [--jobs N] [--out BENCH_hotpath.json]\n\
+                                      time each fast path against the path it\n\
+                                      replaced and write the speedups to the JSON\n\
+                                      perf trajectory: the compiled engine vs the\n\
+                                      pre-refactor reference stepper on complete/\n\
+                                      random/kite topologies, then parallel, pool,\n\
+                                      deploy, deploy_scale, serve_cache,\n\
+                                      serve_concurrent, serve_compaction, fastmath,\n\
+                                      fastmath_scalar, replica_batch and\n\
+                                      batched_sweep at --jobs N (default 4);\n\
+                                      --steps sets the step count of the grid and\n\
+                                      of parallel\n\
        perf --check [--baseline FILE] [--tolerance 0.4]\n\
                                       diff a fresh run against the committed\n\
-                                      BENCH_hotpath.json and fail on speedup\n\
-                                      regressions beyond the noise tolerance\n"
-        .to_string()
-}
+                                      BENCH_hotpath.json and fail on a speedup\n\
+                                      regression beyond the noise tolerance, or\n\
+                                      when no row could be compared\n";
 
 #[cfg(test)]
 mod tests {
