@@ -39,8 +39,16 @@ fn load_graph(args: &ParsedArgs) -> Result<Digraph, CliError> {
     parse::parse_edge_list(&text).map_err(|e| CliError::Graph(e.to_string()))
 }
 
-/// `iabc check <file> --f N [--async] [--local] [--structure SPEC] [--parallel T]`
+/// `iabc check <file> --f N [--async] [--local] [--structure SPEC] [--parallel T] [--explain]`
 pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
+    const FLAGS: [&str; 6] = ["f", "async", "local", "structure", "parallel", "explain"];
+    // A mistyped switch would otherwise run a different check silently.
+    if let Some(flag) = args.unknown_flag(&FLAGS) {
+        let known = FLAGS.map(|k| format!("--{k}")).join(", ");
+        return Err(CliError::Usage(format!(
+            "check: unknown flag --{flag} (known: {known})"
+        )));
+    }
     let g = load_graph(args)?;
 
     if let Some(spec) = args.flag("structure") {
@@ -1714,6 +1722,42 @@ mod tests {
         assert!(asyn.contains("satisfied"));
         let local = run(&argv(&["check", &path, "--f", "2", "--local"])).unwrap();
         assert!(local.contains("f-local condition: satisfied"));
+    }
+
+    #[test]
+    fn check_rejects_unknown_flags() {
+        let edge_list = run(&argv(&["generate", "complete", "4"])).unwrap();
+        let path = write_graph("k4-typos", &edge_list);
+        for typo in [&["--asyn"][..], &["--paralel", "2"]] {
+            let mut args = vec!["check", &path, "--f", "1"];
+            args.extend_from_slice(typo);
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{typo:?}: {err}");
+            assert!(err.to_string().contains(&typo[0][2..]), "{err}");
+        }
+        let asyn = run(&argv(&["check", &path, "--f", "1", "--async"])).unwrap();
+        assert!(asyn.contains("condition: violated"), "{asyn}");
+    }
+
+    #[test]
+    fn check_reports_huge_fault_bounds_as_violated() {
+        let edge_list = run(&argv(&["generate", "complete", "4"])).unwrap();
+        let path = write_graph("k4-huge-f", &edge_list);
+        let max = usize::MAX.to_string();
+        let half = (1usize << 63).to_string();
+        for (f, flag, verdict) in [
+            (&max, None, "condition: violated"),
+            (&half, None, "condition: violated"),
+            (&half, Some("--async"), "condition: violated"),
+            (&max, Some("--async"), "condition: violated"),
+            (&max, Some("--local"), "f-local condition: violated"),
+            (&half, Some("--local"), "f-local condition: violated"),
+        ] {
+            let mut args = vec!["check", &path, "--f", f];
+            args.extend(flag);
+            let out = run(&argv(&args)).unwrap();
+            assert!(out.contains(verdict), "--f {f} {flag:?}: {out}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::relation::Threshold;
 use crate::witness::Witness;
 
 /// Minimum number of nodes required by the generalized Corollary 2:
-/// `2(T − 1) + f + 1`.
+/// `2(T − 1) + f + 1`, saturating at `usize::MAX` (no graph is that large).
 ///
 /// # Examples
 ///
@@ -32,11 +32,16 @@ use crate::witness::Witness;
 /// assert_eq!(corollaries::min_nodes_required(2, Threshold::asynchronous(2)), 11);
 /// ```
 pub fn min_nodes_required(f: usize, threshold: Threshold) -> usize {
-    2 * (threshold.get().saturating_sub(1)) + f + 1
+    threshold
+        .get()
+        .saturating_sub(1)
+        .saturating_mul(2)
+        .saturating_add(f)
+        .saturating_add(1)
 }
 
 /// Minimum in-degree required by the generalized Corollary 3 (`T + f` when
-/// `T ≥ 2`; no constraint when `T ≤ 1`, i.e. `f = 0`).
+/// `T ≥ 2`, saturating; no constraint when `T ≤ 1`, i.e. `f = 0`).
 ///
 /// # Examples
 ///
@@ -50,7 +55,7 @@ pub fn min_in_degree_required(f: usize, threshold: Threshold) -> usize {
     if threshold.get() < 2 {
         0
     } else {
-        threshold.get() + f
+        threshold.get().saturating_add(f)
     }
 }
 
@@ -124,6 +129,33 @@ mod tests {
         assert_eq!(min_nodes_required(3, Threshold::synchronous(3)), 10);
         // Asynchronous: n must exceed 5f.
         assert_eq!(min_nodes_required(1, Threshold::asynchronous(1)), 6);
+        // Saturating: no graph has enough nodes for a huge f.
+        for f in [1 << 63, usize::MAX] {
+            for t in [Threshold::synchronous(f), Threshold::asynchronous(f)] {
+                assert_eq!(min_nodes_required(f, t), usize::MAX, "f={f}");
+            }
+        }
+    }
+
+    /// `f + 1` and `2f + 1` once wrapped here in release builds (and
+    /// panicked in debug ones), so K4 read as tolerating any huge `f`.
+    #[test]
+    fn huge_fault_bounds_are_violated_by_every_checker() {
+        use crate::fault_model::{check_model, FaultModel};
+        use crate::theorem1::{self, CheckOptions};
+        let g = generators::complete(4);
+        for f in [1 << 63, usize::MAX] {
+            let asynchronous = Threshold::asynchronous(f);
+            let opts = CheckOptions::default();
+            assert!(!theorem1::check(&g, f).is_satisfied(), "f={f}");
+            let report = theorem1::check_with(&g, f, asynchronous, &opts).unwrap();
+            assert!(!report.is_satisfied(), "async f={f}");
+            assert!(!crate::local_fault::check_local(&g, f).is_satisfied());
+            for t in [Threshold::synchronous(f), asynchronous] {
+                assert!(!theorem1::check_parallel(&g, f, t, 2).is_satisfied());
+            }
+            assert!(!check_model(&g, &FaultModel::Total(f)).is_satisfied());
+        }
     }
 
     #[test]
@@ -131,6 +163,11 @@ mod tests {
         assert_eq!(min_in_degree_required(1, Threshold::synchronous(1)), 3);
         assert_eq!(min_in_degree_required(3, Threshold::synchronous(3)), 7);
         assert_eq!(min_in_degree_required(1, Threshold::asynchronous(1)), 4);
+        for f in [1 << 63, usize::MAX] {
+            for t in [Threshold::synchronous(f), Threshold::asynchronous(f)] {
+                assert_eq!(min_in_degree_required(f, t), usize::MAX, "f={f}");
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,10 @@
 //! generators, blocking the lift of a violation into a maximal set), so
 //! **every feasible fault set** — each subset of each maximal generator,
 //! capped at size `n − 2` — is scanned, deduplicated. For `Local(f)` all
-//! f-local sets are scanned, as in [`crate::local_fault`].
+//! f-local sets are scanned, as in [`crate::local_fault`]. Every model
+//! skips the fault sets that a swap of twin nodes maps onto an earlier one
+//! (the `scan` kernel's twin reduction); under a structure only swaps that
+//! fix every maximal set count.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -380,6 +383,13 @@ impl Quiet for Cover {
                             .all(|((r, o), m)| r & o & !m == 0)
                     })
             }
+        }
+    }
+
+    fn fixed(&self) -> &[u64] {
+        match self {
+            Cover::Structure(maximal) => maximal,
+            Cover::Total(_) | Cover::Local(_) => &[],
         }
     }
 }

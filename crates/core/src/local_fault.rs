@@ -88,7 +88,7 @@ pub fn check_local(g: &Digraph, f: usize) -> ConditionReport {
             !is_f_local(g, fault, f) || visit(fault)
         });
     };
-    scan::search(g, &Below(f + 1), None, fault_sets).report()
+    scan::search(g, &Below(Threshold::synchronous(f).get()), None, fault_sets).report()
 }
 
 /// Enumerates maximal-by-greedy f-local fault sets containing `seed`

@@ -34,14 +34,17 @@ use serde::{Deserialize, Serialize};
 pub struct Threshold(usize);
 
 impl Threshold {
-    /// Synchronous-model threshold `f + 1` (Definition 1).
+    /// Synchronous-model threshold `f + 1` (Definition 1), saturating at
+    /// `usize::MAX`: a threshold above `n − 1` already means no node can be
+    /// forced, so saturating keeps every verdict.
     pub const fn synchronous(f: usize) -> Self {
-        Threshold(f + 1)
+        Threshold(f.saturating_add(1))
     }
 
-    /// Asynchronous-model threshold `2f + 1` (Section 7).
+    /// Asynchronous-model threshold `2f + 1` (Section 7), saturating like
+    /// [`Threshold::synchronous`].
     pub const fn asynchronous(f: usize) -> Self {
-        Threshold(2 * f + 1)
+        Threshold(f.saturating_mul(2).saturating_add(1))
     }
 
     /// An explicit raw threshold (must be ≥ 1 to be meaningful).
@@ -132,6 +135,13 @@ mod tests {
         assert_eq!(Threshold::synchronous(3).get(), 4);
         assert_eq!(Threshold::asynchronous(3).get(), 7);
         assert_eq!(Threshold::raw(5).get(), 5);
+        // Huge fault bounds saturate instead of wrapping.
+        assert_eq!(Threshold::synchronous(usize::MAX).get(), usize::MAX);
+        assert_eq!(Threshold::asynchronous(1 << 63).get(), usize::MAX);
+        assert_eq!(
+            Threshold::asynchronous(usize::MAX / 2 - 1).get(),
+            usize::MAX - 2
+        );
     }
 
     #[test]

@@ -35,7 +35,22 @@
 //! `R` (the first such in discovery order) as the witness's left side and
 //! `L` as its right. Witnesses are therefore minimal in size, and the same
 //! at every width. Costs are measured in [`crate::theorem1`]'s module docs.
+//!
+//! # Twins
+//!
+//! Two nodes are *twins* when swapping them is an automorphism of the
+//! graph (and maps every set the quiet predicate reads, [`Quiet::fixed`],
+//! to itself). Twins form classes, and any permutation inside a class is an
+//! automorphism, which maps a violating partition to a violating partition.
+//! Every checker visits its fault sets by size, then lexicographically, so
+//! moving a member of `F` to a lower-indexed twin outside `F` gives a
+//! violating set that comes earlier. The first violating fault set is
+//! therefore *canonical*: within each class it holds that class's
+//! lowest-indexed members. [`search`] and [`search_parallel`] scan only
+//! canonical fault sets ([`Twins`]), and return the witness an unreduced
+//! scan would. `core_network(13, 3)` needs 4 of its 286 fault sets scanned.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -201,6 +216,12 @@ impl<W: Width> Rows<W> {
 pub(crate) trait Quiet {
     /// Whether `v` is quiet given the nodes `outside` its set.
     fn quiet<W: Width>(&self, rows: &Rows<W>, v: usize, outside: &[u64]) -> bool;
+
+    /// The node sets, packed back to back, that the predicate reads besides
+    /// the graph. A twin swap must map each of them to itself.
+    fn fixed(&self) -> &[u64] {
+        &[]
+    }
 }
 
 /// Quiet below a `⇒` threshold: fewer than `self.0` in-edges from outside.
@@ -255,6 +276,59 @@ impl Budget {
     fn tick(&mut self) -> bool {
         self.visited += 1;
         self.visited <= self.limit
+    }
+}
+
+/// The graph's twin classes, as each node's next-lower twin.
+///
+/// `u ~ v` iff their in-rows and out-rows agree outside `{u, v}`,
+/// `u → v ⇔ v → u`, and every [`Quiet::fixed`] set holds both or neither.
+/// Non-adjacent twins share the key `(in-row, out-row)`, and mutually
+/// adjacent twins the key `(in-row ∪ {v}, out-row ∪ {v})`, so one pass over
+/// the rows groups them. No node has twins of both kinds: the two swaps
+/// would compose into one that maps an adjacent pair onto a non-adjacent
+/// one.
+#[derive(Debug)]
+struct Twins {
+    /// The next-lower member of each node's class, or the node itself.
+    prev: Vec<usize>,
+}
+
+impl Twins {
+    fn new<W: Width>(g: &Digraph, rows: &Rows<W>, fixed: &[u64]) -> Self {
+        let (n, words) = (rows.nodes(), rows.words());
+        // A key is in-row ‖ out-row ‖ membership bits, one per fixed set.
+        let stride = 2 * words + words_for(fixed.len() / words);
+        let mut keys = vec![0; 2 * n * stride];
+        for (v, pair) in keys.chunks_exact_mut(2 * stride).enumerate() {
+            let (open, closed) = pair.split_at_mut(stride);
+            open[..words].copy_from_slice(rows.row(v));
+            pack(g.out_neighbors(NodeId::new(v)), &mut open[words..2 * words]);
+            for (i, set) in fixed.chunks_exact(words).enumerate() {
+                if has_bit(set, v) {
+                    set_bit(&mut open[2 * words..], i);
+                }
+            }
+            closed.copy_from_slice(open);
+            set_bit(&mut closed[..words], v);
+            set_bit(&mut closed[words..2 * words], v);
+        }
+        let mut last: [HashMap<&[u64], usize>; 2] = Default::default();
+        let mut prev: Vec<usize> = (0..n).collect();
+        for (v, pair) in keys.chunks_exact(2 * stride).enumerate() {
+            for (last, key) in last.iter_mut().zip(pair.chunks_exact(stride)) {
+                if let Some(u) = last.insert(key, v) {
+                    prev[v] = u;
+                }
+            }
+        }
+        Twins { prev }
+    }
+
+    /// Whether `fault` holds each class's lowest members: every member's
+    /// next-lower twin is a member too.
+    fn canonical(&self, fault: &[u64]) -> bool {
+        (0..self.prev.len()).all(|v| !has_bit(fault, v) || has_bit(fault, self.prev[v]))
     }
 }
 
@@ -393,9 +467,13 @@ impl Scanner {
     }
 }
 
-/// Scans every fault set that `fault_sets` hands to its visitor, in order,
-/// and returns the first violation. `budget` caps the candidate sets
-/// visited over all fault sets together.
+/// Scans the canonical fault sets among those `fault_sets` hands to its
+/// visitor, in order, and returns the first violation. The visitor must
+/// hand over fault sets by size, then lexicographically, and every twin
+/// image of a set it hands over (see the module docs). `budget` caps the
+/// candidate sets visited over all fault sets together; a budgeted search
+/// scans every fault set, so that it counts exactly the candidates of the
+/// unreduced scan.
 pub(crate) fn search<Q, S>(g: &Digraph, quiet: &Q, budget: Option<u64>, fault_sets: S) -> Scan
 where
     Q: Quiet,
@@ -405,10 +483,21 @@ where
         let rows = Rows::new(g, width);
         let mut scanner = Scanner::default();
         let mut fault = vec![0; width.words()];
+        let reduce = budget.is_none();
         let mut budget = Budget::new(budget);
+        let mut twins = None;
+        let mut first = true;
         let mut outcome = Scan::Clear;
         fault_sets(&mut |set: &NodeSet| {
             pack(set, &mut fault);
+            // The first set is canonical, since a twin move would come
+            // earlier; classes are found only when a second set needs them.
+            if reduce && !std::mem::take(&mut first) {
+                let twins = twins.get_or_insert_with(|| Twins::new(g, &rows, quiet.fixed()));
+                if !twins.canonical(&fault) {
+                    return true;
+                }
+            }
             outcome = scanner.scan(&rows, &fault, quiet, &mut budget);
             outcome == Scan::Clear
         });
@@ -416,10 +505,10 @@ where
     })
 }
 
-/// [`search`] over every `k`-subset of `V` as fault set, one fault set per
-/// work item on a pool of `threads` workers; a hit cancels the remaining
-/// items. Which witness is returned when several exist depends on the
-/// schedule.
+/// [`search`] over every canonical `k`-subset of `V` as fault set, one
+/// fault set per work item on a pool of `threads` workers; a hit cancels
+/// the remaining items. Which witness is returned when several exist
+/// depends on the schedule.
 pub(crate) fn search_parallel<Q: Quiet + Sync>(
     g: &Digraph,
     quiet: &Q,
@@ -430,10 +519,13 @@ pub(crate) fn search_parallel<Q: Quiet + Sync>(
     with_width!(n, width => {
         let rows = Rows::new(g, width);
         let words = width.words();
+        let twins = Twins::new(g, &rows, quiet.fixed());
         let everyone: Vec<usize> = (0..n).collect();
         let mut faults = Vec::new();
         for_each_combination(&everyone, k, &mut Vec::new(), &mut vec![0; words], |_, f| {
-            faults.extend_from_slice(f);
+            if twins.canonical(f) {
+                faults.extend_from_slice(f);
+            }
             true
         });
         let count = faults.len() / words;
@@ -749,6 +841,28 @@ mod tests {
         }
     }
 
+    /// A budget counts every fault set's candidates, twins or not.
+    #[test]
+    fn budgets_ignore_twins() {
+        let opts = |budget| CheckOptions {
+            budget: Some(budget),
+            skip_fast_paths: true,
+        };
+        for (g, f) in [
+            (generators::core_network(7, 2), 2),
+            (generators::complete(6), 2),
+        ] {
+            let t = Threshold::synchronous(f);
+            for budget in [10, 100, 1_000, 3_000] {
+                assert_eq!(
+                    theorem1::check_with(&g, f, t, &opts(budget)),
+                    oracle::check_with(&g, f, t, &opts(budget)),
+                    "{g} budget={budget}"
+                );
+            }
+        }
+    }
+
     /// Past one word, sparse graphs reach a witness within a few hundred
     /// candidates, so every checker can be held to the oracle there too.
     #[test]
@@ -782,6 +896,227 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts that every checker returns the oracle's report on `g` at
+    /// `f`, witness included: `check_with` at both thresholds with and
+    /// without fast paths, `check_local`, and `check_model` under `Total`,
+    /// `Local` and `rack`; `check_parallel` by verdict. Returns the number
+    /// of violated reports.
+    fn assert_matches_oracle(g: &Digraph, f: usize, rack: &AdversaryStructure) -> usize {
+        let mut violated = 0;
+        for t in [Threshold::synchronous(f), Threshold::asynchronous(f)] {
+            for skip_fast_paths in [false, true] {
+                let opts = CheckOptions {
+                    budget: None,
+                    skip_fast_paths,
+                };
+                let expect = oracle::check_with(g, f, t, &opts).unwrap();
+                let got = theorem1::check_with(g, f, t, &opts).unwrap();
+                assert_eq!(got, expect, "check_with f={f} t={t:?} {g:?}");
+                violated += usize::from(!expect.is_satisfied());
+            }
+            let par = theorem1::check_parallel(g, f, t, 2);
+            let seq = oracle::check_with(g, f, t, &CheckOptions::default()).unwrap();
+            assert_eq!(par.is_satisfied(), seq.is_satisfied(), "parallel f={f}");
+        }
+        let local = oracle::check_local(g, f);
+        assert_eq!(
+            local_fault::check_local(g, f),
+            local,
+            "check_local f={f} {g:?}"
+        );
+        violated += usize::from(!local.is_satisfied());
+        for model in [
+            FaultModel::Total(f),
+            FaultModel::Local(f),
+            FaultModel::Structure(rack.clone()),
+        ] {
+            let expect = oracle::check_model(g, &model);
+            assert_eq!(fault_model::check_model(g, &model), expect, "{model} {g:?}");
+            violated += usize::from(!expect.is_satisfied());
+        }
+        violated
+    }
+
+    /// Makes `v` a twin of `u`: `v` copies `u`'s edges to and from every
+    /// other node, and the pair is joined both ways or not at all.
+    fn plant_twin(g: &Digraph, u: usize, v: usize, adjacent: bool) -> Digraph {
+        let n = g.node_count();
+        let image = |x: usize| NodeId::new(if x == v { u } else { x });
+        let pair = |x: usize| x == u || x == v;
+        let edges = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| match (a == b, pair(a) && pair(b)) {
+                (true, _) => false,
+                (false, true) => adjacent,
+                (false, false) => g.has_edge(image(a), image(b)),
+            });
+        Digraph::from_edges(n, edges).unwrap()
+    }
+
+    /// `g`'s twin classes under the `fixed` sets, each ascending, ordered by
+    /// least member.
+    fn classes(g: &Digraph, fixed: &[NodeSet]) -> Vec<Vec<usize>> {
+        let n = g.node_count();
+        let prev = with_width!(n, width => {
+            Twins::new(g, &Rows::new(g, width), &pack_all(n, fixed)).prev
+        });
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for (v, &p) in prev.iter().enumerate() {
+            match classes.iter_mut().find(|c| c.last() == Some(&p)) {
+                Some(class) if p != v => class.push(v),
+                _ => classes.push(vec![v]),
+            }
+        }
+        classes
+    }
+
+    #[test]
+    fn twin_classes_of_core_networks_are_the_core_and_the_periphery() {
+        let g = generators::core_network(13, 3);
+        assert_eq!(
+            classes(&g, &[]),
+            [(0..7).collect::<Vec<_>>(), (7..13).collect()]
+        );
+        assert_eq!(
+            classes(&generators::core_network(4, 1), &[]),
+            [vec![0, 1, 2, 3]]
+        );
+        // A fixed set splits the classes it cuts.
+        let rack = NodeSet::from_indices(13, [1, 8]);
+        assert_eq!(
+            classes(&g, &[rack]),
+            [
+                vec![0, 2, 3, 4, 5, 6],
+                vec![1],
+                vec![7, 9, 10, 11, 12],
+                vec![8]
+            ]
+        );
+        // A twin-free graph has singleton classes only.
+        assert_eq!(classes(&generators::path(5), &[]).len(), 5);
+    }
+
+    #[test]
+    fn planted_twins_are_found_past_one_word() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for n in [65usize, 130] {
+            let g = generators::erdos_renyi(n, 0.3, &mut rng);
+            for adjacent in [false, true] {
+                let (u, v) = (3, n - 2);
+                let planted = plant_twin(&g, u, v, adjacent);
+                let found = classes(&planted, &[]);
+                assert!(found.contains(&vec![u, v]), "n={n} adjacent={adjacent}");
+                assert_eq!(found.len(), n - 1, "only the planted pair: n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_fault_sets_hold_the_lowest_twins() {
+        let g = generators::core_network(7, 2);
+        let twins = Twins::new(&g, &Rows::new(&g, Narrow), &[]);
+        let canonical = |ids: &[usize]| {
+            twins.canonical(&pack_all(
+                7,
+                &[NodeSet::from_indices(7, ids.iter().copied())],
+            ))
+        };
+        assert!(canonical(&[]) && canonical(&[0, 1]) && canonical(&[0, 5]));
+        assert!(!canonical(&[1]) && !canonical(&[0, 6]) && !canonical(&[2, 5]));
+    }
+
+    /// Nodes 2 and 3 are twins, but only 3 can fail on its own: the first
+    /// violating fault set is `{3}`, which no swap with 2 may skip.
+    #[test]
+    fn structures_split_twin_classes() {
+        let mut edges = vec![
+            (2, 0),
+            (3, 0),
+            (4, 0),
+            (2, 1),
+            (3, 1),
+            (5, 1),
+            (0, 2),
+            (0, 3),
+        ];
+        edges.extend([2, 3, 4, 5].iter().flat_map(|&u| {
+            [2, 3, 4, 5]
+                .iter()
+                .filter(move |&&v| v != u)
+                .map(move |&v| (u, v))
+        }));
+        let g = Digraph::from_edges(6, edges).unwrap();
+        assert!(classes(&g, &[]).contains(&vec![2, 3]));
+        let racks = vec![
+            NodeSet::from_indices(6, [3]),
+            NodeSet::from_indices(6, [2, 4, 5]),
+        ];
+        assert_eq!(classes(&g, &racks).len(), 6);
+        let model = FaultModel::Structure(AdversaryStructure::new(6, racks).unwrap());
+        let expect = oracle::check_model(&g, &model);
+        assert_eq!(
+            expect.witness().map(|w| w.fault_set.to_indices()),
+            Some(vec![3])
+        );
+        assert_eq!(fault_model::check_model(&g, &model), expect);
+    }
+
+    /// Complete graphs, core networks with and without one removed edge,
+    /// and random graphs with planted twins of both kinds: every checker
+    /// still returns the oracle's witness, with a structure that splits a
+    /// twin class.
+    #[test]
+    fn twin_rich_checkers_return_the_oracle_witness() {
+        // Racks {1, 3} and {n − 1} cut the classes of complete graphs,
+        // of core networks and of the planted twins below.
+        let split = |n: usize| {
+            let racks = [[1, 3.min(n - 1)], [n - 1, n - 1]];
+            let racks = racks.map(|ids| NodeSet::from_indices(n, ids)).to_vec();
+            AdversaryStructure::new(n, racks).expect("same universe")
+        };
+        let mut violated = 0;
+        for n in 2..=10usize {
+            let g = generators::complete(n);
+            for f in 0..=3usize.min(n / 3 + 1) {
+                violated += assert_matches_oracle(&g, f, &split(n));
+            }
+        }
+        for f in 1..=3usize {
+            for n in 3 * f + 1..=3 * f + 2 {
+                let g = generators::core_network(n, f);
+                violated += assert_matches_oracle(&g, f, &split(n));
+                // E6's probe shape: one core edge and one core-periphery
+                // edge removed in turn.
+                for (u, v) in [(1, 0), (2 * f + 1, 2)] {
+                    let mut probe = g.clone();
+                    probe.remove_edge(NodeId::new(u), NodeId::new(v));
+                    violated += assert_matches_oracle(&probe, f, &split(n));
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(20);
+        for n in 5..=9usize {
+            for trial in 0..6 {
+                let p = [0.4, 0.6, 0.8][trial % 3];
+                let mut g = generators::erdos_renyi(n, p, &mut rng);
+                // A non-adjacent class of three and an adjacent pair.
+                g = plant_twin(&g, 0, n - 1, false);
+                g = plant_twin(&g, 0, 2, false);
+                g = plant_twin(&g, 1, 3, true);
+                let found = classes(&g, &[]);
+                let twins = |u, v| found.iter().any(|c| c.contains(&u) && c.contains(&v));
+                assert!(twins(0, 2) && twins(0, n - 1) && twins(1, 3), "{g:?}");
+                for f in 0..=2usize {
+                    violated += assert_matches_oracle(&g, f, &split(n));
+                }
+            }
+        }
+        assert!(
+            violated > 100,
+            "the sweep must produce violations: {violated}"
+        );
     }
 
     #[test]

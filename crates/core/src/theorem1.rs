@@ -35,17 +35,32 @@
 //!
 //! Deciding the condition is combinatorial: `C(n, f)` fault sets times
 //! `2^(n-f)` candidate sets, each tested with one AND and popcount per
-//! member on packed words. A satisfied graph walks every candidate. Best of
-//! five runs on a shared 2-core x86-64 host, release build:
+//! member on packed words. A satisfied graph walks every candidate. Twin
+//! nodes cut the fault sets: the `scan` kernel scans one set per class of
+//! sets that swaps of twins map onto each other. A core network has two
+//! classes of twins and needs `f + 1` fault sets scanned; a twin-free graph
+//! needs all of them. Best of five
+//! runs, ranges over three runs alternated with the checker that scanned
+//! every fault set, on a shared 2-core x86-64 host (Xeon, 2.1 GHz),
+//! release build:
 //!
-//! | graph, `f` | fault sets × candidates | [`check`] |
-//! |---|---|---|
-//! | `core_network(13, 3)`, 3 | 286 × 2¹⁰ | 7.5–12 ms (31–45 ms allocating a `NodeSet` per candidate) |
-//! | `core_network(16, 4)`, 4 | 1,820 × 2¹² | 0.42–0.46 s (2.2 s allocating) |
+//! | graph, `f` | fault sets scanned × candidates | [`check`] | scanning every fault set |
+//! |---|---|---|---|
+//! | `core_network(13, 3)`, 3 | 4 of 286 × 2¹⁰ | 0.12–0.22 ms | 9.0–13.5 ms |
+//! | `core_network(13, 4)`, 4 | 5 of 715 × 2⁹ | 0.18–0.27 ms | 21–32 ms |
+//! | `core_network(14, 4)`, 4 | 5 of 1,001 × 2¹⁰ | 0.43–0.60 ms | 69–95 ms |
+//! | `core_network(16, 4)`, 4 | 5 of 1,820 × 2¹² | 1.7–1.9 ms | 0.50–0.61 s |
+//! | `erdos_renyi(14, 0.9)` (seed 4, twin-free), 2 | 91 of 91 × 2¹² | 6.1–12 ms | 6.0–12 ms |
 //!
-//! [`check_parallel`] splits the fault sets over threads. Each added node
-//! doubles the candidates per fault set; for larger graphs use the
-//! budgeted variant or the randomized falsifier in [`crate::search`].
+//! [`crate::minimality::critical_edges`] on `core_network(13, 4)` runs 145
+//! checks, most on a graph with one edge removed, where the two classes
+//! lose a node or two: 11–17 ms, against 0.22–0.32 s scanning every fault
+//! set. A [`CheckOptions::budget`] scans every fault set, so that it counts
+//! the same candidates either way.
+//!
+//! [`check_parallel`] splits the scanned fault sets over threads. Each
+//! added node doubles the candidates per fault set; for larger graphs use
+//! the budgeted variant or the randomized falsifier in [`crate::search`].
 
 use iabc_graph::{for_each_subset_of_size, Digraph, NodeSet};
 
@@ -198,12 +213,12 @@ pub fn check_with(
     }
 }
 
-/// Parallel variant of [`check_with`]: fault sets, packed as word masks,
-/// are distributed over a pool of `threads` workers (clamped to at least 1)
-/// via the shared [`iabc_exec::Executor`] — one fault set per work item,
-/// with a found flag short-circuiting the remaining items. Returns the same answer as
-/// the sequential checker; when violations exist, which witness is
-/// returned may differ run-to-run.
+/// Parallel variant of [`check_with`]: the fault sets that need a scan,
+/// packed as word masks, are distributed over a pool of `threads` workers
+/// (clamped to at least 1) via the shared [`iabc_exec::Executor`] — one
+/// fault set per work item, with a found flag short-circuiting the
+/// remaining items. Returns the same answer as the sequential checker; when
+/// violations exist, which witness is returned may differ run-to-run.
 pub fn check_parallel(
     g: &Digraph,
     f: usize,

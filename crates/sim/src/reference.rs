@@ -9,7 +9,7 @@
 //!   identical trajectories — the compiled engine's correctness argument is
 //!   "same arithmetic, different plumbing", and this module is the "same
 //!   arithmetic" witness;
-//! * the hot-path benchmarks (`benches/hotpath.rs`, `iabc perf`) measure
+//! * the hot-path datapoints of `iabc perf` (`iabc_bench::perf`) measure
 //!   the compiled engine against this stepper paired with
 //!   [`ReferenceTrimmedMean`], so the reported speedup is against the real
 //!   pre-refactor code path (per-round `Vec` clones, per-message
