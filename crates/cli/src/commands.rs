@@ -1108,13 +1108,29 @@ pub fn deploy_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     /// multiplexed tier breaks a sweat; past this the command refuses
     /// rather than letting thread exhaustion fail mid-run.
     const THREADED_CAP: usize = 8192;
+    const FLAGS: [&str; 6] = ["nodes", "mode", "jobs", "f", "degree", "rounds"];
 
+    // A mistyped flag would otherwise run the default silently.
+    if let Some(flag) = args.unknown_flag(&FLAGS) {
+        let known = FLAGS.map(|k| format!("--{k}")).join(", ");
+        return Err(CliError::Usage(format!(
+            "deploy: unknown flag --{flag} (known: {known})"
+        )));
+    }
     let n: usize = args.required("nodes")?;
     let mode = args.flag("mode").unwrap_or("multiplexed");
     let jobs: usize = args.optional("jobs")?.unwrap_or(1);
     let f: usize = args.optional("f")?.unwrap_or(1);
     let degree: usize = args.optional("degree")?.unwrap_or((3 * f + 1).max(4));
     let rounds: usize = args.optional("rounds")?.unwrap_or(30);
+    // Rounds are tagged with a u32 on the wire and one past the last round
+    // must still fit.
+    if rounds >= u32::MAX as usize {
+        return Err(CliError::Usage(format!(
+            "need --rounds < {} (got {rounds})",
+            u32::MAX
+        )));
+    }
     if f >= n {
         return Err(CliError::Usage(format!(
             "need --f < --nodes (got f = {f}, nodes = {n})"
@@ -1526,6 +1542,32 @@ mod tests {
         let serial = checksum_at("1");
         assert_eq!(serial, checksum_at("4"));
         assert_eq!(serial, checksum_at("7"));
+    }
+
+    #[test]
+    fn deploy_rejects_rounds_past_the_round_tag_space() {
+        for rounds in ["5000000000", "4294967295"] {
+            let err = run(&argv(&[
+                "deploy", "--nodes", "100", "--degree", "8", "--f", "2", "--rounds", rounds,
+            ]))
+            .unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(_)),
+                "--rounds {rounds}: {err}"
+            );
+            assert!(err.to_string().contains("--rounds"), "{err}");
+        }
+    }
+
+    #[test]
+    fn deploy_rejects_unknown_flags() {
+        for typo in [["--round", "3"], ["--job", "2"]] {
+            let mut args = vec!["deploy", "--nodes", "100", "--degree", "8", "--f", "2"];
+            args.extend_from_slice(&typo);
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{typo:?}: {err}");
+            assert!(err.to_string().contains(&typo[0][2..]), "{err}");
+        }
     }
 
     #[test]

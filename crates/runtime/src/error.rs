@@ -54,12 +54,19 @@ pub enum RuntimeError {
         round: usize,
     },
     /// A multiplexed tick made no progress: nodes are still mid-protocol
-    /// but none became ready and nothing new was delivered. Impossible
-    /// under the in-process transport; a remote transport reports this
-    /// when the peer stops feeding mailboxes.
+    /// but none became ready. Impossible under the in-process transport; a
+    /// remote transport reports this when the peer stops feeding
+    /// mailboxes.
     Stalled {
         /// How many nodes had not finished their rounds.
         waiting: usize,
+        /// The lowest-id unfinished node.
+        node: usize,
+        /// The round that node is waiting to complete.
+        round: usize,
+        /// That node's in-edge slots whose round-`round` message has not
+        /// arrived, ascending.
+        missing: Vec<usize>,
     },
 }
 
@@ -98,10 +105,16 @@ impl fmt::Display for RuntimeError {
                     "mailbox slot {slot} still occupied when round {round} arrived (window credit violated)"
                 )
             }
-            RuntimeError::Stalled { waiting } => {
+            RuntimeError::Stalled {
+                waiting,
+                node,
+                round,
+                missing,
+            } => {
                 write!(
                     f,
-                    "deployment stalled with {waiting} nodes still mid-protocol"
+                    "deployment stalled with {waiting} nodes still mid-protocol; \
+                     node {node} waits on round {round} for in-edge slots {missing:?}"
                 )
             }
         }
@@ -116,6 +129,12 @@ mod tests {
 
     #[test]
     fn messages_are_lowercase_and_specific() {
+        let stalled = RuntimeError::Stalled {
+            waiting: 3,
+            node: 1,
+            round: 4,
+            missing: vec![5, 7],
+        };
         let cases: Vec<(RuntimeError, &str)> = vec![
             (
                 RuntimeError::InputLengthMismatch {
@@ -141,7 +160,8 @@ mod tests {
                 RuntimeError::MailboxOverflow { slot: 17, round: 9 },
                 "mailbox slot 17 still occupied when round 9",
             ),
-            (RuntimeError::Stalled { waiting: 3 }, "stalled with 3 nodes"),
+            (stalled.clone(), "stalled with 3 nodes"),
+            (stalled, "node 1 waits on round 4 for in-edge slots [5, 7]"),
         ];
         for (err, expect) in cases {
             assert!(err.to_string().contains(expect), "{err}");

@@ -86,4 +86,4 @@ pub use deploy::{run_threaded, DeployReport};
 pub use error::RuntimeError;
 pub use mailbox::{Mailboxes, DEFAULT_WINDOW};
 pub use scheduler::{run_multiplexed, MultiplexConfig, MultiplexedDeployment};
-pub use transport::{LocalTransport, Transport, WireMessage};
+pub use transport::{LocalTransport, Transport};

@@ -38,15 +38,16 @@ pub(crate) struct NodeCell {
     pub(crate) role: Role,
 }
 
-/// Consumes node `i`'s complete round-`round` inbox lane and advances the
-/// cell one round. `received` is reusable executor scratch.
+/// Consumes node `i`'s complete round-`round` inbox and advances the cell
+/// one round. `received` is reusable executor scratch.
 ///
-/// Honest: gather the lane in CSR slot order — which is ascending sender
-/// order, the exact order the threaded runtime wires its channels and the
-/// deterministic engine visits in-neighbors — sanitize each value, and
-/// apply the shared trim kernel. Byzantine: refresh the inbox with the raw
-/// values (receiver-side sanitization is an honest-node defence; a faulty
-/// node sees what was actually sent).
+/// Honest: gather the inbox — one contiguous slice of the round's lane, in
+/// CSR slot order, which is ascending sender order, the exact order the
+/// threaded runtime wires its channels and the deterministic engine visits
+/// in-neighbors — sanitize each value, and apply the shared trim kernel.
+/// Byzantine: refresh the inbox with the raw values (receiver-side
+/// sanitization is an honest-node defence; a faulty node sees what was
+/// actually sent).
 pub(crate) fn update_cell(
     topology: &CompiledTopology,
     mailboxes: &Mailboxes,
@@ -58,12 +59,11 @@ pub(crate) fn update_cell(
 ) {
     let base = topology.in_offset(i);
     let row = topology.in_neighbors_of(i);
+    let values = mailboxes.inbox(base..base + row.len(), round);
     match &mut cell.role {
         Role::Honest => {
             received.clear();
-            for k in 0..row.len() {
-                received.push(sanitize(mailboxes.value(base + k, round)));
-            }
+            received.extend(values.iter().map(|&v| sanitize(v)));
             // Preconditions hold by construction: in-degree >= 2f was
             // validated before the first tick and every value was
             // sanitized, so this is the engine's exact arithmetic.
@@ -71,12 +71,11 @@ pub(crate) fn update_cell(
         }
         Role::Byzantine { inbox, .. } => {
             inbox.clear();
-            for (k, &sender) in row.iter().enumerate() {
-                inbox.push((
-                    NodeId::new(sender as usize),
-                    mailboxes.value(base + k, round),
-                ));
-            }
+            inbox.extend(
+                row.iter()
+                    .zip(values)
+                    .map(|(&sender, &v)| (NodeId::new(sender as usize), v)),
+            );
         }
     }
 }
@@ -84,13 +83,11 @@ pub(crate) fn update_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::WireMessage;
     use iabc_graph::{generators, NodeSet};
 
     fn deliver(mb: &mut Mailboxes, base: usize, round: u32, values: &[f64]) {
         for (k, &v) in values.iter().enumerate() {
-            mb.deposit((base + k) as u32, WireMessage { round, value: v })
-                .unwrap();
+            mb.deposit(round, &[((base + k) as u32, v)]).unwrap();
         }
     }
 

@@ -11,15 +11,16 @@
 //! # One tick
 //!
 //! 1. **Send** (serial, deterministic): every node with a round to start
-//!    emits one message per out-edge through the [`Transport`]. Nodes are
-//!    visited in ascending id order and each node's out-edges in ascending
-//!    receiver order — the exact order the threaded runtime queries
-//!    Byzantine strategies, so stateful strategies observe identical call
-//!    sequences in both modes.
+//!    hands the [`Transport`] one row of messages, one per out-edge, in one
+//!    call. Nodes are visited in ascending id order and each node's
+//!    out-edges in ascending receiver order — the exact order the threaded
+//!    runtime queries Byzantine strategies, so stateful strategies observe
+//!    identical call sequences in both modes.
 //! 2. **Flush**: the transport completes delivery (a no-op locally).
 //! 3. **Readiness scan**: node `i` is *ready* when one round-`t` message
-//!    has arrived per in-edge, `t = round_of[i]` — the same condition that
-//!    unblocks a threaded node's `recv` loop, evaluated as one array
+//!    has arrived per in-edge, where `t` is one past the round its
+//!    [`Mailboxes`] watermark says it last consumed — the same condition
+//!    that unblocks a threaded node's `recv` loop, evaluated as one array
 //!    compare per node.
 //! 4. **Update** (pooled): ready cells advance one round on the shared
 //!    executor via sparse dispatch. Honest cells gather their mailbox lane
@@ -28,8 +29,10 @@
 //!    update touches only its own state and its own (complete, immutable
 //!    this tick) mailbox lane, so parallel execution is bit-identical to a
 //!    serial sweep.
-//! 5. **Release** (serial): consumed lanes are cleared (returning flow
-//!    credits), rounds advance, finished nodes retire.
+//! 5. **Release** (serial): each ready node's watermark rises to the round
+//!    it just consumed and that lane's arrival counter is zeroed — O(1) per
+//!    node, no cell is touched — which returns the lane's flow credits and
+//!    advances the node's round; finished nodes retire.
 //!
 //! Under [`LocalTransport`] every node is ready every tick, so the whole
 //! network marches in lockstep and a run costs exactly `rounds` ticks. The
@@ -46,7 +49,7 @@ use crate::deploy::{validate_deployment, DeployReport};
 use crate::error::RuntimeError;
 use crate::mailbox::{Mailboxes, DEFAULT_WINDOW};
 use crate::node::{update_cell, NodeCell, Role};
-use crate::transport::{LocalTransport, Transport, WireMessage};
+use crate::transport::{LocalTransport, Transport};
 
 /// Tuning for a multiplexed deployment.
 #[derive(Debug, Clone, Copy)]
@@ -104,19 +107,21 @@ pub struct MultiplexedDeployment<'a, T: Transport> {
     f: usize,
     rounds: u32,
     transport: T,
+    /// Also holds each node's consumed-round watermark: node `i` is on
+    /// round `consumed(i) + 1`, and retired once it has consumed `rounds`.
     mailboxes: Mailboxes,
     cells: Vec<NodeCell>,
-    /// Next round each node executes (1-based); `rounds + 1` = retired.
-    round_of: Vec<u32>,
-    /// Nodes that owe their `round_of` send this tick (ascending).
+    /// Nodes that owe their next round's send this tick (ascending).
     pending_send: Vec<u32>,
     /// Scratch: nodes whose current round's inbox lane is complete.
     ready: Vec<u32>,
+    /// Scratch: the `(slot, value)` row of the sender being sent.
+    row: Vec<(u32, f64)>,
     completed: usize,
-    /// Out-edge CSR: `out_edges[out_offsets[u]..out_offsets[u+1]]` are
-    /// `(receiver, in-edge slot)` pairs for sender `u`, receivers ascending.
+    /// Out-edge CSR: `out_slots[out_offsets[u]..out_offsets[u+1]]` are the
+    /// in-edge slots sender `u` feeds, receivers ascending.
     out_offsets: Vec<u32>,
-    out_edges: Vec<(u32, u32)>,
+    out_slots: Vec<u32>,
     exec: ExecHandle,
     scratch: ScratchPool<Vec<f64>>,
 }
@@ -200,12 +205,11 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             out_offsets[k + 1] += out_offsets[k];
         }
         let mut cursor: Vec<u32> = out_offsets[..n].to_vec();
-        let mut out_edges = vec![(0u32, 0u32); topology.edge_count()];
+        let mut out_slots = vec![0u32; topology.edge_count()];
         for i in 0..n {
             let base = topology.in_offset(i);
             for (k, &u) in topology.in_neighbors_of(i).iter().enumerate() {
-                let pos = cursor[u as usize] as usize;
-                out_edges[pos] = (i as u32, (base + k) as u32);
+                out_slots[cursor[u as usize] as usize] = (base + k) as u32;
                 cursor[u as usize] += 1;
             }
         }
@@ -224,12 +228,12 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             transport,
             mailboxes,
             cells,
-            round_of: vec![1; n],
             pending_send,
             ready: Vec::new(),
+            row: Vec::with_capacity(topology.max_in_degree()),
             completed,
             out_offsets,
-            out_edges,
+            out_slots,
             exec: if config.shared_pool {
                 ExecHandle::Shared(process_executor(config.jobs))
             } else {
@@ -276,28 +280,28 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             return Ok(());
         }
 
-        // Phase 1+2: send round_of[i] on every out-edge, then flush. The
-        // value an honest node sends is its state *entering* the round;
-        // Byzantine strategies are queried per receiver, ascending.
+        // Phase 1+2: send each pending node's next round, one transport
+        // call per sender, then flush. The value an honest node sends is
+        // its state *entering* the round; Byzantine strategies are queried
+        // per receiver, ascending.
         for idx in 0..self.pending_send.len() {
             let i = self.pending_send[idx] as usize;
-            let round = self.round_of[i];
-            let state = self.cells[i].state;
-            let (start, end) = (
-                self.out_offsets[i] as usize,
-                self.out_offsets[i + 1] as usize,
-            );
-            for e in start..end {
-                let (receiver, slot) = self.out_edges[e];
-                let value = match &mut self.cells[i].role {
-                    Role::Honest => state,
-                    Role::Byzantine { strategy, inbox } => {
-                        strategy.message(round as usize, inbox, NodeId::new(receiver as usize))
+            let round = self.mailboxes.consumed(i) + 1;
+            let slots =
+                &self.out_slots[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize];
+            let NodeCell { state, role } = &mut self.cells[i];
+            self.row.clear();
+            match role {
+                Role::Honest => self.row.extend(slots.iter().map(|&slot| (slot, *state))),
+                Role::Byzantine { strategy, inbox } => {
+                    for &slot in slots {
+                        let receiver = NodeId::new(self.mailboxes.receiver(slot));
+                        let value = strategy.message(round as usize, inbox, receiver);
+                        self.row.push((slot, value));
                     }
-                };
-                self.transport
-                    .send(slot, WireMessage { round, value }, &mut self.mailboxes)?;
+                }
             }
+            self.transport.send(round, &self.row, &mut self.mailboxes)?;
         }
         self.pending_send.clear();
         self.transport.flush(&mut self.mailboxes)?;
@@ -305,23 +309,20 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
         // Phase 3: readiness — one full round-t inbox lane per node.
         self.ready.clear();
         for i in 0..n {
-            let r = self.round_of[i];
+            let r = self.mailboxes.consumed(i) + 1;
             if r <= self.rounds && self.mailboxes.arrived(i, r) == self.topology.in_degree(i) as u32
             {
                 self.ready.push(i as u32);
             }
         }
         if self.ready.is_empty() {
-            return Err(RuntimeError::Stalled {
-                waiting: n - self.completed,
-            });
+            return Err(self.stalled());
         }
 
         // Phase 4: advance every ready cell on the pool. Sparse dispatch
         // chunks the ready list and writes through to the cells vector;
         // readiness indices are unique by construction.
         let (topology, mailboxes, f) = (self.topology, &self.mailboxes, self.f);
-        let round_of = &self.round_of;
         let pool = &self.scratch;
         let (cells, ready) = (&mut self.cells, &mut self.ready);
         self.exec.with(|exec| {
@@ -331,25 +332,20 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
                 Chunking::Auto(iabc_exec::MIN_CHUNK),
                 || pool.take(|| Vec::with_capacity(topology.max_in_degree())),
                 |i, cell, scratch| {
-                    update_cell(topology, mailboxes, f, round_of[i], i, cell, scratch);
+                    let round = mailboxes.consumed(i) + 1;
+                    update_cell(topology, mailboxes, f, round, i, cell, scratch);
                     Ok::<(), std::convert::Infallible>(())
                 },
             )
             .unwrap_or_else(|e| match e {})
         });
 
-        // Phase 5: release consumed lanes, advance rounds, retire or
-        // re-queue (ready is ascending, so pending_send stays ascending).
+        // Phase 5: raise consumed watermarks, retire or re-queue (ready is
+        // ascending, so pending_send stays ascending).
         for k in 0..self.ready.len() {
             let i = self.ready[k] as usize;
-            let r = self.round_of[i];
-            self.mailboxes.clear_round(
-                i,
-                self.topology.in_offset(i),
-                self.topology.in_degree(i),
-                r,
-            );
-            self.round_of[i] = r + 1;
+            let r = self.mailboxes.consumed(i) + 1;
+            self.mailboxes.clear_round(i, r);
             if r == self.rounds {
                 self.completed += 1;
             } else {
@@ -357,6 +353,24 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             }
         }
         Ok(())
+    }
+
+    /// The error for a tick that readied nobody: names the lowest-id
+    /// unfinished node, its round, and the in-edges that round still lacks.
+    fn stalled(&self) -> RuntimeError {
+        let node = (0..self.cells.len())
+            .find(|&i| self.mailboxes.consumed(i) < self.rounds)
+            .expect("a stalled deployment has an unfinished node");
+        let round = self.mailboxes.consumed(node) + 1;
+        let base = self.topology.in_offset(node);
+        RuntimeError::Stalled {
+            waiting: self.cells.len() - self.completed,
+            node,
+            round: round as usize,
+            missing: self
+                .mailboxes
+                .missing(base..base + self.topology.in_degree(node), round),
+        }
     }
 
     /// Ticks until every node has executed all rounds, then reports.

@@ -10,13 +10,18 @@
 //!
 //! # Wire framing (for remote transports)
 //!
-//! A [`WireMessage`] is deliberately POD so a byte-level framing is fully
-//! specified here even though this crate only ships the local transport:
+//! The scheduler hands a transport one *sender round* at a time: the round
+//! and that sender's `(slot, value)` pairs, one per out-edge. A byte-level
+//! framing is fully specified here even though this crate only ships the
+//! local transport:
 //!
 //! * one message = 16 bytes, little-endian: `[u32 slot][u32 round][f64
 //!   value]`, where `slot` is the *receiver-side* CSR in-edge index of the
 //!   edge (sender identity is implied by the slot — the topology is shared
-//!   config on both ends);
+//!   config on both ends). The slot addresses the edge the way the paper's
+//!   authenticated point-to-point links do: a receiver always knows which
+//!   in-edge (hence which sender) a value arrived on, and a faulty node can
+//!   lie about the value but not about the link;
 //! * messages are batched per tick: a frame is `[u32 count]` followed by
 //!   `count` messages, length-prefixing the batch so a TCP stream can be
 //!   parsed without lookahead;
@@ -30,40 +35,30 @@
 use crate::error::RuntimeError;
 use crate::mailbox::Mailboxes;
 
-/// One protocol message as it crosses the transport: the round it belongs
-/// to and the (possibly Byzantine) value.
-///
-/// The edge it travels on is addressed separately by its CSR slot, mirroring
-/// the paper's authenticated point-to-point links: a receiver always knows
-/// which in-edge (hence which sender) a value arrived on, and a faulty node
-/// can lie about the value but not about the link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireMessage {
-    /// Protocol round (1-based; round tags are transport metadata modelling
-    /// the synchronous network, exactly as in the threaded runtime).
-    pub round: u32,
-    /// The state (honest sender) or lie (Byzantine sender) on this edge.
-    pub value: f64,
-}
-
 /// Delivers messages from the scheduler's send phase into mailboxes.
 ///
 /// Implementations may buffer in `send` and move bytes in `flush` (a
 /// batching TCP transport would), or deposit eagerly and make `flush` a
 /// no-op (the local transport does). The scheduler calls `send` once per
-/// out-edge per sender round and `flush` once per tick, after all sends.
+/// sender round, with all of that sender's out-edges, and `flush` once per
+/// tick, after all sends.
 pub trait Transport: std::fmt::Debug {
-    /// Routes `msg` along edge `slot` toward the receiver's mailbox.
+    /// Routes one sender's round-`round` messages toward their receivers'
+    /// mailboxes: `row` holds one `(slot, value)` pair per out-edge, in
+    /// ascending receiver order. Round tags are transport metadata (1-based)
+    /// modelling the synchronous network, exactly as in the threaded
+    /// runtime; a value is the sender's state or, from a Byzantine sender,
+    /// the lie told on that edge.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::MailboxOverflow`] if delivery finds the edge's
+    /// [`RuntimeError::MailboxOverflow`] if delivery finds an edge's
     /// buffer still occupied (credit violation); transports with deferred
     /// delivery may instead surface it from [`Transport::flush`].
     fn send(
         &mut self,
-        slot: u32,
-        msg: WireMessage,
+        round: u32,
+        row: &[(u32, f64)],
         mailboxes: &mut Mailboxes,
     ) -> Result<(), RuntimeError>;
 
@@ -71,20 +66,21 @@ pub trait Transport: std::fmt::Debug {
     fn flush(&mut self, mailboxes: &mut Mailboxes) -> Result<(), RuntimeError>;
 }
 
-/// In-process transport: `send` deposits directly into the mailbox cell,
-/// `flush` is a no-op. Zero copies, zero buffering — the multiplexed
-/// deployment's default.
+/// In-process transport: `send` deposits the row directly into the mailbox
+/// cells, `flush` is a no-op. Zero copies, zero buffering — the
+/// multiplexed deployment's default.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalTransport;
 
 impl Transport for LocalTransport {
+    #[inline]
     fn send(
         &mut self,
-        slot: u32,
-        msg: WireMessage,
+        round: u32,
+        row: &[(u32, f64)],
         mailboxes: &mut Mailboxes,
     ) -> Result<(), RuntimeError> {
-        mailboxes.deposit(slot, msg)
+        mailboxes.deposit(round, row)
     }
 
     fn flush(&mut self, _mailboxes: &mut Mailboxes) -> Result<(), RuntimeError> {
@@ -103,15 +99,7 @@ mod tests {
         let mut mb = Mailboxes::new(&t, 2);
         let mut tx = LocalTransport;
         let slot = t.in_offset(1) as u32;
-        tx.send(
-            slot,
-            WireMessage {
-                round: 1,
-                value: 4.25,
-            },
-            &mut mb,
-        )
-        .unwrap();
+        tx.send(1, &[(slot, 4.25)], &mut mb).unwrap();
         // Visible before flush: delivery is eager.
         assert_eq!(mb.arrived(1, 1), 1);
         assert_eq!(mb.value(slot as usize, 1), 4.25);
@@ -124,17 +112,9 @@ mod tests {
         let t = CompiledTopology::compile(&generators::cycle(3), &NodeSet::with_universe(3));
         let mut mb = Mailboxes::new(&t, 1);
         let mut tx = LocalTransport;
-        let msg = WireMessage {
-            round: 1,
-            value: 0.0,
-        };
-        tx.send(0, msg, &mut mb).unwrap();
-        let overflow = WireMessage {
-            round: 2,
-            value: 0.0,
-        };
+        tx.send(1, &[(0, 0.0)], &mut mb).unwrap();
         assert!(matches!(
-            tx.send(0, overflow, &mut mb),
+            tx.send(2, &[(0, 0.0)], &mut mb),
             Err(RuntimeError::MailboxOverflow { slot: 0, round: 2 })
         ));
     }

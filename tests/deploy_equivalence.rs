@@ -147,6 +147,27 @@ fn hundred_thousand_nodes_on_a_handful_of_threads() {
     }
 }
 
+/// The `iabc deploy` path pinned by its printed checksum: a 50k-node
+/// circulant, 10 rounds. A mailbox layout or scheduling mistake changes a
+/// bit of some state and fails here. The CLI runs on the process-level
+/// pool, which its first user sizes, so the `--jobs 3` run goes first.
+#[test]
+fn deploy_cli_prints_the_pinned_50k_checksum() {
+    for jobs in ["3", "1"] {
+        let argv: Vec<String> = [
+            "deploy", "--nodes", "50000", "--degree", "8", "--f", "2", "--rounds", "10", "--jobs",
+            jobs,
+        ]
+        .map(String::from)
+        .to_vec();
+        let out = iabc_cli::run(&argv).expect("deploy runs");
+        assert!(
+            out.contains("state checksum: fd813d553fb60f26\n"),
+            "--jobs {jobs}: {out}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
