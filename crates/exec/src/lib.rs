@@ -129,10 +129,37 @@ struct Job {
 // pointee outlives every worker's use of it.
 unsafe impl Send for Job {}
 
+/// The chunks of one dispatch not yet handed out: the unpopped prefix of
+/// the output slice. Chunk boundaries are the multiples of `chunk`, and
+/// [`ChunkQueue::pop`] splits the last chunk off the tail, so chunks leave
+/// highest start first and the queue never allocates.
+struct ChunkQueue<'a, T> {
+    rest: &'a mut [T],
+    chunk: usize,
+}
+
+impl<'a, T> ChunkQueue<'a, T> {
+    /// The highest-start chunk still queued, with its start index.
+    fn pop(&mut self) -> Option<(usize, &'a mut [T])> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let start = (self.rest.len() - 1) / self.chunk * self.chunk;
+        let (rest, last) = std::mem::take(&mut self.rest).split_at_mut(start);
+        self.rest = rest;
+        Some((start, last))
+    }
+
+    /// Drops every chunk still queued.
+    fn clear(&mut self) {
+        self.rest = &mut [];
+    }
+}
+
 /// One dispatch's shared state, living on the dispatcher's stack.
 struct Task<'a, T, S, E, MS, F> {
-    /// Disjoint output chunks, tagged with their start index.
-    queue: Mutex<Vec<(usize, &'a mut [T])>>,
+    /// Disjoint output chunks not yet claimed by a participant.
+    queue: Mutex<ChunkQueue<'a, T>>,
     /// The lowest-index error seen so far.
     first_error: Mutex<Option<(usize, E)>>,
     /// Cooperative cancellation ([`Executor::for_each_until`]); `None`
@@ -378,12 +405,7 @@ impl Executor {
             Chunking::Exact(_) => floor,
         };
         let task = Task {
-            queue: Mutex::new(
-                out.chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(c, slice)| (c * chunk, slice))
-                    .collect(),
-            ),
+            queue: Mutex::new(ChunkQueue { rest: out, chunk }),
             first_error: Mutex::new(None),
             cancel,
             make_scratch: &make_scratch,
@@ -421,91 +443,6 @@ impl Executor {
             Some((_, e)) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// The **readiness-batch** dispatch shape: runs `item_fn` for
-    /// `items[indices[k]]` at every position `k`, fanning chunks of the
-    /// *index list* across the pool while each participant reaches into
-    /// the full `items` slice. This is what an event-driven scheduler
-    /// needs — the set of ready items changes every tick, so the work
-    /// list is a scattered subset of a large state array that must not be
-    /// repacked per dispatch.
-    ///
-    /// `item_fn(i, item, scratch)` receives the **item index**
-    /// `i = indices[k]` (not the position `k`), so the same body serves
-    /// dense and sparse dispatches.
-    ///
-    /// # Determinism
-    ///
-    /// Identical to [`Executor::run_chunked`] over the index list: results
-    /// are bit-for-bit equal to the serial loop
-    /// `for &i in indices { item_fn(i, &mut items[i], ..) }` for any job
-    /// count, and the reported error is the one at the lowest *position*
-    /// in `indices`.
-    ///
-    /// # Contract
-    ///
-    /// `indices` must contain **no duplicates** (each item is mutably
-    /// borrowed by exactly one participant — duplicates would alias).
-    /// Checked exhaustively in debug builds; out-of-bounds indices panic
-    /// in all builds.
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-positioned failing entry of `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds index, a duplicate index (debug builds),
-    /// or a panic inside `item_fn` (re-raised once the pool is quiescent).
-    pub fn run_sparse<T, S, E, MS, F>(
-        &self,
-        items: &mut [T],
-        indices: &mut [u32],
-        chunking: Chunking,
-        make_scratch: MS,
-        item_fn: F,
-    ) -> Result<(), E>
-    where
-        T: Send,
-        E: Send,
-        MS: Fn() -> S + Sync,
-        F: Fn(usize, &mut T, &mut S) -> Result<(), E> + Sync,
-    {
-        let len = items.len();
-        #[cfg(debug_assertions)]
-        {
-            let mut seen = vec![false; len];
-            for &i in indices.iter() {
-                assert!((i as usize) < len, "sparse index {i} out of bounds");
-                assert!(
-                    !std::mem::replace(&mut seen[i as usize], true),
-                    "duplicate sparse index {i}"
-                );
-            }
-        }
-        /// The base pointer of the item slice, shared by every
-        /// participant. Sound to share because the unique-index contract
-        /// means no element is ever reachable from two chunks.
-        struct SharedBase<T>(*mut T);
-        unsafe impl<T: Send> Sync for SharedBase<T> {}
-        let base = SharedBase(items.as_mut_ptr());
-        let base = &base;
-        self.dispatch(
-            indices,
-            chunking,
-            None,
-            make_scratch,
-            move |_pos, idx: &mut u32, scratch| {
-                let i = *idx as usize;
-                assert!(i < len, "sparse index {i} out of bounds");
-                // SAFETY: `i < len` was just checked, and index uniqueness
-                // (caller contract, verified above in debug builds) makes
-                // this the only live borrow of element `i`.
-                let item = unsafe { &mut *base.0.add(i) };
-                item_fn(i, item, scratch)
-            },
-        )
     }
 
     /// Infallible, scratch-free [`Executor::run_chunked`]: runs `f` for
@@ -926,6 +863,28 @@ mod tests {
     }
 
     #[test]
+    fn the_chunk_queue_pops_highest_start_first_and_clears() {
+        let mut items: Vec<usize> = (0..10).collect();
+        let mut queue = ChunkQueue {
+            rest: &mut items,
+            chunk: 4,
+        };
+        let (start, last) = queue.pop().unwrap();
+        assert_eq!((start, &*last), (8, &[8, 9][..]), "the short tail first");
+        let (start, middle) = queue.pop().unwrap();
+        assert_eq!((start, &*middle), (4, &[4, 5, 6, 7][..]));
+        queue.clear();
+        assert!(queue.pop().is_none(), "clear drops the unpopped prefix");
+        let mut items = [0u8; 8];
+        let mut queue = ChunkQueue {
+            rest: &mut items,
+            chunk: 4,
+        };
+        let starts: Vec<usize> = std::iter::from_fn(|| queue.pop().map(|(s, _)| s)).collect();
+        assert_eq!(starts, [4, 0], "an exact multiple has no short chunk");
+    }
+
+    #[test]
     fn for_each_chunk_one_covers_every_index_in_order() {
         let _guard = spawn_guard();
         let exec = Executor::new(3);
@@ -964,98 +923,6 @@ mod tests {
             "expected <= 3 retained buffers, found {retained}"
         );
         assert_eq!(buf[399], 399.0);
-    }
-
-    #[test]
-    fn sparse_dispatch_matches_serial_and_leaves_others_untouched() {
-        let _guard = spawn_guard();
-        let n = 2000;
-        // An arbitrary scattered subset, deliberately unsorted.
-        let subset: Vec<u32> = (0..n as u32).filter(|i| i % 3 == 1).rev().collect();
-        let compute = |i: usize| (i as f64).sqrt() * 1.75 - (i % 5) as f64;
-        let mut serial = vec![-1.0; n];
-        for &i in &subset {
-            serial[i as usize] = compute(i as usize);
-        }
-        for jobs in [1usize, 2, 4, 7] {
-            let exec = Executor::new(jobs);
-            let mut items = vec![-1.0; n];
-            let mut indices = subset.clone();
-            exec.run_sparse(
-                &mut items,
-                &mut indices,
-                Chunking::Auto(MIN_CHUNK),
-                || (),
-                |i, out, ()| {
-                    *out = compute(i);
-                    Ok::<(), ()>(())
-                },
-            )
-            .unwrap();
-            for (a, b) in serial.iter().zip(&items) {
-                assert_eq!(a.to_bits(), b.to_bits(), "jobs = {jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_dispatch_reports_lowest_position_error() {
-        let _guard = spawn_guard();
-        // Positions 5 and 800 fail; the reported error must be position
-        // 5's for any job count (the serial loop stops there first).
-        let indices_master: Vec<u32> = (0..1000u32).map(|k| (k * 7) % 1000).collect();
-        for jobs in [1usize, 2, 4, 7] {
-            let exec = Executor::new(jobs);
-            let mut items = vec![0u8; 1000];
-            let mut indices = indices_master.clone();
-            let failing = [indices_master[5], indices_master[800]];
-            let err = exec
-                .run_sparse(
-                    &mut items,
-                    &mut indices,
-                    Chunking::Exact(1),
-                    || (),
-                    |i, _, ()| {
-                        if failing.contains(&(i as u32)) {
-                            return Err(i as u32);
-                        }
-                        Ok(())
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(err, indices_master[5], "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "duplicate sparse index")]
-    fn sparse_dispatch_rejects_duplicate_indices_in_debug() {
-        let exec = Executor::serial();
-        let mut items = vec![0u8; 4];
-        let mut indices = vec![1u32, 2, 1];
-        let _ = exec.run_sparse(
-            &mut items,
-            &mut indices,
-            Chunking::Auto(MIN_CHUNK),
-            || (),
-            |_, _, ()| Ok::<(), ()>(()),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn sparse_dispatch_rejects_out_of_bounds_indices() {
-        let exec = Executor::serial();
-        let mut items = vec![0u8; 4];
-        let mut indices = vec![9u32];
-        let _ = exec.run_sparse(
-            &mut items,
-            &mut indices,
-            Chunking::Auto(MIN_CHUNK),
-            || (),
-            |_, _, ()| Ok::<(), ()>(()),
-        );
     }
 
     #[test]

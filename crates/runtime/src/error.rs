@@ -1,9 +1,9 @@
-//! Error type for threaded deployments.
+//! Error type for deployments, threaded and multiplexed.
 
 use std::error::Error;
 use std::fmt;
 
-/// Why a threaded deployment could not start or finish.
+/// Why a deployment could not start or finish.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
     /// `inputs.len()` does not match the graph's node count.
@@ -37,6 +37,12 @@ pub enum RuntimeError {
         in_degree: usize,
         /// Required minimum (`2f + 1` — Corollary 3, and one must survive).
         needed: usize,
+    },
+    /// The round count does not fit the multiplexed tier's `u32` round
+    /// tags, which reserve `u32::MAX`.
+    RoundsOutOfRange {
+        /// The requested round count.
+        rounds: usize,
     },
     /// A node thread panicked or a link closed mid-protocol (should not
     /// happen; indicates a bug or a poisoned thread).
@@ -94,6 +100,13 @@ impl fmt::Display for RuntimeError {
                 write!(
                     f,
                     "node {node} has in-degree {in_degree}, below the {needed} required to trim 2f"
+                )
+            }
+            RuntimeError::RoundsOutOfRange { rounds } => {
+                write!(
+                    f,
+                    "{rounds} rounds exceed the round-tag space (at most {})",
+                    u32::MAX - 1
                 )
             }
             RuntimeError::NodeFailed { node } => {
@@ -154,6 +167,10 @@ mod tests {
                     needed: 3,
                 },
                 "node 4 has in-degree 1",
+            ),
+            (
+                RuntimeError::RoundsOutOfRange { rounds: 1 << 32 },
+                "4294967296 rounds exceed the round-tag space (at most 4294967294)",
             ),
             (RuntimeError::NodeFailed { node: 2 }, "node 2 thread failed"),
             (

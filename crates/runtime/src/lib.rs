@@ -20,12 +20,13 @@
 //! threads stop scaling.
 //!
 //! **Multiplexed — the scale tier.** [`run_multiplexed`] (and the
-//! tick-by-tick [`MultiplexedDeployment`]) keeps every node as a few words
-//! of state in one flat vector, parks messages in per-edge [`Mailboxes`]
-//! slots indexed by the compiled topology's CSR, and advances whatever
-//! nodes are ready each tick on the shared `iabc-exec` pool. Memory is
-//! proportional to edges plus states and OS threads are exactly `jobs`, so
-//! a million-node sparse network runs on one host. Delivery goes through
+//! tick-by-tick [`MultiplexedDeployment`]) keeps every node's state in one
+//! flat column (faulty nodes add a strategy and an inbox in a small side
+//! table), parks messages in per-edge [`Mailboxes`] slots indexed by the
+//! compiled topology's CSR, and runs each tick's send, readiness scan and
+//! update on the shared `iabc-exec` pool. Memory is proportional to edges
+//! plus states and OS threads are exactly `jobs`, so a million-node sparse
+//! network runs on one host. Delivery goes through
 //! the [`Transport`] trait — [`LocalTransport`] deposits in-process; the
 //! wire framing and credit-based flow control a TCP transport needs are
 //! specified on the trait so it can slot in without touching protocol

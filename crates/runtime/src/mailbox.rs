@@ -15,15 +15,22 @@
 //! share one lane, and node `i`'s round-`t` inbox is one contiguous slice
 //! of lane `t % window` starting at `topology.in_offset(i)`.
 //!
-//! # The consumed-round watermark
+//! # Tags, the consumed-round watermark, and readiness
 //!
 //! Every cell carries the round tag of the last message deposited into it
 //! (`0` = never; protocol rounds are 1-based), and every node carries a
 //! watermark: the last round it consumed. Nodes consume their rounds in
 //! order, so a cell is occupied exactly when its tag is above its
-//! receiver's watermark. Tags are never cleared: consuming a round raises
-//! the watermark and zeroes that lane's arrival counter, O(1) per node,
-//! which returns the lane's credit to every sender at once.
+//! receiver's watermark. Tags are never cleared: consuming a round only
+//! raises the watermark, which returns the lane's credit to every sender
+//! at once.
+//!
+//! There is no arrival counter. Node `i`'s round-`t` inbox is complete
+//! when every one of its cells in lane `t % window` holds tag `t`
+//! ([`Mailboxes::complete`]); the scheduler's readiness scan reads exactly
+//! that. A per-receiver counter would be the one location every sender of
+//! that receiver writes; without it, each cell has exactly one sender, and
+//! two senders' deposits never write the same location.
 //!
 //! A deposit into an occupied cell — a sender running `window` rounds
 //! ahead of its receiver, or a second copy of a round the receiver has not
@@ -33,8 +40,17 @@
 //! [`LocalTransport`](crate::LocalTransport) runs all nodes in lockstep and
 //! can never trip it; the default window of 2 still leaves headroom for the
 //! send-before-consume ordering inside a tick.
+//!
+//! # Concurrent deposits
+//!
+//! Tags and values are relaxed atomics, so [`Mailboxes::deposit`] takes
+//! `&self` and senders may deposit from any number of threads at once (on
+//! x86-64 a relaxed load or store is a plain `mov`). Relaxed ordering is
+//! enough: the scheduler reads a lane only after the send dispatch has
+//! joined, and that join orders every deposit before the read.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
 use iabc_graph::CompiledTopology;
 
@@ -43,23 +59,19 @@ use crate::error::RuntimeError;
 /// Default number of in-flight rounds each edge can buffer.
 pub const DEFAULT_WINDOW: u32 = 2;
 
-/// Fixed-capacity per-edge message buffers plus per-node arrival counters
-/// and consumed-round watermarks.
+/// Fixed-capacity per-edge message buffers, their round tags, and
+/// per-node consumed-round watermarks.
 ///
 /// Layout: cell `(slot, round)` lives at `lane * edges + slot`, with
-/// `lane = round % window`. `arrived[lane * nodes + i]` counts how many of
-/// node `i`'s in-edges have deposited their message for the round on that
-/// lane, so the scheduler's readiness check is a single array compare
-/// against `in_degree(i)`.
-#[derive(Debug, Clone)]
+/// `lane = round % window`. A receiver's round is complete when all of its
+/// cells on that round's lane carry the round's tag.
+#[derive(Debug)]
 pub struct Mailboxes {
     window: u32,
-    /// One value per (lane, edge).
-    values: Vec<f64>,
+    /// One value per (lane, edge), as `f64` bits.
+    values: Box<[AtomicU64]>,
     /// Round tag per (lane, edge): the last round deposited there, 0 = none.
-    tags: Vec<u32>,
-    /// Deposited-message count per (lane, node).
-    arrived: Vec<u32>,
+    tags: Box<[AtomicU32]>,
     /// Last round each node consumed (0 before its first).
     consumed: Vec<u32>,
     /// Receiver of each edge slot (inverse of the CSR row structure).
@@ -84,11 +96,19 @@ impl Mailboxes {
                 owner[base + k] = i as u32;
             }
         }
+        // Zeroed allocations, like `vec![0; len]`: the pages are faulted in
+        // by the first deposits, not here.
+        // SAFETY: all-zero bytes are a valid `AtomicU64` and `AtomicU32`.
+        let (values, tags) = unsafe {
+            (
+                Box::new_zeroed_slice(edges * w).assume_init(),
+                Box::new_zeroed_slice(edges * w).assume_init(),
+            )
+        };
         Mailboxes {
             window,
-            values: vec![0.0; edges * w],
-            tags: vec![0; edges * w],
-            arrived: vec![0; n * w],
+            values,
+            tags,
             consumed: vec![0; n],
             owner,
         }
@@ -99,21 +119,15 @@ impl Mailboxes {
         self.window
     }
 
-    /// The lane `round` uses.
+    /// The first cell of the lane `round` uses.
     #[inline]
-    fn lane(&self, round: u32) -> usize {
-        (round % self.window) as usize
-    }
-
-    /// Index of cell `(slot, round)` in the per-edge arrays.
-    #[inline]
-    fn cell(&self, slot: usize, round: u32) -> usize {
-        self.lane(round) * self.owner.len() + slot
+    fn lane_base(&self, round: u32) -> usize {
+        (round % self.window) as usize * self.owner.len()
     }
 
     /// Deposits one sender's round-`round` messages, one `(slot, value)`
-    /// pair per out-edge, bumping each receiver's arrival count for that
-    /// round. Pairs are deposited in order.
+    /// pair per out-edge. Pairs are deposited in order. Safe to call from
+    /// many threads at once, one sender's row per call.
     ///
     /// # Errors
     ///
@@ -122,32 +136,34 @@ impl Mailboxes {
     /// the `window`-round credit the receiver extended, or the round was
     /// delivered twice. The pairs before it stay deposited.
     #[inline]
-    pub fn deposit(&mut self, round: u32, row: &[(u32, f64)]) -> Result<(), RuntimeError> {
-        let lane = self.lane(round);
-        let (edges, nodes) = (self.owner.len(), self.consumed.len());
-        let tags = &mut self.tags[lane * edges..];
-        let values = &mut self.values[lane * edges..];
-        let arrived = &mut self.arrived[lane * nodes..];
+    pub fn deposit(&self, round: u32, row: &[(u32, f64)]) -> Result<(), RuntimeError> {
+        let lane = self.lane_base(round);
+        let tags = &self.tags[lane..];
+        let values = &self.values[lane..];
         for &(slot, value) in row {
             let slot = slot as usize;
-            let node = self.owner[slot] as usize;
-            if tags[slot] > self.consumed[node] {
+            let tag = &tags[slot];
+            if tag.load(Relaxed) > self.consumed[self.owner[slot] as usize] {
                 return Err(RuntimeError::MailboxOverflow {
                     slot,
                     round: round as usize,
                 });
             }
-            tags[slot] = round;
-            values[slot] = value;
-            arrived[node] += 1;
+            tag.store(round, Relaxed);
+            values[slot].store(value.to_bits(), Relaxed);
         }
         Ok(())
     }
 
-    /// How many round-`round` messages node `i` has received so far.
+    /// Whether every in-edge among `slots` holds its round-`round`
+    /// message: for one receiver's slot range, whether its round-`round`
+    /// inbox is complete.
     #[inline]
-    pub fn arrived(&self, i: usize, round: u32) -> u32 {
-        self.arrived[self.lane(round) * self.consumed.len() + i]
+    pub fn complete(&self, slots: Range<usize>, round: u32) -> bool {
+        let lane = self.lane_base(round);
+        self.tags[lane + slots.start..lane + slots.end]
+            .iter()
+            .all(|tag| tag.load(Relaxed) == round)
     }
 
     /// The last round node `i` has consumed (`0` before its first): its
@@ -155,6 +171,12 @@ impl Mailboxes {
     #[inline]
     pub(crate) fn consumed(&self, i: usize) -> u32 {
         self.consumed[i]
+    }
+
+    /// The consumed-round watermarks of `nodes`.
+    #[inline]
+    pub(crate) fn watermarks(&self, nodes: Range<usize>) -> &[u32] {
+        &self.consumed[nodes]
     }
 
     /// The receiver of edge `slot`.
@@ -165,42 +187,51 @@ impl Mailboxes {
 
     /// The round-`round` value sitting in edge `slot`.
     ///
-    /// Only meaningful once the owner's `arrived` count equals its
-    /// in-degree; the debug assertion catches scheduler bugs that read a
-    /// lane before it is full (or after it was recycled).
+    /// Only meaningful once the cell holds round `round`; the debug
+    /// assertion catches scheduler bugs that read a lane before it is full
+    /// (or after it was recycled).
     pub fn value(&self, slot: usize, round: u32) -> f64 {
-        let cell = self.cell(slot, round);
+        let cell = self.lane_base(round) + slot;
+        let tag = self.tags[cell].load(Relaxed);
         debug_assert_eq!(
-            self.tags[cell], round,
-            "mailbox slot {slot} read for round {round} but holds round {}",
-            self.tags[cell]
+            tag, round,
+            "mailbox slot {slot} read for round {round} but holds round {tag}"
         );
-        self.values[cell]
+        f64::from_bits(self.values[cell].load(Relaxed))
     }
 
     /// The round-`round` values of the in-edges `slots`: one receiver's
     /// inbox, in CSR slot order. Carries [`value`](Self::value)'s debug
     /// check for every cell.
-    pub(crate) fn inbox(&self, slots: Range<usize>, round: u32) -> &[f64] {
-        let cells = self.cell(slots.start, round)..self.cell(slots.end, round);
+    #[inline]
+    pub(crate) fn inbox(
+        &self,
+        slots: Range<usize>,
+        round: u32,
+    ) -> impl ExactSizeIterator<Item = f64> + '_ {
         debug_assert!(
-            self.tags[cells.clone()].iter().all(|&tag| tag == round),
+            self.complete(slots.clone(), round),
             "inbox {slots:?} read for round {round} before it is full"
         );
-        &self.values[cells]
+        let lane = self.lane_base(round);
+        self.values[lane + slots.start..lane + slots.end]
+            .iter()
+            .map(|value| f64::from_bits(value.load(Relaxed)))
     }
 
     /// The in-edges among `slots` whose round-`round` message has not
     /// arrived: their lane cell holds another round.
     pub(crate) fn missing(&self, slots: Range<usize>, round: u32) -> Vec<usize> {
+        let lane = self.lane_base(round);
         slots
-            .filter(|&s| self.tags[self.cell(s, round)] != round)
+            .filter(|&s| self.tags[lane + s].load(Relaxed) != round)
             .collect()
     }
 
     /// Marks node `i`'s round-`round` lane consumed: raises its watermark
-    /// to `round` and zeroes the lane's arrival counter, returning the
-    /// credits to the senders. Rounds must be consumed in order.
+    /// to `round`, returning the lane's credits to the senders. Rounds
+    /// must be consumed in order.
+    #[inline]
     pub(crate) fn clear_round(&mut self, i: usize, round: u32) {
         debug_assert_eq!(
             round,
@@ -208,8 +239,6 @@ impl Mailboxes {
             "node {i} consumed out of order"
         );
         self.consumed[i] = round;
-        let counter = self.lane(round) * self.consumed.len() + i;
-        self.arrived[counter] = 0;
     }
 }
 
@@ -223,25 +252,48 @@ mod tests {
         CompiledTopology::compile(&generators::cycle(4), &NodeSet::with_universe(4))
     }
 
+    /// Node `i`'s in-edge slots.
+    fn slots(t: &CompiledTopology, i: usize) -> Range<usize> {
+        t.in_offset(i)..t.in_offset(i) + t.in_degree(i)
+    }
+
+    /// The values of lane `lane`, in slot order.
+    fn lane_values(mb: &Mailboxes, lane: usize) -> Vec<f64> {
+        let edges = mb.owner.len();
+        mb.values[lane * edges..(lane + 1) * edges]
+            .iter()
+            .map(|v| f64::from_bits(v.load(Relaxed)))
+            .collect()
+    }
+
+    /// The tags of lane `lane`, in slot order.
+    fn lane_tags(mb: &Mailboxes, lane: usize) -> Vec<u32> {
+        let edges = mb.owner.len();
+        mb.tags[lane * edges..(lane + 1) * edges]
+            .iter()
+            .map(|t| t.load(Relaxed))
+            .collect()
+    }
+
     #[test]
     fn deposit_then_read_round_trips() {
         let t = topo();
-        let mut mb = Mailboxes::new(&t, DEFAULT_WINDOW);
+        let mb = Mailboxes::new(&t, DEFAULT_WINDOW);
         assert_eq!(mb.window(), 2);
-        assert_eq!(mb.arrived(1, 1), 0);
+        assert!(!mb.complete(slots(&t, 1), 1));
         let slot = t.in_offset(1) as u32; // edge 0 -> 1
         mb.deposit(1, &[(slot, 7.5)]).unwrap();
-        assert_eq!(mb.arrived(1, 1), 1);
+        assert!(mb.complete(slots(&t, 1), 1));
         assert_eq!(mb.value(slot as usize, 1), 7.5);
         // Other rounds and nodes are untouched.
-        assert_eq!(mb.arrived(1, 2), 0);
-        assert_eq!(mb.arrived(2, 1), 0);
+        assert!(!mb.complete(slots(&t, 1), 2));
+        assert!(!mb.complete(slots(&t, 2), 1));
     }
 
     #[test]
     fn window_allows_one_round_of_skew_then_rejects() {
         let t = topo();
-        let mut mb = Mailboxes::new(&t, 2);
+        let mb = Mailboxes::new(&t, 2);
         let slot = t.in_offset(2) as u32;
         for round in 1..=2 {
             mb.deposit(round, &[(slot, round as f64)]).unwrap();
@@ -268,11 +320,11 @@ mod tests {
         let slot = base as u32;
         mb.deposit(1, &[(slot, 1.0)]).unwrap();
         mb.clear_round(3, 1);
-        assert_eq!(mb.arrived(3, 1), 0);
+        assert!(!mb.complete(slots(&t, 3), 3));
         // Round 3 shares round 1's lane and is accepted again.
         mb.deposit(3, &[(slot, 3.0)]).unwrap();
         assert_eq!(mb.value(base, 3), 3.0);
-        assert_eq!(mb.arrived(3, 3), 1);
+        assert!(mb.complete(slots(&t, 3), 3));
     }
 
     #[test]
@@ -285,7 +337,7 @@ mod tests {
     #[test]
     fn a_second_copy_of_an_unconsumed_round_is_rejected() {
         let t = topo();
-        let mut mb = Mailboxes::new(&t, 2);
+        let mb = Mailboxes::new(&t, 2);
         let slot = t.in_offset(1) as u32;
         mb.deposit(1, &[(slot, 1.0)]).unwrap();
         assert_eq!(
@@ -296,7 +348,7 @@ mod tests {
             })
         );
         assert_eq!(mb.value(slot as usize, 1), 1.0, "the first copy stays");
-        assert_eq!(mb.arrived(1, 1), 1);
+        assert!(mb.complete(slots(&t, 1), 1));
     }
 
     #[test]
@@ -311,16 +363,16 @@ mod tests {
         }
         // Round 4 needs round 1's lane: refused until node 0 consumes it.
         assert!(mb.deposit(4, &[(0, 4.0)]).is_err());
+        assert!(!mb.complete(0..3, 1));
         mb.deposit(1, &[(2, 100.0)]).unwrap();
-        assert_eq!(mb.arrived(0, 1), 3);
-        assert_eq!(mb.inbox(0..3, 1), &[1.0, 10.0, 100.0]);
+        assert!(mb.complete(0..3, 1));
+        assert!(mb.inbox(0..3, 1).eq([1.0, 10.0, 100.0]));
         mb.clear_round(0, 1);
         assert_eq!(mb.consumed(0), 1);
-        assert_eq!(mb.arrived(0, 1), 0);
         // The tags still read round 1 but sit at the watermark, so free.
         assert_eq!(mb.missing(0..3, 1), Vec::<usize>::new());
         mb.deposit(4, &[(0, 4.0), (1, 40.0)]).unwrap();
-        assert_eq!(mb.arrived(0, 4), 2);
+        assert!(!mb.complete(0..3, 4));
         assert_eq!(mb.missing(0..3, 4), vec![2]);
         assert_eq!(mb.value(0, 4), 4.0);
         // Rounds 2 and 3 were never disturbed by lane 1's reuse.
@@ -332,19 +384,55 @@ mod tests {
     fn lanes_are_lane_major_and_a_row_fills_one_lane() {
         // complete(3): node i hears the other two, slots 2i and 2i + 1.
         let t = CompiledTopology::compile(&generators::complete(3), &NodeSet::with_universe(3));
-        let mut mb = Mailboxes::new(&t, 2);
+        let mb = Mailboxes::new(&t, 2);
         // Node 0's round-2 row: to node 1 (slot 2) and node 2 (slot 4).
         mb.deposit(2, &[(2, 0.5), (4, 0.5)]).unwrap();
         mb.deposit(2, &[(0, 1.5), (5, 1.5)]).unwrap();
         mb.deposit(2, &[(1, 2.5), (3, 2.5)]).unwrap();
         // Lane 0 holds round 2 for all six edges, in slot order.
-        assert_eq!(&mb.values[..6], &[1.5, 2.5, 0.5, 2.5, 0.5, 1.5]);
-        assert_eq!(&mb.tags[..6], &[2; 6]);
-        assert_eq!(&mb.tags[6..], &[0; 6], "lane 1 untouched");
+        assert_eq!(lane_values(&mb, 0), [1.5, 2.5, 0.5, 2.5, 0.5, 1.5]);
+        assert_eq!(lane_tags(&mb, 0), [2; 6]);
+        assert_eq!(lane_tags(&mb, 1), [0; 6], "lane 1 untouched");
         for i in 0..3 {
-            assert_eq!(mb.arrived(i, 2), 2);
-            assert_eq!(mb.arrived(i, 1), 0);
+            assert!(mb.complete(slots(&t, i), 2));
+            assert!(!mb.complete(slots(&t, i), 1));
         }
-        assert_eq!(mb.inbox(2..4, 2), &[0.5, 2.5]);
+        assert!(mb.inbox(2..4, 2).eq([0.5, 2.5]));
+    }
+
+    #[test]
+    fn senders_deposit_concurrently_through_a_shared_reference() {
+        // circulant(64, 8): 512 slots; each thread sends a quarter of the
+        // senders' rows, and every receiver ends up complete.
+        let t = CompiledTopology::circulant(64, 8, &NodeSet::with_universe(64));
+        let mb = Mailboxes::new(&t, 2);
+        let rows: Vec<Vec<(u32, f64)>> = (0..64)
+            .map(|u| {
+                (0..64)
+                    .flat_map(|i| {
+                        let base = t.in_offset(i);
+                        t.in_neighbors_of(i)
+                            .iter()
+                            .position(|&s| s == u as u32)
+                            .map(|k| ((base + k) as u32, u as f64))
+                    })
+                    .collect()
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for quarter in rows.chunks(16) {
+                let mb = &mb;
+                s.spawn(move || {
+                    for row in quarter {
+                        mb.deposit(1, row).unwrap();
+                    }
+                });
+            }
+        });
+        for i in 0..64 {
+            assert!(mb.complete(slots(&t, i), 1), "node {i}");
+            let senders = t.in_neighbors_of(i).iter().map(|&u| u as f64);
+            assert!(mb.inbox(slots(&t, i), 1).eq(senders), "node {i}");
+        }
     }
 }

@@ -2,37 +2,50 @@
 //!
 //! The threaded runtime is the fidelity reference — one OS thread per node
 //! makes the concurrency real, and makes a million nodes impossible. This
-//! module is the scale tier: all `n` nodes live as [`NodeCell`]s in one
-//! flat vector, messages sit in [`Mailboxes`] indexed by CSR edge slot, and
-//! a [`MultiplexedDeployment`] advances the network in *ticks*. Memory is
-//! proportional to edges plus states; OS threads are exactly the
-//! executor's `jobs`, regardless of `n`.
+//! module is the scale tier: all `n` nodes live as one flat column of
+//! `f64` states plus a small table of the faulty nodes (each with its
+//! strategy and raw inbox), messages sit in [`Mailboxes`] indexed by CSR
+//! edge slot, and a [`MultiplexedDeployment`] advances the network in
+//! *ticks*. Memory is proportional to edges plus states; OS threads are
+//! exactly the executor's `jobs`, regardless of `n`.
 //!
 //! # One tick
 //!
-//! 1. **Send** (serial, deterministic): every node with a round to start
-//!    hands the [`Transport`] one row of messages, one per out-edge, in one
-//!    call. Nodes are visited in ascending id order and each node's
-//!    out-edges in ascending receiver order — the exact order the threaded
-//!    runtime queries Byzantine strategies, so stateful strategies observe
-//!    identical call sequences in both modes.
-//! 2. **Flush**: the transport completes delivery (a no-op locally).
-//! 3. **Readiness scan**: node `i` is *ready* when one round-`t` message
-//!    has arrived per in-edge, where `t` is one past the round its
-//!    [`Mailboxes`] watermark says it last consumed — the same condition
-//!    that unblocks a threaded node's `recv` loop, evaluated as one array
-//!    compare per node.
-//! 4. **Update** (pooled): ready cells advance one round on the shared
-//!    executor via sparse dispatch. Honest cells gather their mailbox lane
-//!    in ascending sender order, sanitize, and run the shared trim kernel;
-//!    Byzantine cells refresh their strategy's local inbox. Each cell's
-//!    update touches only its own state and its own (complete, immutable
-//!    this tick) mailbox lane, so parallel execution is bit-identical to a
-//!    serial sweep.
+//! 1. **Send** (pooled honest senders, then serial faulty senders): every
+//!    node with a round to start hands the [`Transport`] one row of
+//!    messages, one per out-edge, in one call. Honest senders run as one
+//!    dispatch over the pending list on the deployment's pool; each slot
+//!    has exactly one sender, so their deposits never touch the same
+//!    cell. Faulty senders then run on the calling thread alone, senders
+//!    ascending and each sender's out-edges receivers ascending — the
+//!    exact order the threaded runtime queries Byzantine strategies, so
+//!    stateful strategies observe identical call sequences in both modes
+//!    (a strategy is `&mut` state, so these calls cannot be shared out).
+//! 2. **Flush** (serial): the transport completes delivery (a no-op
+//!    locally).
+//! 3. **Readiness scan** (pooled): node `i` is *ready* when every in-slot
+//!    of lane `t % window` holds tag `t`, where `t` is one past the round
+//!    its [`Mailboxes`] watermark says it last consumed — the same
+//!    condition that unblocks a threaded node's `recv` loop. The scan
+//!    writes one bit per node, 64 nodes per dispatch item; it reads only
+//!    tags and watermarks, which nothing writes during the scan.
+//! 4. **Update** (pooled): ready honest nodes advance one round, in one
+//!    dispatch over the state column. Each gathers its mailbox lane in
+//!    ascending sender order, sanitizes, and runs the shared trim kernel,
+//!    touching only its own state and its own (complete, immutable this
+//!    tick) mailbox lane, so parallel execution is bit-identical to a
+//!    serial sweep. Ready faulty nodes then refresh their strategy's
+//!    local inbox, serially.
 //! 5. **Release** (serial): each ready node's watermark rises to the round
-//!    it just consumed and that lane's arrival counter is zeroed — O(1) per
-//!    node, no cell is touched — which returns the lane's flow credits and
-//!    advances the node's round; finished nodes retire.
+//!    it just consumed — O(1) per node, no state is touched — which
+//!    returns the lane's flow credits and advances the node's round;
+//!    finished nodes retire.
+//!
+//! A failing send returns the error of the lowest failing sender id across
+//! both send passes — the error the serial loop over senders ascending
+//! stops at, because each sender's deposits touch only its own cells. The
+//! other senders of that tick may have deposited by then, so a tick that
+//! returned an error leaves the deployment unusable: drop it.
 //!
 //! Under [`LocalTransport`] every node is ready every tick, so the whole
 //! network marches in lockstep and a run costs exactly `rounds` ticks. The
@@ -41,20 +54,22 @@
 //! nobody while nodes are still mid-protocol fails fast with
 //! [`RuntimeError::Stalled`].
 
-use iabc_exec::{process_executor, Chunking, Executor, ScratchPool, SharedExecutor};
+use std::ops::Range;
+
+use iabc_exec::{process_executor, Chunking, Executor, ScratchPool, SharedExecutor, MIN_CHUNK};
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 
 use crate::behavior::LocalByzantine;
 use crate::deploy::{validate_deployment, DeployReport};
 use crate::error::RuntimeError;
 use crate::mailbox::{Mailboxes, DEFAULT_WINDOW};
-use crate::node::{update_cell, NodeCell, Role};
+use crate::node::{update_honest, FaultyNode};
 use crate::transport::{LocalTransport, Transport};
 
 /// Tuning for a multiplexed deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiplexConfig {
-    /// Worker threads for the update phase (1 = serial; 0 = all cores).
+    /// Worker threads for the pooled phases (1 = serial; 0 = all cores).
     pub jobs: usize,
     /// In-flight rounds each edge can buffer (see [`Mailboxes`]).
     pub window: u32,
@@ -76,7 +91,7 @@ impl Default for MultiplexConfig {
     }
 }
 
-/// Owned-or-shared pool handle: the deployment's update phase dispatches
+/// Owned-or-shared pool handle: the deployment's pooled phases dispatch
 /// through it identically either way (results are bit-for-bit equal by the
 /// executor's determinism contract — only thread accounting differs).
 enum ExecHandle {
@@ -110,26 +125,32 @@ pub struct MultiplexedDeployment<'a, T: Transport> {
     /// Also holds each node's consumed-round watermark: node `i` is on
     /// round `consumed(i) + 1`, and retired once it has consumed `rounds`.
     mailboxes: Mailboxes,
-    cells: Vec<NodeCell>,
+    /// Every node's state: `v_i[t]` for honest nodes, the input for faulty
+    /// ones (never written).
+    states: Vec<f64>,
+    /// The faulty nodes, ascending id.
+    faulty: Vec<FaultyNode>,
     /// Nodes that owe their next round's send this tick (ascending).
     pending_send: Vec<u32>,
-    /// Scratch: nodes whose current round's inbox lane is complete.
-    ready: Vec<u32>,
-    /// Scratch: the `(slot, value)` row of the sender being sent.
-    row: Vec<(u32, f64)>,
+    /// Scratch: whether each node's current round inbox is complete, 64
+    /// nodes per word (bit `k` of word `w` is node `64 * w + k`).
+    ready: Vec<u64>,
     completed: usize,
     /// Out-edge CSR: `out_slots[out_offsets[u]..out_offsets[u+1]]` are the
     /// in-edge slots sender `u` feeds, receivers ascending.
     out_offsets: Vec<u32>,
     out_slots: Vec<u32>,
     exec: ExecHandle,
-    scratch: ScratchPool<Vec<f64>>,
+    /// Participant scratch: one sender's `(slot, value)` row.
+    rows: ScratchPool<Vec<(u32, f64)>>,
+    /// Participant scratch: one honest node's sanitized inbox.
+    received: ScratchPool<Vec<f64>>,
 }
 
 impl<T: Transport> std::fmt::Debug for MultiplexedDeployment<'_, T> {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fm.debug_struct("MultiplexedDeployment")
-            .field("nodes", &self.cells.len())
+            .field("nodes", &self.states.len())
             .field("edges", &self.topology.edge_count())
             .field("rounds", &self.rounds)
             .field("completed", &self.completed)
@@ -151,12 +172,13 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
     /// [`RuntimeError::InputLengthMismatch`],
     /// [`RuntimeError::NoFaultFreeNodes`],
     /// [`RuntimeError::NonFiniteInput`], and
-    /// [`RuntimeError::InsufficientInDegree`].
+    /// [`RuntimeError::InsufficientInDegree`]; plus
+    /// [`RuntimeError::RoundsOutOfRange`] if `rounds` does not fit the
+    /// `u32` round-tag space (`rounds ≥ u32::MAX`).
     ///
     /// # Panics
     ///
-    /// Panics if `rounds` does not fit the `u32` round-tag space or
-    /// `config.window == 0`.
+    /// Panics if `config.window == 0`.
     pub fn new(
         topology: &'a CompiledTopology,
         inputs: &[f64],
@@ -174,23 +196,17 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             |i| topology.in_degree(i),
             f,
         )?;
-        let rounds = u32::try_from(rounds).expect("round count exceeds u32 round-tag space");
-        assert!(rounds < u32::MAX, "round count exceeds u32 round-tag space");
+        // One past the last round must still fit a tag.
+        let rounds = u32::try_from(rounds)
+            .ok()
+            .filter(|&r| r < u32::MAX)
+            .ok_or(RuntimeError::RoundsOutOfRange { rounds })?;
 
-        let cells: Vec<NodeCell> = (0..n)
-            .map(|i| NodeCell {
-                state: inputs[i],
-                role: if topology.is_faulty(i) {
-                    Role::Byzantine {
-                        strategy: byzantine(NodeId::new(i)),
-                        inbox: Vec::new(),
-                    }
-                } else {
-                    Role::Honest
-                },
-            })
-            .collect();
         let fault_set = NodeSet::from_indices(n, (0..n).filter(|&i| topology.is_faulty(i)));
+        let faulty = fault_set
+            .iter()
+            .map(|node| FaultyNode::new(node.index() as u32, byzantine(node)))
+            .collect();
 
         // Invert the in-edge CSR into a sender-major out-edge CSR by
         // counting sort — O(edges), no per-node allocations. Receivers fill
@@ -227,10 +243,10 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             rounds,
             transport,
             mailboxes,
-            cells,
+            states: inputs.to_vec(),
+            faulty,
             pending_send,
-            ready: Vec::new(),
-            row: Vec::with_capacity(topology.max_in_degree()),
+            ready: vec![0; n.div_ceil(64)],
             completed,
             out_offsets,
             out_slots,
@@ -239,11 +255,12 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             } else {
                 ExecHandle::Owned(Executor::new(config.jobs))
             },
-            scratch: ScratchPool::new(),
+            rows: ScratchPool::new(),
+            received: ScratchPool::new(),
         })
     }
 
-    /// Worker budget of the pool the update phase runs on.
+    /// Worker budget of the pool the pooled phases run on.
     pub fn pool_jobs(&self) -> usize {
         self.exec.with(Executor::jobs)
     }
@@ -256,14 +273,14 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
 
     /// `true` once every node has executed all its rounds.
     pub fn finished(&self) -> bool {
-        self.completed == self.cells.len()
+        self.completed == self.states.len()
     }
 
     /// Current state snapshot, in node order. Faulty entries carry the
     /// node's input (its "state" is meaningless in the Byzantine model),
     /// matching the threaded runtime's report convention.
     pub fn states(&self) -> Vec<f64> {
-        self.cells.iter().map(|c| c.state).collect()
+        self.states.clone()
     }
 
     /// Advances the network by one tick (send → flush → readiness scan →
@@ -272,99 +289,145 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
     /// # Errors
     ///
     /// [`RuntimeError::MailboxOverflow`] from the transport on a flow-credit
-    /// violation; [`RuntimeError::Stalled`] if the tick made no progress
-    /// while nodes are still mid-protocol.
+    /// violation — the lowest failing sender's; [`RuntimeError::Stalled`]
+    /// if the tick made no progress while nodes are still mid-protocol.
+    /// After an error the deployment is unusable (module docs).
     pub fn tick(&mut self) -> Result<(), RuntimeError> {
-        let n = self.cells.len();
-        if self.completed == n {
+        if self.finished() {
             return Ok(());
         }
+        // Phases 1 and 2: send, then flush.
+        self.send()?;
+        self.transport.flush(&self.mailboxes)?;
 
-        // Phase 1+2: send each pending node's next round, one transport
-        // call per sender, then flush. The value an honest node sends is
-        // its state *entering* the round; Byzantine strategies are queried
-        // per receiver, ascending.
-        for idx in 0..self.pending_send.len() {
-            let i = self.pending_send[idx] as usize;
-            let round = self.mailboxes.consumed(i) + 1;
-            let slots =
-                &self.out_slots[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize];
-            let NodeCell { state, role } = &mut self.cells[i];
-            self.row.clear();
-            match role {
-                Role::Honest => self.row.extend(slots.iter().map(|&slot| (slot, *state))),
-                Role::Byzantine { strategy, inbox } => {
-                    for &slot in slots {
-                        let receiver = NodeId::new(self.mailboxes.receiver(slot));
-                        let value = strategy.message(round as usize, inbox, receiver);
-                        self.row.push((slot, value));
-                    }
-                }
-            }
-            self.transport.send(round, &self.row, &mut self.mailboxes)?;
-        }
-        self.pending_send.clear();
-        self.transport.flush(&mut self.mailboxes)?;
-
-        // Phase 3: readiness — one full round-t inbox lane per node.
-        self.ready.clear();
-        for i in 0..n {
-            let r = self.mailboxes.consumed(i) + 1;
-            if r <= self.rounds && self.mailboxes.arrived(i, r) == self.topology.in_degree(i) as u32
-            {
-                self.ready.push(i as u32);
-            }
-        }
-        if self.ready.is_empty() {
+        // Phase 3: readiness — one full round-t inbox lane per node, 64
+        // nodes per dispatch item.
+        let (topology, mailboxes, rounds) = (self.topology, &self.mailboxes, self.rounds);
+        let n = self.states.len();
+        self.exec.with(|exec| {
+            exec.for_each(&mut self.ready, Chunking::Auto(MIN_CHUNK), |w, word| {
+                *word = ready_word(topology, mailboxes, rounds, 64 * w..n.min(64 * w + 64));
+            })
+        });
+        if self.ready.iter().all(|&word| word == 0) {
             return Err(self.stalled());
         }
 
-        // Phase 4: advance every ready cell on the pool. Sparse dispatch
-        // chunks the ready list and writes through to the cells vector;
-        // readiness indices are unique by construction.
-        let (topology, mailboxes, f) = (self.topology, &self.mailboxes, self.f);
-        let pool = &self.scratch;
-        let (cells, ready) = (&mut self.cells, &mut self.ready);
+        // Phase 4: advance every ready honest node on the pool, one dense
+        // dispatch over the state column; then refresh the ready faulty
+        // nodes' inboxes.
+        let (f, ready, received) = (self.f, &self.ready, &self.received);
+        let is_ready = |i: usize| ready[i / 64] >> (i % 64) & 1 == 1;
         self.exec.with(|exec| {
-            exec.run_sparse(
-                cells,
-                ready,
-                Chunking::Auto(iabc_exec::MIN_CHUNK),
-                || pool.take(|| Vec::with_capacity(topology.max_in_degree())),
-                |i, cell, scratch| {
-                    let round = mailboxes.consumed(i) + 1;
-                    update_cell(topology, mailboxes, f, round, i, cell, scratch);
+            exec.run_chunked(
+                &mut self.states,
+                Chunking::Auto(MIN_CHUNK),
+                || received.take(|| Vec::with_capacity(topology.max_in_degree())),
+                |i, state, scratch| {
+                    if is_ready(i) && !topology.is_faulty(i) {
+                        let round = mailboxes.consumed(i) + 1;
+                        update_honest(topology, mailboxes, f, round, i, state, scratch);
+                    }
                     Ok::<(), std::convert::Infallible>(())
                 },
             )
             .unwrap_or_else(|e| match e {})
         });
+        for node in &mut self.faulty {
+            let i = node.id as usize;
+            if is_ready(i) {
+                node.refresh(topology, mailboxes, mailboxes.consumed(i) + 1);
+            }
+        }
 
-        // Phase 5: raise consumed watermarks, retire or re-queue (ready is
-        // ascending, so pending_send stays ascending).
-        for k in 0..self.ready.len() {
-            let i = self.ready[k] as usize;
-            let r = self.mailboxes.consumed(i) + 1;
-            self.mailboxes.clear_round(i, r);
-            if r == self.rounds {
-                self.completed += 1;
-            } else {
-                self.pending_send.push(i as u32);
+        // Phase 5: raise consumed watermarks, retire or re-queue (nodes in
+        // ascending order, so pending_send stays ascending).
+        for (w, &word) in self.ready.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let round = self.mailboxes.consumed(i) + 1;
+                self.mailboxes.clear_round(i, round);
+                if round == self.rounds {
+                    self.completed += 1;
+                } else {
+                    self.pending_send.push(i as u32);
+                }
             }
         }
         Ok(())
     }
 
+    /// Phase 1: sends each pending node's next round, one transport call
+    /// per sender. Honest senders send their state *entering* the round,
+    /// as one pooled dispatch; faulty senders follow on this thread,
+    /// ascending, their strategies queried per receiver, ascending. Clears
+    /// the pending list.
+    ///
+    /// # Errors
+    ///
+    /// The error of the lowest failing sender id across both passes.
+    fn send(&mut self) -> Result<(), RuntimeError> {
+        let Self {
+            topology,
+            transport,
+            mailboxes,
+            states,
+            faulty,
+            pending_send,
+            out_offsets,
+            out_slots,
+            exec,
+            rows,
+            ..
+        } = self;
+        let out_row = |i: usize| &out_slots[out_offsets[i] as usize..out_offsets[i + 1] as usize];
+        let honest = exec.with(|exec| {
+            exec.run_chunked(
+                pending_send,
+                Chunking::Auto(MIN_CHUNK),
+                || rows.take(|| Vec::with_capacity(topology.max_in_degree())),
+                |_, &mut i, row| {
+                    let i = i as usize;
+                    if topology.is_faulty(i) {
+                        return Ok(());
+                    }
+                    let round = mailboxes.consumed(i) + 1;
+                    row.clear();
+                    row.extend(out_row(i).iter().map(|&slot| (slot, states[i])));
+                    transport.send(round, row, mailboxes).map_err(|e| (i, e))
+                },
+            )
+        });
+        let mut row = rows.take(Vec::new);
+        let byzantine = faulty
+            .iter_mut()
+            .filter(|node| pending_send.binary_search(&node.id).is_ok())
+            .try_for_each(|node| {
+                let i = node.id as usize;
+                let round = mailboxes.consumed(i) + 1;
+                node.lies(round, out_row(i), mailboxes, &mut row);
+                transport.send(round, &row, mailboxes).map_err(|e| (i, e))
+            });
+        pending_send.clear();
+        match (honest, byzantine) {
+            (Err((h, e)), Err((b, _))) if h < b => Err(e),
+            (_, Err((_, e))) | (Err((_, e)), Ok(())) => Err(e),
+            (Ok(()), Ok(())) => Ok(()),
+        }
+    }
+
     /// The error for a tick that readied nobody: names the lowest-id
     /// unfinished node, its round, and the in-edges that round still lacks.
     fn stalled(&self) -> RuntimeError {
-        let node = (0..self.cells.len())
+        let node = (0..self.states.len())
             .find(|&i| self.mailboxes.consumed(i) < self.rounds)
             .expect("a stalled deployment has an unfinished node");
         let round = self.mailboxes.consumed(node) + 1;
         let base = self.topology.in_offset(node);
         RuntimeError::Stalled {
-            waiting: self.cells.len() - self.completed,
+            waiting: self.states.len() - self.completed,
             node,
             round: round as usize,
             missing: self
@@ -388,6 +451,37 @@ impl<'a, T: Transport> MultiplexedDeployment<'a, T> {
             fault_set: self.fault_set.clone(),
         })
     }
+}
+
+/// The readiness of up to 64 consecutive `nodes`, bit `k` for node
+/// `nodes.start + k`: whether the node is on a round `t ≤ rounds` whose
+/// inbox lane holds tag `t` in every in-slot. Nodes on one round (all of
+/// them, in lockstep) are checked with one scan of their joint slot range,
+/// which is contiguous; otherwise, or when that scan fails, node by node.
+fn ready_word(
+    topology: &CompiledTopology,
+    mailboxes: &Mailboxes,
+    rounds: u32,
+    nodes: Range<usize>,
+) -> u64 {
+    let round = mailboxes.consumed(nodes.start) + 1;
+    let slots =
+        |nodes: Range<usize>| topology.in_offset(nodes.start)..topology.in_offset(nodes.end);
+    if round <= rounds
+        && mailboxes
+            .watermarks(nodes.clone())
+            .iter()
+            .all(|&c| c + 1 == round)
+        && mailboxes.complete(slots(nodes.clone()), round)
+    {
+        return u64::MAX >> (64 - nodes.len());
+    }
+    let start = nodes.start;
+    nodes.fold(0, |word, i| {
+        let round = mailboxes.consumed(i) + 1;
+        let ready = round <= rounds && mailboxes.complete(slots(i..i + 1), round);
+        word | u64::from(ready) << (i - start)
+    })
 }
 
 /// Runs Algorithm 1 multiplexed onto `jobs` pooled threads — the scale-tier
@@ -610,6 +704,62 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.final_states, inputs);
+    }
+
+    #[test]
+    fn ready_words_agree_with_the_node_by_node_check() {
+        // circulant(100, 4): a full 64-node word and a 36-node one. Every
+        // round-1 message arrives except slot 10's (an in-edge of node 2),
+        // and node 70 has already consumed round 1, so its word mixes
+        // rounds.
+        let t = CompiledTopology::circulant(100, 4, &NodeSet::with_universe(100));
+        let mut mb = Mailboxes::new(&t, 2);
+        for slot in (0..t.edge_count() as u32).filter(|&s| s != 10) {
+            mb.deposit(1, &[(slot, 0.0)]).unwrap();
+        }
+        mb.clear_round(70, 1);
+        let words = [
+            ready_word(&t, &mb, 5, 0..64),
+            ready_word(&t, &mb, 5, 64..100),
+        ];
+        for i in 0..100 {
+            let ready = words[i / 64] >> (i % 64) & 1 == 1;
+            assert_eq!(ready, i != 2 && i != 70, "node {i}");
+        }
+        mb.deposit(1, &[(10, 0.0)]).unwrap();
+        assert_eq!(
+            ready_word(&t, &mb, 5, 0..64),
+            u64::MAX,
+            "one scan, all ready"
+        );
+        assert_eq!(ready_word(&t, &mb, 0, 0..64), 0, "no round to run");
+    }
+
+    #[test]
+    fn rounds_past_the_round_tag_space_are_an_error() {
+        let g = generators::complete(4);
+        let none = NodeSet::with_universe(4);
+        let byz = |_: NodeId| -> Box<dyn LocalByzantine> { unreachable!("no faulty nodes") };
+        for rounds in [u32::MAX as usize, usize::MAX] {
+            assert_eq!(
+                run_multiplexed(&g, &[0.0; 4], &none, 1, rounds, byz, 1),
+                Err(RuntimeError::RoundsOutOfRange { rounds }),
+                "rounds = {rounds}"
+            );
+        }
+        // The largest round count that fits still constructs.
+        let topology = CompiledTopology::compile(&g, &none);
+        let largest = u32::MAX as usize - 1;
+        let d = MultiplexedDeployment::new(
+            &topology,
+            &[0.0; 4],
+            1,
+            largest,
+            byz,
+            LocalTransport,
+            MultiplexConfig::default(),
+        );
+        assert!(d.is_ok());
     }
 
     #[test]

@@ -42,7 +42,15 @@ use crate::mailbox::Mailboxes;
 /// no-op (the local transport does). The scheduler calls `send` once per
 /// sender round, with all of that sender's out-edges, and `flush` once per
 /// tick, after all sends.
-pub trait Transport: std::fmt::Debug {
+///
+/// `send` takes `&self`, and the trait is `Sync`: the scheduler runs its
+/// honest senders on the deployment's pool, so every pool participant
+/// calls `send` on the same transport concurrently, each call carrying a
+/// different sender's row. A transport that buffers keeps its buffers
+/// behind a lock or in per-thread storage. [`Mailboxes::deposit`] takes
+/// `&self` for the same reason. Faulty senders are sent from the calling
+/// thread alone, senders ascending, and `flush` is always serial.
+pub trait Transport: std::fmt::Debug + Sync {
     /// Routes one sender's round-`round` messages toward their receivers'
     /// mailboxes: `row` holds one `(slot, value)` pair per out-edge, in
     /// ascending receiver order. Round tags are transport metadata (1-based)
@@ -56,14 +64,14 @@ pub trait Transport: std::fmt::Debug {
     /// buffer still occupied (credit violation); transports with deferred
     /// delivery may instead surface it from [`Transport::flush`].
     fn send(
-        &mut self,
+        &self,
         round: u32,
         row: &[(u32, f64)],
-        mailboxes: &mut Mailboxes,
+        mailboxes: &Mailboxes,
     ) -> Result<(), RuntimeError>;
 
     /// Completes delivery of everything buffered by `send` this tick.
-    fn flush(&mut self, mailboxes: &mut Mailboxes) -> Result<(), RuntimeError>;
+    fn flush(&mut self, mailboxes: &Mailboxes) -> Result<(), RuntimeError>;
 }
 
 /// In-process transport: `send` deposits the row directly into the mailbox
@@ -75,15 +83,15 @@ pub struct LocalTransport;
 impl Transport for LocalTransport {
     #[inline]
     fn send(
-        &mut self,
+        &self,
         round: u32,
         row: &[(u32, f64)],
-        mailboxes: &mut Mailboxes,
+        mailboxes: &Mailboxes,
     ) -> Result<(), RuntimeError> {
         mailboxes.deposit(round, row)
     }
 
-    fn flush(&mut self, _mailboxes: &mut Mailboxes) -> Result<(), RuntimeError> {
+    fn flush(&mut self, _mailboxes: &Mailboxes) -> Result<(), RuntimeError> {
         Ok(())
     }
 }
@@ -96,25 +104,26 @@ mod tests {
     #[test]
     fn local_transport_deposits_immediately() {
         let t = CompiledTopology::compile(&generators::cycle(3), &NodeSet::with_universe(3));
-        let mut mb = Mailboxes::new(&t, 2);
+        let mb = Mailboxes::new(&t, 2);
         let mut tx = LocalTransport;
         let slot = t.in_offset(1) as u32;
-        tx.send(1, &[(slot, 4.25)], &mut mb).unwrap();
+        let inbox = slot as usize..slot as usize + 1;
+        tx.send(1, &[(slot, 4.25)], &mb).unwrap();
         // Visible before flush: delivery is eager.
-        assert_eq!(mb.arrived(1, 1), 1);
+        assert!(mb.complete(inbox.clone(), 1));
         assert_eq!(mb.value(slot as usize, 1), 4.25);
-        tx.flush(&mut mb).unwrap();
-        assert_eq!(mb.arrived(1, 1), 1, "flush is a no-op");
+        tx.flush(&mb).unwrap();
+        assert!(mb.complete(inbox, 1), "flush is a no-op");
     }
 
     #[test]
     fn local_transport_propagates_overflow() {
         let t = CompiledTopology::compile(&generators::cycle(3), &NodeSet::with_universe(3));
-        let mut mb = Mailboxes::new(&t, 1);
-        let mut tx = LocalTransport;
-        tx.send(1, &[(0, 0.0)], &mut mb).unwrap();
+        let mb = Mailboxes::new(&t, 1);
+        let tx = LocalTransport;
+        tx.send(1, &[(0, 0.0)], &mb).unwrap();
         assert!(matches!(
-            tx.send(2, &[(0, 0.0)], &mut mb),
+            tx.send(2, &[(0, 0.0)], &mb),
             Err(RuntimeError::MailboxOverflow { slot: 0, round: 2 })
         ));
     }

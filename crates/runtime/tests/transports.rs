@@ -1,7 +1,11 @@
 //! The multiplexed scheduler driven by transports other than
 //! `LocalTransport`: a lagging one (two lanes in flight at once), a
 //! dropping one (stalls and overflows raised from a tick) and a duplicating
-//! one (a second deposit of an unconsumed round).
+//! one (a second deposit of an unconsumed round). Honest senders run on
+//! the pool, so every failure is also driven at jobs 3 on topologies whose
+//! send dispatch splits into several chunks, and must match jobs 1.
+
+use std::sync::Mutex;
 
 use iabc_graph::{generators, CompiledTopology, NodeSet};
 use iabc_runtime::{
@@ -69,7 +73,7 @@ struct Lagging {
     receiver: Vec<usize>,
     /// `(round, (slot, value))` messages, sent last tick and this tick.
     held: Vec<(u32, (u32, f64))>,
-    fresh: Vec<(u32, (u32, f64))>,
+    fresh: Mutex<Vec<(u32, (u32, f64))>>,
 }
 
 impl Lagging {
@@ -80,21 +84,21 @@ impl Lagging {
         Lagging {
             receiver,
             held: Vec::new(),
-            fresh: Vec::new(),
+            fresh: Mutex::new(Vec::new()),
         }
     }
 }
 
 impl Transport for Lagging {
     fn send(
-        &mut self,
+        &self,
         round: u32,
         row: &[(u32, f64)],
-        mailboxes: &mut Mailboxes,
+        mailboxes: &Mailboxes,
     ) -> Result<(), RuntimeError> {
         for &(slot, value) in row {
             if self.receiver[slot as usize] % 2 == 1 {
-                self.fresh.push((round, (slot, value)));
+                self.fresh.lock().unwrap().push((round, (slot, value)));
             } else {
                 mailboxes.deposit(round, &[(slot, value)])?;
             }
@@ -102,11 +106,11 @@ impl Transport for Lagging {
         Ok(())
     }
 
-    fn flush(&mut self, mailboxes: &mut Mailboxes) -> Result<(), RuntimeError> {
+    fn flush(&mut self, mailboxes: &Mailboxes) -> Result<(), RuntimeError> {
         for (round, message) in self.held.drain(..) {
             mailboxes.deposit(round, &[message])?;
         }
-        std::mem::swap(&mut self.held, &mut self.fresh);
+        std::mem::swap(&mut self.held, self.fresh.get_mut().unwrap());
         Ok(())
     }
 }
@@ -119,10 +123,10 @@ struct Dropping {
 
 impl Transport for Dropping {
     fn send(
-        &mut self,
+        &self,
         round: u32,
         row: &[(u32, f64)],
-        mailboxes: &mut Mailboxes,
+        mailboxes: &Mailboxes,
     ) -> Result<(), RuntimeError> {
         for &(slot, value) in row {
             if slot != self.slot {
@@ -132,37 +136,47 @@ impl Transport for Dropping {
         Ok(())
     }
 
-    fn flush(&mut self, _mailboxes: &mut Mailboxes) -> Result<(), RuntimeError> {
+    fn flush(&mut self, _mailboxes: &Mailboxes) -> Result<(), RuntimeError> {
         Ok(())
     }
 }
 
-/// Deposits one edge's message of one round twice.
+/// Deposits the messages of some edges in one round twice.
 #[derive(Debug)]
 struct Duplicating {
-    slot: u32,
+    slots: Vec<u32>,
     round: u32,
 }
 
 impl Transport for Duplicating {
     fn send(
-        &mut self,
+        &self,
         round: u32,
         row: &[(u32, f64)],
-        mailboxes: &mut Mailboxes,
+        mailboxes: &Mailboxes,
     ) -> Result<(), RuntimeError> {
         for &(slot, value) in row {
             mailboxes.deposit(round, &[(slot, value)])?;
-            if slot == self.slot && round == self.round {
+            if self.slots.contains(&slot) && round == self.round {
                 mailboxes.deposit(round, &[(slot, value)])?;
             }
         }
         Ok(())
     }
 
-    fn flush(&mut self, _mailboxes: &mut Mailboxes) -> Result<(), RuntimeError> {
+    fn flush(&mut self, _mailboxes: &Mailboxes) -> Result<(), RuntimeError> {
         Ok(())
     }
+}
+
+/// The in-edge slot that carries `sender -> receiver`.
+fn slot(topology: &CompiledTopology, sender: u32, receiver: usize) -> u32 {
+    let k = topology
+        .in_neighbors_of(receiver)
+        .iter()
+        .position(|&u| u == sender)
+        .expect("an edge of the topology");
+    (topology.in_offset(receiver) + k) as u32
 }
 
 #[test]
@@ -189,23 +203,25 @@ fn a_dropped_edge_stalls_a_complete_graph_at_tick_two() {
     // Slot 20 carries node 5 -> node 2 and slot 71 node 7 -> node 8: their
     // receiver never sends round 2, and node 0's round-2 inbox lacks the
     // slot that receiver feeds (1 for node 2, 7 for node 8).
-    for (slot, round, missing) in [(0, 1, 0), (20, 2, 1), (71, 2, 7)] {
-        let (ticks, result) = drive(&complete9(), constant_liar, Dropping { slot }, 1);
-        assert_eq!(ticks, 2, "slot {slot}");
-        assert!(
-            matches!(result, Err(RuntimeError::Stalled { waiting: 9, .. })),
-            "slot {slot}: {result:?}"
-        );
-        assert_eq!(
-            result,
-            Err(RuntimeError::Stalled {
-                waiting: 9,
-                node: 0,
-                round,
-                missing: vec![missing],
-            }),
-            "slot {slot}"
-        );
+    for jobs in [1, 3] {
+        for (slot, round, missing) in [(0, 1, 0), (20, 2, 1), (71, 2, 7)] {
+            let (ticks, result) = drive(&complete9(), constant_liar, Dropping { slot }, jobs);
+            assert_eq!(ticks, 2, "slot {slot}");
+            assert!(
+                matches!(result, Err(RuntimeError::Stalled { waiting: 9, .. })),
+                "slot {slot}: {result:?}"
+            );
+            assert_eq!(
+                result,
+                Err(RuntimeError::Stalled {
+                    waiting: 9,
+                    node: 0,
+                    round,
+                    missing: vec![missing],
+                }),
+                "slot {slot}"
+            );
+        }
     }
 }
 
@@ -214,27 +230,98 @@ fn a_dropped_edge_lets_its_receivers_in_neighbours_overflow_it() {
     // Node 12 never hears from node 8 (slot 100), so it stays on round 1.
     // Its in-neighbours 4..=11 do not wait for it, and node 4's round-3
     // message (slot 96) lands on the lane still holding round 1.
-    let (ticks, result) = drive(&circulant64(), constant_liar, Dropping { slot: 100 }, 1);
-    assert_eq!(ticks, 3);
-    assert_eq!(
-        result,
-        Err(RuntimeError::MailboxOverflow { slot: 96, round: 3 })
-    );
+    for jobs in [1, 3] {
+        let (ticks, result) = drive(&circulant64(), constant_liar, Dropping { slot: 100 }, jobs);
+        assert_eq!(ticks, 3);
+        assert_eq!(
+            result,
+            Err(RuntimeError::MailboxOverflow { slot: 96, round: 3 })
+        );
+    }
 }
 
 #[test]
 fn a_duplicated_message_overflows_its_own_cell() {
-    let transport = Duplicating {
-        slot: 100,
+    for jobs in [1, 3] {
+        let transport = Duplicating {
+            slots: vec![100],
+            round: 3,
+        };
+        let (ticks, result) = drive(&circulant64(), constant_liar, transport, jobs);
+        assert_eq!(ticks, 3);
+        assert_eq!(
+            result,
+            Err(RuntimeError::MailboxOverflow {
+                slot: 100,
+                round: 3
+            })
+        );
+    }
+}
+
+#[test]
+fn overflows_in_several_send_chunks_report_the_lowest_sender() {
+    // circulant(1024, 8) at jobs 3: the pending list splits into 12
+    // chunks of 86 senders. Senders 900, 500 and 100 each overflow one
+    // out-edge in round 3, in three different chunks; the lowest sender's
+    // error wins, at any job count.
+    let topology = CompiledTopology::circulant(1024, 8, &NodeSet::from_indices(1024, [0, 1]));
+    let slots: Vec<u32> = [900, 500, 100]
+        .map(|u| slot(&topology, u, u as usize + 3))
+        .to_vec();
+    let expect = Err(RuntimeError::MailboxOverflow {
+        slot: slots[2] as usize,
         round: 3,
-    };
-    let (ticks, result) = drive(&circulant64(), constant_liar, transport, 1);
-    assert_eq!(ticks, 3);
-    assert_eq!(
-        result,
-        Err(RuntimeError::MailboxOverflow {
-            slot: 100,
-            round: 3
-        })
-    );
+    });
+    let mut outcomes = Vec::new();
+    for jobs in [1, 3] {
+        let transport = Duplicating {
+            slots: slots.clone(),
+            round: 3,
+        };
+        let (ticks, result) = drive(&topology, constant_liar, transport, jobs);
+        assert_eq!((ticks, &result), (3, &expect), "jobs = {jobs}");
+        // A dropped edge stalls its receiver the same way at any job count.
+        outcomes.push(drive(
+            &topology,
+            constant_liar,
+            Dropping { slot: slots[1] },
+            jobs,
+        ));
+    }
+    assert_eq!(outcomes[0], outcomes[1]);
+    assert!(matches!(
+        outcomes[0],
+        (3, Err(RuntimeError::MailboxOverflow { round: 3, .. }))
+    ));
+}
+
+#[test]
+fn an_honest_and_a_byzantine_overflow_in_one_tick_report_the_lower_id() {
+    // circulant(64, 8) with nodes 10 and 50 faulty. Honest node 30 and one
+    // faulty node each overflow an out-edge in round 3; the lower id's
+    // error wins whichever pass sends it.
+    let topology = CompiledTopology::circulant(64, 8, &NodeSet::from_indices(64, [10, 50]));
+    let honest = slot(&topology, 30, 31);
+    for (byzantine, lower) in [(slot(&topology, 10, 11), 10), (slot(&topology, 50, 51), 30)] {
+        let expect = if lower == 30 { honest } else { byzantine };
+        for jobs in [1, 3] {
+            for liar in [constant_liar, inbox_extremist] {
+                let transport = Duplicating {
+                    slots: vec![honest, byzantine],
+                    round: 3,
+                };
+                let (ticks, result) = drive(&topology, liar, transport, jobs);
+                assert_eq!(ticks, 3, "jobs = {jobs}");
+                assert_eq!(
+                    result,
+                    Err(RuntimeError::MailboxOverflow {
+                        slot: expect as usize,
+                        round: 3
+                    }),
+                    "lower id {lower}, jobs = {jobs}"
+                );
+            }
+        }
+    }
 }

@@ -158,11 +158,14 @@ pub type Simulation<'a> = SyncEngine<'a, &'a dyn UpdateRule>;
 /// allocates **two** state buffers plus one scratch vector. Each
 /// [`SyncEngine::step`] reads the current buffer, writes the next one,
 /// and `std::mem::swap`s them — zero heap allocation per round in steady
-/// state (serial mode). Faulty entries are never written, so both buffers
-/// carry the faulty nodes' inputs forever (their "state" is meaningless in
-/// the Byzantine model). One [`AdversaryView`] is built per round; the
-/// adversary plans the whole round against it (phase 1), and the node
-/// loop reads the plan by sub-CSR index (phase 2).
+/// state at `jobs = 1`. On a pool a round allocates only the boxed
+/// [`SyncFill`](crate::adversary::SyncFill) of a sync-tier adversary plan
+/// and, every 31 dispatch messages, one block of std's channels (the
+/// crate docs give counts). Faulty entries are never written, so both
+/// buffers carry the faulty nodes' inputs forever (their "state" is
+/// meaningless in the Byzantine model). One [`AdversaryView`] is built
+/// per round; the adversary plans the whole round against it (phase 1),
+/// and the node loop reads the plan by sub-CSR index (phase 2).
 ///
 /// The schedule is consulted **once** per round. The compiled topology is
 /// rebuilt in place (reusing its allocations) only when the schedule hands
