@@ -50,7 +50,7 @@
 //! Two sweep grids have nothing to group, so they take no `--batch`:
 //!
 //! * `sweep experiments` — E-series cells pin the **exact** tier
-//!   (bit-exact single runs, per DESIGN.md §4), and no path silently
+//!   (bit-exact single runs), and no path silently
 //!   switches a cell's tier;
 //! * `sweep monte-carlo` — every trial samples a *fresh* random digraph,
 //!   so no two sim runs share a topology; its `replicas > 0` mode already

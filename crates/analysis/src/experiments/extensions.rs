@@ -1,4 +1,4 @@
-//! X1 / X2 / X3 — extension experiments beyond the paper (DESIGN.md §5).
+//! X1 / X2 / X3 — extension experiments beyond the paper.
 //!
 //! * **X1** — the f-local fault model (Zhang–Sundaram \[18\]): the local
 //!   condition implies the paper's total condition, sparse graphs admit

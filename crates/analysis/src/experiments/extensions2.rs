@@ -1,4 +1,4 @@
-//! X10–X13 — second wave of extension experiments (DESIGN.md §5).
+//! X10–X13 — second wave of extension experiments.
 //!
 //! * **X10** — generalized fault models: adversary structures change the
 //!   condition verdict (fault-location knowledge can restore possibility

@@ -3,8 +3,8 @@
 //! The paper is a theory paper — no empirical tables — so its "evaluation"
 //! is the set of theorems, corollaries, worked applications (§6) and
 //! figures. Each experiment here regenerates one of them as a table of
-//! measured rows plus a pass/fail verdict; `EXPERIMENTS.md` records the
-//! output. See DESIGN.md §4 for the full index.
+//! measured rows plus a pass/fail verdict; the README section "The
+//! parallel sweep runner" shows how to print them all.
 //!
 //! | ID | Paper artifact |
 //! |----|----------------|
@@ -98,10 +98,12 @@ pub fn run_all() -> Vec<ExperimentResult> {
     ]
 }
 
-/// Runs the extension experiments (X1–X7; DESIGN.md §5) — tooling beyond
-/// the paper: the f-local fault model, the matrix representation, the
+/// Runs the extension experiments (X1–X13) — tooling beyond the paper:
+/// the f-local fault model, the matrix representation, the
 /// broadcast/omission model comparison, the condition zoo, the baseline
-/// faceoff, the scaling study, and the construction/minimality probes.
+/// faceoff, the scaling study, the construction/minimality probes, the
+/// census, the adversary tournament, the fault models, dynamic
+/// topologies, quantized states and vector consensus.
 pub fn run_extensions() -> Vec<ExperimentResult> {
     vec![
         x1_local_fault_model(),

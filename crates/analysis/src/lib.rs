@@ -14,7 +14,8 @@
 //!   cells into one replica-batched FastMath run (`--batch`), byte-
 //!   identical to per-cell dispatch;
 //! * [`experiments`] — one runnable regeneration per paper artifact
-//!   (E1–E12, extensions X1–X9; see DESIGN.md §4 and `EXPERIMENTS.md`).
+//!   (E1–E12, extensions X1–X13; the README section "The parallel sweep
+//!   runner" shows how to regenerate them).
 //!
 //! # Examples
 //!

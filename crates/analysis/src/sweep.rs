@@ -45,10 +45,8 @@
 //! assert_eq!(serial.len(), 8);
 //! ```
 
-use std::num::NonZeroUsize;
-
 use iabc_core::theorem1;
-use iabc_exec::{process_executor, Chunking};
+use iabc_exec::{effective_jobs, process_executor, Chunking};
 use iabc_graph::generators;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,24 +132,6 @@ pub struct SweepOutcome<T> {
     pub value: T,
 }
 
-/// Resolves a requested worker count: `Some(0)` or `None` with
-/// `parallel = true` means all available cores; `None` without
-/// `--parallel` means serial.
-pub fn effective_jobs(jobs: Option<usize>, parallel: bool) -> usize {
-    match jobs {
-        Some(0) | None if parallel => available_cores(),
-        Some(0) => available_cores(),
-        Some(n) => n,
-        None => 1,
-    }
-}
-
-fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Runs every cell and returns outcomes **in grid order**, regardless of
 /// `jobs`. `jobs == 0` uses all available cores; `jobs <= 1` runs serially
 /// on the calling thread with no pool involved. Parallel sweeps dispatch on
@@ -161,7 +141,7 @@ fn available_cores() -> usize {
 /// output slot, so no merge sort is needed: the output slice *is* the grid
 /// order.
 pub fn run_cells<T: Send>(cells: Vec<SweepCell<'_, T>>, jobs: usize) -> Vec<SweepOutcome<T>> {
-    let jobs = if jobs == 0 { available_cores() } else { jobs };
+    let jobs = effective_jobs(jobs);
     let mut outcomes: Vec<Option<SweepOutcome<T>>> = (0..cells.len()).map(|_| None).collect();
     let fill = |idx: usize, slot: &mut Option<SweepOutcome<T>>| {
         let cell = &cells[idx];
@@ -249,7 +229,7 @@ pub fn run_cells_memo<T: Send>(
 type ExperimentRunner = fn() -> ExperimentResult;
 
 /// The experiment grid: one runner per paper artifact (E1–E12, in paper
-/// order) followed by the extension experiments (X1–X13, DESIGN.md §5) —
+/// order) followed by the extension experiments (X1–X13) —
 /// the full regeneration surface, so every id is memoizable through the
 /// serving tier's cell key schema.
 const EXPERIMENT_RUNNERS: [(&str, ExperimentRunner); 25] = [
@@ -685,13 +665,5 @@ mod tests {
         let direct = census(3, 1);
         let rendered = table.to_string();
         assert!(rendered.contains(&direct.satisfying.to_string()));
-    }
-
-    #[test]
-    fn effective_jobs_resolution() {
-        assert_eq!(effective_jobs(None, false), 1);
-        assert_eq!(effective_jobs(Some(3), false), 3);
-        assert!(effective_jobs(None, true) >= 1);
-        assert!(effective_jobs(Some(0), false) >= 1);
     }
 }

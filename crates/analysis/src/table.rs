@@ -1,8 +1,7 @@
 //! Minimal aligned plain-text tables for experiment reports.
 //!
 //! The experiments binary regenerates the paper's per-claim results as rows;
-//! this renderer keeps them readable in a terminal and diffable in
-//! `EXPERIMENTS.md`.
+//! this renderer keeps them readable in a terminal and diffable as text.
 
 use std::fmt;
 

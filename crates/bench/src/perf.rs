@@ -16,7 +16,7 @@ use iabc_analysis::batched::{self, AdversarySpec, SimCell, SimCellSpec};
 use iabc_analysis::sweep::CellCoords;
 use iabc_core::fastmath::{self, FastRule};
 use iabc_core::rules::{self, TrimmedMean};
-use iabc_graph::{generators, CompiledTopology, NodeSet};
+use iabc_graph::{generators, CompiledTopology, Digraph, NodeSet};
 use iabc_runtime::{ConstantLiar, LocalTransport, MultiplexConfig, MultiplexedDeployment};
 use iabc_serve::json::{self, Json};
 use iabc_serve::protocol::Response;
@@ -27,8 +27,6 @@ use iabc_sim::reference::{ReferenceStepper, ReferenceTrimmedMean};
 use iabc_sim::Simulation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use crate::Workload;
 
 /// The settings of one `iabc perf` run.
 #[derive(Debug, Clone, Copy)]
@@ -419,6 +417,15 @@ fn best_of_3(mut body: impl FnMut() -> Res<()>) -> Res<f64> {
 
 fn constant() -> Box<ConstantAdversary> {
     Box::new(ConstantAdversary::new(1e9))
+}
+
+/// A grid row's workload: a graph plus the fault bound to run it at.
+#[derive(Debug)]
+struct Workload {
+    /// `{topology}/n{N}`.
+    name: String,
+    graph: Digraph,
+    f: usize,
 }
 
 /// The grid rows' workloads: rounds/sec of the synchronous engine at

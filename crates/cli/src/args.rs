@@ -93,6 +93,28 @@ impl ParsedArgs {
             .find(|k| !known.contains(k))
     }
 
+    /// Rejects a flag `command` does not read, so a mistyped flag never
+    /// runs a default silently.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] naming the first flag not in `known`, and
+    /// every flag that is.
+    pub fn reject_unknown(&self, command: &str, known: &[&str]) -> Result<(), CliError> {
+        let Some(flag) = self.unknown_flag(known) else {
+            return Ok(());
+        };
+        let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+        let known = if known.is_empty() {
+            "none".to_string()
+        } else {
+            known.join(", ")
+        };
+        Err(CliError::Usage(format!(
+            "{command}: unknown flag --{flag} (known: {known})"
+        )))
+    }
+
     /// `true` if `--key` was passed (with or without a value).
     pub fn has_flag(&self, key: &str) -> bool {
         self.flag(key).is_some()

@@ -39,16 +39,12 @@ fn load_graph(args: &ParsedArgs) -> Result<Digraph, CliError> {
     parse::parse_edge_list(&text).map_err(|e| CliError::Graph(e.to_string()))
 }
 
-/// `iabc check <file> --f N [--async] [--local] [--structure SPEC] [--parallel T] [--explain]`
+/// `iabc check <file> --f N [--async] [--local] [--structure SPEC] [--jobs T] [--explain]`
 pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
-    const FLAGS: [&str; 6] = ["f", "async", "local", "structure", "parallel", "explain"];
-    // A mistyped switch would otherwise run a different check silently.
-    if let Some(flag) = args.unknown_flag(&FLAGS) {
-        let known = FLAGS.map(|k| format!("--{k}")).join(", ");
-        return Err(CliError::Usage(format!(
-            "check: unknown flag --{flag} (known: {known})"
-        )));
-    }
+    args.reject_unknown(
+        "check",
+        &["f", "async", "local", "structure", "jobs", "explain"],
+    )?;
     let g = load_graph(args)?;
 
     if let Some(spec) = args.flag("structure") {
@@ -76,7 +72,7 @@ pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
     } else {
         Threshold::synchronous(f)
     };
-    let report = match args.optional::<usize>("parallel")? {
+    let report = match args.optional::<usize>("jobs")? {
         Some(threads) => theorem1::check_parallel(&g, f, threshold, threads),
         None => theorem1::check_with(&g, f, threshold, &theorem1::CheckOptions::default())
             .map_err(|e| CliError::Run(e.to_string()))?,
@@ -470,6 +466,18 @@ fn simulate_delay_bounded(
 /// structure-aware engine; `--delay-bound B [--scheduler NAME]` for the §7
 /// delay-bounded engine (`--jobs` reaches its update phase too).
 pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
+    // Each engine reads the run's flags plus its own.
+    let run = ["faulty", "adversary", "seed", "inputs", "eps", "max-rounds"];
+    let rule = ["f", "rule", "quantum", "rounding", "jobs", "trace"];
+    let delay = ["delay-bound", "scheduler", "sched-seed", "victims"];
+    let (command, known) = if args.has_flag("structure") {
+        ("simulate --structure", [&run[..], &["structure"]].concat())
+    } else if args.has_flag("delay-bound") {
+        ("simulate --delay-bound", [&run[..], &rule, &delay].concat())
+    } else {
+        ("simulate", [&run[..], &rule].concat())
+    };
+    args.reject_unknown(command, &known)?;
     let g = load_graph(args)?;
     let n = g.node_count();
     let faulty: Vec<usize> = args.list("faulty")?;
@@ -552,6 +560,7 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `iabc robustness <file> [--r R --s S]`
 pub fn robustness_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("robustness", &["r", "s"])?;
     let g = load_graph(args)?;
     let mut out = format!("{g}\n");
     match (args.optional::<usize>("r")?, args.optional::<usize>("s")?) {
@@ -574,6 +583,7 @@ pub fn robustness_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `iabc alpha <file> --f N`
 pub fn alpha_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("alpha", &["f"])?;
     let g = load_graph(args)?;
     let f: usize = args.required("f")?;
     let a = alpha::algorithm1_alpha(&g, f).map_err(|e| CliError::Run(e.to_string()))?;
@@ -596,6 +606,7 @@ pub fn alpha_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// `iabc dot <file> [--f N]` — DOT render; with `--f`, colour a violating
 /// witness partition if one exists.
 pub fn dot_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("dot", &["f"])?;
     let g = load_graph(args)?;
     let groups = match args.optional::<usize>("f")? {
         Some(f) => match theorem1::find_violation(&g, f) {
@@ -616,6 +627,7 @@ pub fn dot_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// condition holds; print the patch (and optionally write the repaired
 /// edge list).
 pub fn repair_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("repair", &["f", "out"])?;
     let g = load_graph(args)?;
     let f: usize = args.required("f")?;
     let repair =
@@ -644,6 +656,7 @@ pub fn repair_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// `iabc profile <file>` — structural summary: degrees, density,
 /// reciprocity, connectivity, diameter.
 pub fn profile_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("profile", &[])?;
     let g = load_graph(args)?;
     let p = metrics::profile(&g);
     let mut out = format!("{g}\n");
@@ -684,6 +697,7 @@ pub fn profile_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// `iabc minimal <file> --f N [--prune] [--out FILE]` — edge-criticality
 /// probe (§6.1 minimality conjecture tooling).
 pub fn minimal_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("minimal", &["f", "prune", "out"])?;
     let g = load_graph(args)?;
     let f: usize = args.required("f")?;
     let mut out = format!("{g}, f = {f}\n");
@@ -727,6 +741,7 @@ pub fn minimal_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// `iabc construct N --f F [--attachment uniform|preferential|lowest]
 /// [--seed S]` — emit a graph that satisfies Theorem 1 by construction.
 pub fn construct_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("construct", &["f", "attachment", "seed"])?;
     let n: usize = args
         .positional(0)
         .ok_or_else(|| CliError::Usage("construct: expected node count N".into()))?
@@ -759,6 +774,18 @@ pub fn construct_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// [--eps E] [--max-rounds R]` — run Algorithm 1 against the Dolev rules
 /// and W-MSR on one workload.
 pub fn baseline_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown(
+        "baseline",
+        &[
+            "f",
+            "faulty",
+            "seed",
+            "adversary",
+            "inputs",
+            "eps",
+            "max-rounds",
+        ],
+    )?;
     let g = load_graph(args)?;
     let n = g.node_count();
     let f: usize = args.required("f")?;
@@ -824,6 +851,18 @@ pub fn baseline_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// [--adversary NAME] [--inputs ..|--seed S]` — record a message-level
 /// transcript of a run.
 pub fn record_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown(
+        "record",
+        &[
+            "f",
+            "rounds",
+            "faulty",
+            "inputs",
+            "seed",
+            "adversary",
+            "out",
+        ],
+    )?;
     let g = load_graph(args)?;
     let n = g.node_count();
     let f: usize = args.required("f")?;
@@ -879,6 +918,7 @@ pub fn record_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// `iabc replay <file> --f N --transcript T.txt` — deterministically replay
 /// and verify a recorded run.
 pub fn replay_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("replay", &["f", "transcript"])?;
     let g = load_graph(args)?;
     let f: usize = args.required("f")?;
     let path = args
@@ -908,19 +948,22 @@ pub fn replay_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// `iabc sweep <experiments|monte-carlo|census> [--parallel] [--jobs N] ...`
+/// `iabc sweep <experiments|monte-carlo|census> [--jobs N] ...`
 ///
 /// Fans the chosen grid across cores via the `iabc-analysis` sweep runner.
 /// Per-cell seeds derive from grid coordinates, so output is bit-identical
-/// for any `--jobs` value (and with/without `--parallel`).
+/// for any `--jobs` value.
 pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let jobs = sweep_jobs(args)?;
-    let batch = args.has_flag("batch");
     let grid = args.positional(0).ok_or_else(|| {
         CliError::Usage("expected a sweep grid: experiments | monte-carlo | census".into())
     })?;
     match grid {
         "experiments" => {
+            args.reject_unknown(
+                "sweep experiments",
+                &["jobs", "ids", "addr", "store", "max-store-bytes"],
+            )?;
             let ids: Vec<String> = args.list("ids")?;
             let unknown: Vec<&str> = ids
                 .iter()
@@ -1011,6 +1054,10 @@ pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
             Ok(out)
         }
         "monte-carlo" => {
+            args.reject_unknown(
+                "sweep monte-carlo",
+                &["jobs", "n", "f", "p", "trials", "replicas"],
+            )?;
             let ns: Vec<usize> = args.list("n")?;
             let fs: Vec<usize> = args.list("f")?;
             let spec = sweep::MonteCarloSpec {
@@ -1036,6 +1083,7 @@ pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
             ))
         }
         "census" => {
+            args.reject_unknown("sweep census", &["jobs", "max-n", "f", "replicas", "batch"])?;
             let max_n: usize = args.optional("max-n")?.unwrap_or(4);
             let fs: Vec<usize> = args.list("f")?;
             let fs = if fs.is_empty() { vec![0, 1] } else { fs };
@@ -1054,6 +1102,7 @@ pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
                 format!("exhaustive tolerance census (n = 2..={max_n}, {jobs} jobs)\n\n{table}");
             let replicas: usize = args.optional("replicas")?.unwrap_or(0);
             if replicas > 0 {
+                let batch = args.has_flag("batch");
                 let conv = batched::run_census_conv_sweep(max_n, &fs, replicas, jobs, batch);
                 out.push_str(&format!(
                     "\nconvergence census ({replicas} replicas/cell, max-pull attack, \
@@ -1068,21 +1117,19 @@ pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// Resolves `--jobs N` / `--parallel` into a worker count (default: serial).
+/// Resolves `--jobs N` into a worker count (default: serial; `0` = all
+/// cores).
 fn sweep_jobs(args: &ParsedArgs) -> Result<usize, CliError> {
-    let jobs: Option<usize> = match args.flag("jobs") {
-        None => None,
-        Some("") => {
-            return Err(CliError::Usage(
-                "flag --jobs needs a value (0 = all cores)".into(),
-            ))
-        }
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| CliError::Usage(format!("flag --jobs: cannot parse {raw:?}")))?,
-        ),
-    };
-    Ok(sweep::effective_jobs(jobs, args.has_flag("parallel")))
+    match args.flag("jobs") {
+        None => Ok(1),
+        Some("") => Err(CliError::Usage(
+            "flag --jobs needs a value (0 = all cores)".into(),
+        )),
+        Some(raw) => raw
+            .parse()
+            .map(iabc_sim::exec::effective_jobs)
+            .map_err(|_| CliError::Usage(format!("flag --jobs: cannot parse {raw:?}"))),
+    }
 }
 
 /// `iabc deploy --nodes N [--mode threaded|multiplexed] [--jobs J]
@@ -1108,15 +1155,11 @@ pub fn deploy_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     /// multiplexed tier breaks a sweat; past this the command refuses
     /// rather than letting thread exhaustion fail mid-run.
     const THREADED_CAP: usize = 8192;
-    const FLAGS: [&str; 6] = ["nodes", "mode", "jobs", "f", "degree", "rounds"];
 
-    // A mistyped flag would otherwise run the default silently.
-    if let Some(flag) = args.unknown_flag(&FLAGS) {
-        let known = FLAGS.map(|k| format!("--{k}")).join(", ");
-        return Err(CliError::Usage(format!(
-            "deploy: unknown flag --{flag} (known: {known})"
-        )));
-    }
+    args.reject_unknown(
+        "deploy",
+        &["nodes", "mode", "jobs", "f", "degree", "rounds"],
+    )?;
     let n: usize = args.required("nodes")?;
     let mode = args.flag("mode").unwrap_or("multiplexed");
     let jobs: usize = args.optional("jobs")?.unwrap_or(1);
@@ -1238,6 +1281,17 @@ pub fn deploy_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// `--max-store-bytes B` caps total object bytes, evicting
 /// least-recently-used results when an insert would exceed the budget.
 pub fn serve_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown(
+        "serve",
+        &[
+            "store",
+            "addr",
+            "jobs",
+            "accept",
+            "max-conn",
+            "max-store-bytes",
+        ],
+    )?;
     let store_dir: String = args.required("store")?;
     let config = iabc_serve::ServerConfig {
         addr: args
@@ -1281,6 +1335,7 @@ pub fn serve_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// `--addr` the request goes to a running daemon; with `--store` the
 /// journal is compacted offline, directly on disk.
 pub fn compact_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("compact", &["addr", "store"])?;
     let stats = match (args.flag("addr"), args.flag("store")) {
         (Some(addr), None) => {
             iabc_serve::compact(addr).map_err(|e| CliError::Run(e.to_string()))?
@@ -1320,10 +1375,29 @@ fn submit_job_from_args(args: &ParsedArgs) -> Result<iabc_serve::JobSpec, CliErr
         CliError::Usage("expected a job kind: sweep | scenario <graph-file>".into())
     })?;
     match kind {
-        "sweep" => Ok(iabc_serve::JobSpec::Sweep {
-            ids: args.list("ids")?,
-        }),
+        "sweep" => {
+            args.reject_unknown("submit sweep", &["addr", "ids"])?;
+            Ok(iabc_serve::JobSpec::Sweep {
+                ids: args.list("ids")?,
+            })
+        }
         "scenario" => {
+            let mut known = vec![
+                "addr",
+                "f",
+                "faulty",
+                "rule",
+                "quantum",
+                "adversary",
+                "seed",
+                "inputs",
+                "eps",
+                "max-rounds",
+            ];
+            if args.has_flag("delay-bound") {
+                known.extend(["delay-bound", "scheduler", "sched-seed"]);
+            }
+            args.reject_unknown("submit scenario", &known)?;
             let path = args.positional(1).ok_or_else(|| {
                 CliError::Usage("scenario jobs need a graph file: submit scenario <file>".into())
             })?;
@@ -1391,6 +1465,7 @@ pub fn submit_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 /// run key without executing anything; absent keys are reported (exit
 /// stays zero — absence is an answer, not an error).
 pub fn query_cmd(args: &ParsedArgs) -> Result<String, CliError> {
+    args.reject_unknown("query", &["addr", "key"])?;
     let addr: String = args.required("addr")?;
     let key_hex: String = args.required("key")?;
     let key = iabc_serve::RunKey::from_hex(&key_hex)
@@ -1713,7 +1788,8 @@ mod tests {
             "experiments",
             "--ids",
             "E4,E5",
-            "--parallel",
+            "--jobs",
+            "0",
         ]))
         .unwrap();
         assert!(out.contains("E4"));
@@ -1905,11 +1981,119 @@ mod tests {
     }
 
     #[test]
-    fn check_parallel_flag() {
+    fn check_jobs_flag() {
         let edge_list = run(&argv(&["generate", "complete", "9"])).unwrap();
         let path = write_graph("k9", &edge_list);
-        let report = run(&argv(&["check", &path, "--f", "2", "--parallel", "4"])).unwrap();
+        let report = run(&argv(&["check", &path, "--f", "2", "--jobs", "4"])).unwrap();
         assert!(report.contains("satisfied"));
+    }
+
+    #[test]
+    fn flags_of_another_engine_are_rejected() {
+        let edge_list = run(&argv(&["generate", "complete", "4"])).unwrap();
+        let path = write_graph("k4-engine-flags", &edge_list);
+        let g = path.as_str();
+        let structure = ["simulate", g, "--structure", "3", "--faulty", "3"];
+        let synchronous = ["simulate", g, "--f", "1", "--faulty", "3"];
+        let submit = ["submit", "scenario", g, "--addr", "127.0.0.1:9", "--f", "1"];
+        for (case, flag) in [
+            (
+                [&structure[..], &["--delay-bound", "2"]].concat(),
+                "--delay-bound",
+            ),
+            ([&structure[..], &["--jobs", "2"]].concat(), "--jobs"),
+            (
+                [&synchronous[..], &["--scheduler", "max"]].concat(),
+                "--scheduler",
+            ),
+            (
+                [&submit[..], &["--scheduler", "max"]].concat(),
+                "--scheduler",
+            ),
+        ] {
+            let err = run(&argv(&case)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{case:?}: {err}");
+            let unknown = format!("unknown flag {flag}");
+            assert!(err.to_string().contains(&unknown), "{case:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_a_misspelled_flag() {
+        let edge_list = run(&argv(&["generate", "complete", "4"])).unwrap();
+        let path = write_graph("k4-misspelled", &edge_list);
+        let g = path.as_str();
+        // The misspelled flag comes last in every case, and each command
+        // must refuse it before reading a file or opening a socket.
+        let cases: [&[&str]; 22] = [
+            &["check", g, "--f", "1", "--job", "2"],
+            &[
+                "simulate",
+                g,
+                "--f",
+                "1",
+                "--faulty",
+                "3",
+                "--adversry",
+                "echo",
+            ],
+            &["robustness", g, "--rr", "1"],
+            &["alpha", g, "--ff", "1"],
+            &["dot", g, "--ff", "1"],
+            &["repair", g, "--f", "1", "--outt", "x.txt"],
+            &["profile", g, "--verbose"],
+            &["minimal", g, "--f", "1", "--prun"],
+            &["construct", "7", "--f", "1", "--sed", "3"],
+            &[
+                "baseline",
+                g,
+                "--f",
+                "1",
+                "--faulty",
+                "3",
+                "--adversry",
+                "echo",
+            ],
+            &["sweep", "experiments", "--id", "E4"],
+            &["sweep", "monte-carlo", "--trial", "2"],
+            &["sweep", "census", "--max-n", "3", "--job", "2"],
+            &["record", g, "--f", "1", "--faulty", "3", "--round", "2"],
+            &["replay", g, "--f", "1", "--transcrpt", "t.txt"],
+            &["perf", "--quik"],
+            &["deploy", "--nodes", "100", "--job", "2"],
+            &["serve", "--store", "no-such-store", "--acept", "1"],
+            &["submit", "sweep", "--addr", "127.0.0.1:9", "--id", "E1"],
+            &[
+                "submit",
+                "scenario",
+                g,
+                "--addr",
+                "127.0.0.1:9",
+                "--f",
+                "1",
+                "--adversry",
+                "echo",
+            ],
+            &[
+                "query",
+                "--addr",
+                "127.0.0.1:9",
+                "--key",
+                "0000000000000000",
+                "--kye",
+                "x",
+            ],
+            &["compact", "--store", "no-such-store", "--adr", "x"],
+        ];
+        for case in cases {
+            let typo = case.iter().rev().find(|t| t.starts_with("--")).unwrap();
+            let err = run(&argv(case)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{case:?}: {err}");
+            assert!(
+                err.to_string().contains(&format!("unknown flag {typo}")),
+                "{case:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! iabc profile graph.txt                        # degrees/connectivity/diameter
 //! iabc minimal graph.txt --f 1                  # edge-criticality probe (§6.1)
 //! iabc construct 9 --f 1                        # satisfying-by-construction graph
-//! iabc sweep experiments --parallel             # E1–E12 fanned across all cores
+//! iabc sweep experiments --jobs 0               # E1–E12 fanned across all cores
 //! iabc perf --quick                             # hot-path rounds/sec + BENCH_hotpath.json
 //! iabc deploy --nodes 1000000 --jobs 8          # million-node multiplexed deployment
 //! iabc serve --store runs --addr 127.0.0.1:7411 # sweep-as-a-service daemon
@@ -86,7 +86,7 @@ pub fn usage() -> String {
        check <file> --f N             Theorem 1 condition (+ witness on failure)\n\
                                       flags: --async (§7), --local (f-local model),\n\
                                       --structure \"0,1;5,6\" (adversary structure;\n\
-                                      no --f needed), --parallel T, --explain\n\
+                                      no --f needed), --jobs T, --explain\n\
        simulate <file> --f N --faulty A,B,..   run Algorithm 1 under attack\n\
                                       flags: --adversary NAME (conforming|constant|\n\
                                       random|extremes|pull-low|pull-high|crash|\n\
@@ -113,7 +113,7 @@ pub fn usage() -> String {
                                       emit a graph satisfying Theorem 1 by construction\n\
        dot <file> [--f N]             Graphviz DOT (witness colour-coded if violated)\n\
        repair <file> --f N            add edges until Theorem 1 holds (witness-driven)\n\
-       sweep experiments [--ids E1,E2,..] [--parallel] [--jobs N] [--store DIR\n\
+       sweep experiments [--ids E1,E2,..] [--jobs N] [--store DIR\n\
               [--max-store-bytes B]] [--addr HOST:PORT]\n\
                                       fan the experiment harness across cores\n\
                                       (0 = all); ids E1..E12 (paper) and X1..X13\n\
@@ -126,12 +126,12 @@ pub fn usage() -> String {
                                       daemon instead (repeated runs collapse to\n\
                                       one compute + cache reads)\n\
        sweep monte-carlo [--n 6,8 --f 1,2 --p 0.5 --trials 100] [--replicas R]\n\
-              [--parallel] [--jobs N]\n\
+              [--jobs N]\n\
                                       random-digraph tolerance sweep, one cell per\n\
                                       (n,f); --replicas R also runs R FastMath\n\
                                       replicas per eligible graph in one batched\n\
                                       pass, tallying convergence\n\
-       sweep census [--max-n 4 --f 0,1] [--replicas R] [--parallel] [--jobs N]\n\
+       sweep census [--max-n 4 --f 0,1] [--replicas R] [--jobs N]\n\
               [--batch]               exhaustive small-n census, one cell per (n,f);\n\
                                       --replicas R appends a convergence census\n\
                                       (R seeded runs per eligible (n,f), max-pull\n\

@@ -1,8 +1,7 @@
 //! (r, s)-robustness — the graph property used by the broadcast-model
 //! follow-on literature the paper cites (\[17\], \[18\]: LeBlanc, Zhang,
 //! Sundaram, Koutsoukos). **Extension beyond the paper**, included to relate
-//! the point-to-point Theorem 1 condition to the robustness hierarchy
-//! (see DESIGN.md §5).
+//! the point-to-point Theorem 1 condition to the robustness hierarchy.
 //!
 //! For a node set `S`, let `X_r(S) = { i ∈ S : |N⁻(i) − S| ≥ r }` be the
 //! members with at least `r` in-neighbours outside `S`. A digraph is

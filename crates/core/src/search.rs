@@ -4,8 +4,7 @@
 //! [`crate::theorem1`] enumerates subsets), so for `n` beyond ~20 we fall
 //! back to a sound-but-incomplete search: it only ever returns *verified*
 //! witnesses, and returning `None` means "no violation found within the
-//! trial budget", **not** that the condition holds. DESIGN.md documents this
-//! substitution.
+//! trial budget", **not** that the condition holds.
 //!
 //! # Strategy
 //!

@@ -586,7 +586,7 @@ impl Drop for Executor {
 ///
 /// The raw `Executor` is deliberately `!Sync` — its channel feeds assume one
 /// dispatching thread at a time. `SharedExecutor` wraps it in
-/// `Arc<Mutex<..>>` so the serving tier, `iabc sweep --parallel`, and
+/// `Arc<Mutex<..>>` so the serving tier, `iabc sweep --jobs N`, and
 /// `iabc deploy` can all inherit **one** pool: concurrent dispatches
 /// serialize on the mutex (each dispatch still fans its batch across every
 /// worker), and the total worker-thread count per process stays capped at

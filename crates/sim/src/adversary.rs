@@ -10,39 +10,35 @@
 //!
 //! An [`Adversary`] is invoked **once per round**, not once per edge:
 //!
-//! 1. **Plan** ([`Adversary::plan_round`], phase 1, serial). The engine
-//!    passes a full [`AdversaryView`] of the system plus a
-//!    [`RoundSlots`] listing every faulty edge it will deliver this
-//!    round, and the adversary fills a flat [`RoundPlan`] — one
-//!    [`crate::plan::PlannedMessage`] (value or omission) per slot. All
-//!    mutable state lives here: RNG streams draw in slot order,
-//!    per-round caches ([`BroadcastOf`]) reset, and hull-querying
-//!    strategies compute `U[t-1]`/`µ[t-1]` **once** via
+//! 1. **Plan** (phase 1). The engine passes a full [`AdversaryView`] of
+//!    the system plus a [`RoundSlots`] listing every faulty edge it will
+//!    deliver this round, and the adversary's picks fill a flat
+//!    [`RoundPlan`] — one [`crate::plan::PlannedMessage`] (value or
+//!    omission) per slot. All mutable state lives here: RNG streams draw
+//!    in slot order, per-round caches ([`BroadcastOf`]) reset, and
+//!    hull-querying strategies compute `U[t-1]`/`µ[t-1]` **once** via
 //!    [`AdversaryView::honest_hull`] instead of once per message.
 //! 2. **Execute** (phase 2, parallelizable). The engine's node loop —
 //!    which may fan across cores — reads the finished plan by index.
 //!    The adversary is not touched again until the next round.
 //!
-//! What belongs where: anything that mutates (`&mut self`) or scans the
-//! whole state vector belongs in `plan_round`; the per-edge decision
-//! itself should reduce to writing a precomputed value into the plan.
+//! # One planning path per family
 //!
-//! # The `Sync` planning tier
+//! Most families in this roster are **pure**: the message on a slot is a
+//! function of values computed once per round (the honest hull, a
+//! constant, a parity) and of the slot's edge. Such a family implements
+//! only [`Adversary::fill`]: it does the round's `&mut` work, caches the
+//! results in its own fields, and returns itself as an [`EdgeFill`] — a
+//! `Sync` per-edge decision. The engines fan that decision across their
+//! worker pool ([`iabc_exec::Executor`], inline at one worker), and the
+//! trait's default [`Adversary::plan_round`] walks the same decision
+//! over the slots for callers that plan by hand. The decision is written
+//! once, so a serial and a pooled plan cannot differ.
 //!
-//! For most adversaries in this roster the per-slot fill is a **pure
-//! function** of values computed once per round (the honest hull, a
-//! constant, a parity): after the serial O(n) precomputation, filling
-//! the plan is itself embarrassingly parallel. Such adversaries
-//! additionally implement [`Adversary::plan_round_sync`]: do the
-//! per-round mutation up front, then hand back a [`SyncFill`] — a
-//! `Sync` per-edge function the engine fans across its worker pool
-//! ([`iabc_exec::Executor`]) instead of calling `plan_round`. The fill
-//! must compute **exactly** what `plan_round` would have written (it is
-//! only consulted when the engine runs with more than one worker, and
-//! serial-vs-pooled bit-identity is pinned by
-//! `tests/parallel_equivalence.rs`). Stateful strategies — RNG streams
-//! ([`RandomAdversary`]), inner-adversary wrappers ([`BroadcastOf`]) —
-//! keep the default `None` and always plan serially.
+//! **Stateful** families — RNG streams ([`RandomAdversary`]),
+//! inner-adversary wrappers ([`BroadcastOf`]) — keep the default `fill`
+//! (`None`) and implement [`Adversary::plan_round`] instead, which every
+//! engine calls serially.
 //!
 //! The star exhibit is [`SplitBrainAdversary`], the adversary from the
 //! **proof of Theorem 1**: it sends `m⁻ < m` to `L`, `M⁺ > M` to `R`, and
@@ -75,9 +71,9 @@ pub struct AdversaryView<'a> {
 
 impl AdversaryView<'_> {
     /// The fault-free hull `(µ[t-1], U[t-1])` in a single pass. Call this
-    /// **once** per [`Adversary::plan_round`] and reuse the pair — the
-    /// whole point of phase 1 is that the O(n) scan happens per round,
-    /// not per message.
+    /// **once** per round (in [`Adversary::fill`] or
+    /// [`Adversary::plan_round`]) and reuse the pair — the whole point of
+    /// phase 1 is that the O(n) scan happens per round, not per message.
     pub fn honest_hull(&self) -> (f64, f64) {
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for (i, &v) in self.states.iter().enumerate() {
@@ -100,44 +96,13 @@ impl AdversaryView<'_> {
     }
 }
 
-/// A frozen phase-1 fill: everything the round's per-edge decisions need,
-/// precomputed, behind a `Sync` function — the hand-off of the
-/// [`Adversary::plan_round_sync`] planning tier. The engine may call
-/// [`SyncFill::message`] for the round's slots in any order, from any
-/// worker, concurrently; the result must equal what
-/// [`Adversary::plan_round`] would have planned for that slot.
-pub struct SyncFill<'a> {
-    fill: Box<SyncFillFn<'a>>,
-}
-
-/// The boxed per-edge fill function a [`SyncFill`] carries: callable from
-/// any worker (`Sync`), borrowing at most the adversary's own per-round
-/// state (`'a`).
-type SyncFillFn<'a> = dyn Fn(&AdversaryView<'_>, PlannedEdge) -> PlannedMessage + Send + Sync + 'a;
-
-impl fmt::Debug for SyncFill<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SyncFill").finish_non_exhaustive()
-    }
-}
-
-impl<'a> SyncFill<'a> {
-    /// Wraps a pure per-edge fill. The one per-round allocation (this
-    /// box) replaces the O(faulty edges) serial fill — a good trade
-    /// everywhere the tier is worth invoking.
-    pub fn new(
-        fill: impl Fn(&AdversaryView<'_>, PlannedEdge) -> PlannedMessage + Send + Sync + 'a,
-    ) -> Self {
-        SyncFill {
-            fill: Box::new(fill),
-        }
-    }
-
-    /// The planned message for `edge`, computable concurrently.
-    #[inline]
-    pub fn message(&self, view: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
-        (self.fill)(view, edge)
-    }
+/// A pure family's per-edge decision, frozen for one round: what
+/// [`Adversary::fill`] hands the engine. The engine may call
+/// [`EdgeFill::message`] for the round's slots in any order, from any
+/// worker, concurrently.
+pub trait EdgeFill: Sync {
+    /// The planned message for `edge` this round.
+    fn message(&self, view: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage;
 }
 
 /// A replica-independent description of a deterministic family's round
@@ -165,6 +130,17 @@ pub enum BatchPlan {
 /// A joint strategy for all faulty nodes (they collude per §2.2),
 /// speaking the two-phase protocol described in the [module docs](self).
 pub trait Adversary: fmt::Debug + Send {
+    /// Phase 1 for a pure family (the [module docs](self) name the
+    /// contract): do the round's serial work — hull scans, anything
+    /// `&mut` — cache the results in `self`, and return the per-edge
+    /// decision. Engines fan it across their worker pool instead of
+    /// calling [`Adversary::plan_round`]. Return `None` (the default)
+    /// from a stateful family, which implements `plan_round` instead.
+    fn fill(&mut self, view: &AdversaryView<'_>, slots: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        let _ = (view, slots);
+        None
+    }
+
     /// Phase 1: plan every message this round delivers on a faulty edge.
     ///
     /// Runs once per round, serially, with full mutable state. `slots`
@@ -174,24 +150,28 @@ pub trait Adversary: fmt::Debug + Send {
     /// may be larger than `slots` (engines with sparse slot spaces only
     /// read the slots they named). Plan an omission only when
     /// [`RoundSlots::allows_omission`] says the engine honours it.
-    fn plan_round(&mut self, view: &AdversaryView<'_>, slots: RoundSlots<'_>, plan: &mut RoundPlan);
-
-    /// Phase 1, parallel tier: adversaries whose per-slot fill is a pure
-    /// function of once-per-round precomputed values may override this to
-    /// opt in (the [module docs](self) name the contract). Do the round's
-    /// serial work here — hull scans, cached constants, anything `&mut` —
-    /// and return a [`SyncFill`] closed over the results; engines with a
-    /// worker pool then fan the plan fill across it and **skip
-    /// [`Adversary::plan_round`] entirely** for the round. Return `None`
-    /// (the default) to always plan serially; engines running with one
-    /// worker never call this.
-    fn plan_round_sync(
+    ///
+    /// The default walks [`Adversary::fill`]'s decision over the slots.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if `fill` returns `None`: a family implements
+    /// one of the two.
+    fn plan_round(
         &mut self,
         view: &AdversaryView<'_>,
-        slots: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let _ = (view, slots);
-        None
+        slots: RoundSlots<'_>,
+        plan: &mut RoundPlan,
+    ) {
+        let fill = self
+            .fill(view, slots)
+            .expect("an adversary implements `fill` or `plan_round`");
+        for edge in slots.iter() {
+            match fill.message(view, edge) {
+                PlannedMessage::Value(v) => plan.set_value(edge.slot, v),
+                PlannedMessage::Omit => plan.set_omit(edge.slot),
+            }
+        }
     }
 
     /// Phase 1, replica-batched tier: families whose entire round plan is
@@ -254,25 +234,8 @@ impl ConformingAdversary {
 }
 
 impl Adversary for ConformingAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
-        for edge in slots.iter() {
-            plan.set_value(edge.slot, view.states[edge.sender as usize]);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        _: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        Some(SyncFill::new(|view, edge| {
-            PlannedMessage::Value(view.states[edge.sender as usize])
-        }))
+    fn fill(&mut self, _: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        Some(self)
     }
 
     fn batch_plan(&self) -> Option<BatchPlan> {
@@ -281,6 +244,12 @@ impl Adversary for ConformingAdversary {
 
     fn name(&self) -> &'static str {
         "conforming"
+    }
+}
+
+impl EdgeFill for ConformingAdversary {
+    fn message(&self, view: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(view.states[edge.sender as usize])
     }
 }
 
@@ -300,19 +269,8 @@ impl ConstantAdversary {
 }
 
 impl Adversary for ConstantAdversary {
-    fn plan_round(&mut self, _: &AdversaryView<'_>, slots: RoundSlots<'_>, plan: &mut RoundPlan) {
-        for edge in slots.iter() {
-            plan.set_value(edge.slot, self.value);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        _: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let value = self.value;
-        Some(SyncFill::new(move |_, _| PlannedMessage::Value(value)))
+    fn fill(&mut self, _: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        Some(self)
     }
 
     fn batch_plan(&self) -> Option<BatchPlan> {
@@ -321,6 +279,12 @@ impl Adversary for ConstantAdversary {
 
     fn name(&self) -> &'static str {
         "constant"
+    }
+}
+
+impl EdgeFill for ConstantAdversary {
+    fn message(&self, _: &AdversaryView<'_>, _: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(self.value)
     }
 }
 
@@ -374,48 +338,41 @@ impl Adversary for RandomAdversary {
 pub struct ExtremesAdversary {
     /// How far beyond the honest hull to aim.
     pub delta: f64,
+    /// This round's lies: `µ[t-1] − delta` and `U[t-1] + delta`.
+    below: f64,
+    above: f64,
 }
 
 impl ExtremesAdversary {
     /// Creates the adversary aiming `delta` beyond the honest hull.
     pub fn new(delta: f64) -> Self {
-        ExtremesAdversary { delta }
+        ExtremesAdversary {
+            delta,
+            below: 0.0,
+            above: 0.0,
+        }
     }
 }
 
 impl Adversary for ExtremesAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
+    fn fill(&mut self, view: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
         let (lo, hi) = view.honest_hull();
-        let (below, above) = (lo - self.delta, hi + self.delta);
-        for edge in slots.iter() {
-            plan.set_value(
-                edge.slot,
-                if edge.receiver % 2 == 1 { above } else { below },
-            );
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        view: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        // The O(n) hull scan happens HERE, once per round; the fill is the
-        // same parity pick `plan_round` makes.
-        let (lo, hi) = view.honest_hull();
-        let (below, above) = (lo - self.delta, hi + self.delta);
-        Some(SyncFill::new(move |_, edge| {
-            PlannedMessage::Value(if edge.receiver % 2 == 1 { above } else { below })
-        }))
+        (self.below, self.above) = (lo - self.delta, hi + self.delta);
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "extremes"
+    }
+}
+
+impl EdgeFill for ExtremesAdversary {
+    fn message(&self, _: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(if edge.receiver % 2 == 1 {
+            self.above
+        } else {
+            self.below
+        })
     }
 }
 
@@ -428,37 +385,25 @@ impl Adversary for ExtremesAdversary {
 pub struct PullAdversary {
     /// `true` → pull toward `U[t-1]`; `false` → toward `µ[t-1]`.
     pub toward_max: bool,
+    /// This round's lie: the chosen end of the honest hull.
+    lie: f64,
 }
 
 impl PullAdversary {
     /// Creates the adversary; `toward_max` picks the hull end it reports.
     pub fn new(toward_max: bool) -> Self {
-        PullAdversary { toward_max }
+        PullAdversary {
+            toward_max,
+            lie: 0.0,
+        }
     }
 }
 
 impl Adversary for PullAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
+    fn fill(&mut self, view: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
         let (lo, hi) = view.honest_hull();
-        let lie = if self.toward_max { hi } else { lo };
-        for edge in slots.iter() {
-            plan.set_value(edge.slot, lie);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        view: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let (lo, hi) = view.honest_hull();
-        let lie = if self.toward_max { hi } else { lo };
-        Some(SyncFill::new(move |_, _| PlannedMessage::Value(lie)))
+        self.lie = if self.toward_max { hi } else { lo };
+        Some(self)
     }
 
     fn batch_plan(&self) -> Option<BatchPlan> {
@@ -469,6 +414,12 @@ impl Adversary for PullAdversary {
 
     fn name(&self) -> &'static str {
         "pull"
+    }
+}
+
+impl EdgeFill for PullAdversary {
+    fn message(&self, _: &AdversaryView<'_>, _: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(self.lie)
     }
 }
 
@@ -486,38 +437,22 @@ impl NaNAdversary {
 }
 
 impl Adversary for NaNAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
-        for edge in slots.iter() {
-            let value = match (view.round + edge.receiver as usize) % 3 {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                _ => f64::NEG_INFINITY,
-            };
-            plan.set_value(edge.slot, value);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        _: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        Some(SyncFill::new(|view, edge| {
-            PlannedMessage::Value(match (view.round + edge.receiver as usize) % 3 {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                _ => f64::NEG_INFINITY,
-            })
-        }))
+    fn fill(&mut self, _: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "nan-bomb"
+    }
+}
+
+impl EdgeFill for NaNAdversary {
+    fn message(&self, view: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(match (view.round + edge.receiver as usize) % 3 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            _ => f64::NEG_INFINITY,
+        })
     }
 }
 
@@ -558,41 +493,25 @@ impl SplitBrainAdversary {
 }
 
 impl Adversary for SplitBrainAdversary {
-    fn plan_round(&mut self, _: &AdversaryView<'_>, slots: RoundSlots<'_>, plan: &mut RoundPlan) {
-        for edge in slots.iter() {
-            let receiver = edge.receiver_id();
-            let value = if self.left.contains(receiver) {
-                self.m_minus
-            } else if self.right.contains(receiver) {
-                self.m_plus
-            } else {
-                self.mid
-            };
-            plan.set_value(edge.slot, value);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        _: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let (left, right) = (&self.left, &self.right);
-        let (m_minus, m_plus, mid) = (self.m_minus, self.m_plus, self.mid);
-        Some(SyncFill::new(move |_, edge| {
-            let receiver = edge.receiver_id();
-            PlannedMessage::Value(if left.contains(receiver) {
-                m_minus
-            } else if right.contains(receiver) {
-                m_plus
-            } else {
-                mid
-            })
-        }))
+    fn fill(&mut self, _: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "split-brain"
+    }
+}
+
+impl EdgeFill for SplitBrainAdversary {
+    fn message(&self, _: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        let receiver = edge.receiver_id();
+        PlannedMessage::Value(if self.left.contains(receiver) {
+            self.m_minus
+        } else if self.right.contains(receiver) {
+            self.m_plus
+        } else {
+            self.mid
+        })
     }
 }
 
@@ -607,49 +526,38 @@ impl Adversary for SplitBrainAdversary {
 pub struct CrashAdversary {
     /// First round at which the crash takes effect.
     pub from_round: usize,
+    /// Whether this round's messages are omitted.
+    crashed: bool,
 }
 
 impl CrashAdversary {
     /// Creates the adversary; the crash takes effect at `from_round`.
     pub fn new(from_round: usize) -> Self {
-        CrashAdversary { from_round }
+        CrashAdversary {
+            from_round,
+            crashed: false,
+        }
     }
 }
 
 impl Adversary for CrashAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
-        let crashed = slots.allows_omission() && view.round >= self.from_round;
-        for edge in slots.iter() {
-            if crashed {
-                plan.set_omit(edge.slot);
-            } else {
-                plan.set_value(edge.slot, view.states[edge.sender as usize]);
-            }
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let crashed = slots.allows_omission() && view.round >= self.from_round;
-        Some(SyncFill::new(move |view, edge| {
-            if crashed {
-                PlannedMessage::Omit
-            } else {
-                PlannedMessage::Value(view.states[edge.sender as usize])
-            }
-        }))
+    fn fill(&mut self, view: &AdversaryView<'_>, slots: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        self.crashed = slots.allows_omission() && view.round >= self.from_round;
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "crash"
+    }
+}
+
+impl EdgeFill for CrashAdversary {
+    fn message(&self, view: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        if self.crashed {
+            PlannedMessage::Omit
+        } else {
+            PlannedMessage::Value(view.states[edge.sender as usize])
+        }
     }
 }
 
@@ -662,45 +570,40 @@ pub struct SelectiveOmissionAdversary {
     pub silenced: NodeSet,
     /// The lie told to everyone else.
     pub value: f64,
+    /// Whether this round's engine honours omissions.
+    omissions: bool,
 }
 
 impl SelectiveOmissionAdversary {
     /// Creates the adversary: `silenced` receivers hear nothing, everyone
     /// else hears `value`.
     pub fn new(silenced: NodeSet, value: f64) -> Self {
-        SelectiveOmissionAdversary { silenced, value }
+        SelectiveOmissionAdversary {
+            silenced,
+            value,
+            omissions: false,
+        }
     }
 }
 
 impl Adversary for SelectiveOmissionAdversary {
-    fn plan_round(&mut self, _: &AdversaryView<'_>, slots: RoundSlots<'_>, plan: &mut RoundPlan) {
-        for edge in slots.iter() {
-            if slots.allows_omission() && self.silenced.contains(edge.receiver_id()) {
-                plan.set_omit(edge.slot);
-            } else {
-                plan.set_value(edge.slot, self.value);
-            }
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        _: &AdversaryView<'_>,
-        slots: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let omission = slots.allows_omission();
-        let (silenced, value) = (&self.silenced, self.value);
-        Some(SyncFill::new(move |_, edge| {
-            if omission && silenced.contains(edge.receiver_id()) {
-                PlannedMessage::Omit
-            } else {
-                PlannedMessage::Value(value)
-            }
-        }))
+    fn fill(&mut self, _: &AdversaryView<'_>, slots: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        self.omissions = slots.allows_omission();
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "selective-omission"
+    }
+}
+
+impl EdgeFill for SelectiveOmissionAdversary {
+    fn message(&self, _: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        if self.omissions && self.silenced.contains(edge.receiver_id()) {
+            PlannedMessage::Omit
+        } else {
+            PlannedMessage::Value(self.value)
+        }
     }
 }
 
@@ -790,49 +693,36 @@ impl<A: Adversary> Adversary for BroadcastOf<A> {
 pub struct FlipFlopAdversary {
     /// How far beyond the honest hull to aim.
     pub delta: f64,
+    /// This round's lie.
+    lie: f64,
 }
 
 impl FlipFlopAdversary {
     /// Creates the adversary aiming `delta` beyond the honest hull.
     pub fn new(delta: f64) -> Self {
-        FlipFlopAdversary { delta }
+        FlipFlopAdversary { delta, lie: 0.0 }
     }
 }
 
 impl Adversary for FlipFlopAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
+    fn fill(&mut self, view: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
         let (lo, hi) = view.honest_hull();
-        let lie = if view.round.is_multiple_of(2) {
+        self.lie = if view.round.is_multiple_of(2) {
             hi + self.delta
         } else {
             lo - self.delta
         };
-        for edge in slots.iter() {
-            plan.set_value(edge.slot, lie);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        view: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let (lo, hi) = view.honest_hull();
-        let lie = if view.round.is_multiple_of(2) {
-            hi + self.delta
-        } else {
-            lo - self.delta
-        };
-        Some(SyncFill::new(move |_, _| PlannedMessage::Value(lie)))
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "flip-flop"
+    }
+}
+
+impl EdgeFill for FlipFlopAdversary {
+    fn message(&self, _: &AdversaryView<'_>, _: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(self.lie)
     }
 }
 
@@ -847,52 +737,39 @@ impl Adversary for FlipFlopAdversary {
 /// [`ExtremesAdversary`] (out-of-hull, removed by trimming).
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
-pub struct PolarizingAdversary;
+pub struct PolarizingAdversary {
+    /// This round's honest hull `(µ[t-1], U[t-1])` and its midpoint.
+    lo: f64,
+    hi: f64,
+    mid: f64,
+}
 
 impl PolarizingAdversary {
     /// Creates the adversary.
     pub fn new() -> Self {
-        PolarizingAdversary
+        PolarizingAdversary::default()
     }
 }
 
 impl Adversary for PolarizingAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
-        let (lo, hi) = view.honest_hull();
-        let mid = (hi + lo) / 2.0;
-        for edge in slots.iter() {
-            let value = if view.states[edge.receiver as usize] >= mid {
-                hi
-            } else {
-                lo
-            };
-            plan.set_value(edge.slot, value);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        view: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        let (lo, hi) = view.honest_hull();
-        let mid = (hi + lo) / 2.0;
-        Some(SyncFill::new(move |view, edge| {
-            PlannedMessage::Value(if view.states[edge.receiver as usize] >= mid {
-                hi
-            } else {
-                lo
-            })
-        }))
+    fn fill(&mut self, view: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        (self.lo, self.hi) = view.honest_hull();
+        self.mid = (self.hi + self.lo) / 2.0;
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "polarizing"
+    }
+}
+
+impl EdgeFill for PolarizingAdversary {
+    fn message(&self, view: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(if view.states[edge.receiver as usize] >= self.mid {
+            self.hi
+        } else {
+            self.lo
+        })
     }
 }
 
@@ -912,29 +789,18 @@ impl EchoAdversary {
 }
 
 impl Adversary for EchoAdversary {
-    fn plan_round(
-        &mut self,
-        view: &AdversaryView<'_>,
-        slots: RoundSlots<'_>,
-        plan: &mut RoundPlan,
-    ) {
-        for edge in slots.iter() {
-            plan.set_value(edge.slot, view.states[edge.receiver as usize]);
-        }
-    }
-
-    fn plan_round_sync(
-        &mut self,
-        _: &AdversaryView<'_>,
-        _: &RoundSlots<'_>,
-    ) -> Option<SyncFill<'_>> {
-        Some(SyncFill::new(|view, edge| {
-            PlannedMessage::Value(view.states[edge.receiver as usize])
-        }))
+    fn fill(&mut self, _: &AdversaryView<'_>, _: RoundSlots<'_>) -> Option<&dyn EdgeFill> {
+        Some(self)
     }
 
     fn name(&self) -> &'static str {
         "echo"
+    }
+}
+
+impl EdgeFill for EchoAdversary {
+    fn message(&self, view: &AdversaryView<'_>, edge: PlannedEdge) -> PlannedMessage {
+        PlannedMessage::Value(view.states[edge.receiver as usize])
     }
 }
 

@@ -268,10 +268,10 @@ impl<'a> DelayBoundedSim<'a> {
     }
 
     /// Retains a pool of `jobs` workers (`0` = all available cores) that
-    /// every tick's **update phase** — and, for adversaries with a `Sync`
-    /// planning tier, the plan fill — is fanned across; the send and
-    /// deliver phases stay serial to preserve the scheduler's RNG order
-    /// and mailbox overwrite semantics (see the type docs). Threads spawn
+    /// every tick's **update phase** — and, for a pure adversary family,
+    /// the plan fill — is fanned across; the send and deliver phases stay
+    /// serial to preserve the scheduler's RNG order and mailbox overwrite
+    /// semantics (see the type docs). Threads spawn
     /// here, once, not per tick. Bit-for-bit identical to serial
     /// execution for any value.
     #[must_use]
@@ -335,7 +335,7 @@ impl<'a> DelayBoundedSim<'a> {
         // anyway simply sends nothing this tick, leaving the mailbox
         // value stale — the closest in-model interpretation. The slot
         // space is dense (slot == list index), so the plan's slot table
-        // doubles as its own dense edge table for the parallel tier.
+        // doubles as its own dense edge table for a pure family's fill.
         fill_plan(
             self.adversary.as_mut(),
             &view,
@@ -492,9 +492,9 @@ impl Engine for DelayBoundedSim<'_> {
 /// delivered. Omission is the scheduler's power here, not the
 /// adversary's, so the round's slots disallow it. The kernel's
 /// determinism contract carries over: [`WithholdingSim::with_jobs`] fans
-/// the node loop (and the plan fill, for adversaries with a `Sync`
-/// planning tier) across a persistent [`iabc_exec::Executor`],
-/// bit-for-bit identical to serial execution for any job count.
+/// the node loop (and the plan fill, for a pure adversary family) across
+/// a persistent [`iabc_exec::Executor`], bit-for-bit identical to serial
+/// execution for any job count.
 #[derive(Debug)]
 pub struct WithholdingSim<'a> {
     engine: SyncEngine<'a, WithheldTrim>,
@@ -530,10 +530,9 @@ impl<'a> WithholdingSim<'a> {
     }
 
     /// Retains a pool of `jobs` workers (`0` = all available cores) that
-    /// every round's update loop — and, for adversaries with a `Sync`
-    /// planning tier, the plan fill — is fanned across. Threads spawn
-    /// here, once, not per round. Bit-for-bit identical to serial
-    /// execution for any value.
+    /// every round's update loop — and, for a pure adversary family, the
+    /// plan fill — is fanned across. Threads spawn here, once, not per
+    /// round. Bit-for-bit identical to serial execution for any value.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.set_jobs(jobs);

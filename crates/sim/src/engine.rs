@@ -158,12 +158,11 @@ pub type Simulation<'a> = SyncEngine<'a, &'a dyn UpdateRule>;
 /// allocates **two** state buffers plus one scratch vector. Each
 /// [`SyncEngine::step`] reads the current buffer, writes the next one,
 /// and `std::mem::swap`s them — zero heap allocation per round in steady
-/// state at `jobs = 1`. On a pool a round allocates only the boxed
-/// [`SyncFill`](crate::adversary::SyncFill) of a sync-tier adversary plan
-/// and, every 31 dispatch messages, one block of std's channels (the
-/// crate docs give counts). Faulty entries are never written, so both
-/// buffers carry the faulty nodes' inputs forever (their "state" is
-/// meaningless in the Byzantine model). One [`AdversaryView`] is built
+/// state at `jobs = 1`. On a pool a round allocates only, every 31
+/// dispatch messages, one block of std's channels (the crate docs give
+/// counts). Faulty entries are never written, so both buffers carry the
+/// faulty nodes' inputs forever (their "state" is meaningless in the
+/// Byzantine model). One [`AdversaryView`] is built
 /// per round; the adversary plans the whole round against it (phase 1),
 /// and the node loop reads the plan by sub-CSR index (phase 2).
 ///
@@ -178,13 +177,13 @@ pub type Simulation<'a> = SyncEngine<'a, &'a dyn UpdateRule>;
 ///
 /// [`SyncEngine::with_jobs`] builds a persistent [`iabc_exec::Executor`]
 /// — worker threads are spawned **once**, then fed every round's node
-/// loop over channels (phase 2), plus the plan fill itself whenever the
-/// adversary offers the [`crate::adversary::Adversary::plan_round_sync`]
-/// `Sync` planning tier (the per-round `&mut` work — hull scans, RNG —
-/// always stays serial). Results are **bit-identical to the serial loop
-/// for any job count**, including across in-place topology rebuilds: each
-/// node's arithmetic is a pure function of the previous states and the
-/// plan, and every node is computed exactly once. See [`iabc_exec`] for
+/// loop over channels (phase 2), plus the plan fill itself for a pure
+/// adversary family ([`crate::adversary::Adversary::fill`]; the
+/// per-round `&mut` work — hull scans, RNG — always stays serial).
+/// Results are **bit-identical to the serial loop for any job count**,
+/// including across in-place topology rebuilds: each node's arithmetic
+/// is a pure function of the previous states and the plan, and every
+/// node is computed exactly once. See [`iabc_exec`] for
 /// the scheduling contract.
 ///
 /// # Examples
@@ -275,10 +274,9 @@ impl<'a, R: RoundRule> SyncEngine<'a, R> {
     }
 
     /// Retains a pool of `jobs` workers (`0` = all available cores) that
-    /// every round's node loop — and, for adversaries with a `Sync`
-    /// planning tier, the plan fill — is fanned across. Threads spawn
-    /// **here, once**, not per step. Bit-for-bit identical to serial
-    /// execution for any value.
+    /// every round's node loop — and, for a pure adversary family, the
+    /// plan fill — is fanned across. Threads spawn **here, once**, not
+    /// per step. Bit-for-bit identical to serial execution for any value.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.set_jobs(jobs);
@@ -386,7 +384,7 @@ pub(crate) struct Kernel<'a, R: RoundRule> {
     compiled: CompiledTopology,
     /// Faulty edges into honest receivers, slots keyed on the sub-CSR.
     planned_edges: Vec<PlannedEdge>,
-    /// Dense slot → edge table for the parallel planning tier (holes for
+    /// Dense slot → edge table for a pure family's fill (holes for
     /// sub-CSR rows of faulty receivers).
     slot_edges: Vec<PlannedEdge>,
     rule: R,

@@ -48,11 +48,11 @@
 //! come from the current buffer, writes go to the next, and a
 //! `std::mem::swap` publishes the round — zero heap allocation per round
 //! in steady state at `jobs = 1`. On a pool the round still allocates a
-//! little: an adversary on the sync planning tier boxes one 16-byte
-//! [`adversary::SyncFill`] per round, and std's channels allocate a block
-//! every 31 dispatch messages (complete(64), f = 3, jobs 2: 112
-//! allocations per 100 rounds under `ExtremesAdversary`, 6 under
-//! `RandomAdversary`). The contract that makes this safe:
+//! little: std's channels allocate a block every 31 dispatch messages
+//! (complete(64), f = 3, jobs 2: 12 allocations per 100 rounds under a
+//! pure family such as `ExtremesAdversary`, whose plan fill is a second
+//! dispatch, and 6 under `RandomAdversary`; `tests/allocations.rs` pins
+//! both). The contract that makes this safe:
 //!
 //! * **faulty entries are never written** — both buffers carry the faulty
 //!   nodes' inputs forever (their "state" is meaningless in the Byzantine
@@ -85,11 +85,11 @@
 //!   mailbox; the send and deliver phases stay serial because the
 //!   scheduler's RNG stream and same-tick mailbox overwrites are
 //!   order-defined;
-//! * **phase 1 itself**, for adversaries offering the
-//!   [`adversary::Adversary::plan_round_sync`] `Sync` planning tier:
-//!   the per-round `&mut` work (hull scans, caches) runs serially, then
-//!   the pure per-slot fill is fanned. RNG-streaming and wrapper
-//!   adversaries always plan fully serially.
+//! * **phase 1 itself**, for a pure adversary family
+//!   ([`adversary::Adversary::fill`]): the per-round `&mut` work (hull
+//!   scans, caches) runs serially, then the per-edge decision is fanned.
+//!   RNG-streaming and wrapper adversaries plan fully serially through
+//!   [`adversary::Adversary::plan_round`].
 //!
 //! In every case results are **bit-for-bit identical to serial execution
 //! for any job count** — the ownership contract (each output index

@@ -10,11 +10,14 @@
 //!
 //! The two-phase protocol splits the round:
 //!
-//! 1. **Plan** (serial, once per round): the engine hands the adversary
-//!    its [`crate::adversary::AdversaryView`] plus a [`RoundSlots`] listing
-//!    every faulty edge it will deliver this round, and the adversary fills
-//!    a flat [`RoundPlan`] table — one [`PlannedMessage`] per slot. All
-//!    mutation (RNG draws, caches) happens here.
+//! 1. **Plan** (once per round): the engine hands the adversary its
+//!    [`crate::adversary::AdversaryView`] plus a [`RoundSlots`] listing
+//!    every faulty edge it will deliver this round, and a flat
+//!    [`RoundPlan`] table is filled — one [`PlannedMessage`] per slot.
+//!    All mutation (RNG draws, caches) happens here, serially; a pure
+//!    family's per-edge decision
+//!    ([`crate::adversary::Adversary::fill`]) is then fanned across the
+//!    pool.
 //! 2. **Execute** (parallelizable): the node loop reads the finished plan
 //!    by index. No trait call, no `&mut`, no allocation per edge.
 //!
@@ -154,8 +157,8 @@ impl RoundPlan {
         self.entries[slot as usize]
     }
 
-    /// The raw slot table, for the parallel planning tier: [`fill_plan`]
-    /// chunks it across the worker pool, each slot written exactly once.
+    /// The raw slot table, for a pure family's fill: [`fill_plan`] chunks
+    /// it across the worker pool, each slot written exactly once.
     pub(crate) fn entries_mut(&mut self) -> &mut [PlannedMessage] {
         &mut self.entries
     }
@@ -229,16 +232,16 @@ pub(crate) fn sub_csr_edges(compiled: &CompiledTopology, edges: &mut Vec<Planned
 /// `receiver == NO_EDGE`.
 pub(crate) const NO_EDGE: u32 = u32::MAX;
 
-/// Chunk floor for the parallel plan fill: one slot is a handful of flops,
-/// so chunks must be much larger than the per-node [`iabc_exec::MIN_CHUNK`]
-/// before queue traffic stops dominating.
+/// Chunk floor for a pure family's pooled fill: one slot is a handful of
+/// flops, so chunks must be much larger than the per-node
+/// [`iabc_exec::MIN_CHUNK`] before queue traffic stops dominating.
 const PLAN_MIN_CHUNK: usize = 128;
 
 /// Rebuilds `dense` as the slot-indexed edge table of a plan with `len`
 /// slots: `dense[slot]` is the [`PlannedEdge`] planned at `slot`, or a
-/// [`NO_EDGE`] hole for slots the engine never reads. The parallel
-/// planning tier chunks the plan's slot table directly, so it needs this
-/// O(1) slot → edge inverse of the engine's (possibly sparse) edge list.
+/// [`NO_EDGE`] hole for slots the engine never reads. A pure family's
+/// fill chunks the plan's slot table directly, so it needs this O(1)
+/// slot → edge inverse of the engine's (possibly sparse) edge list.
 pub(crate) fn dense_slot_table(len: usize, edges: &[PlannedEdge], dense: &mut Vec<PlannedEdge>) {
     dense.clear();
     dense.resize(
@@ -254,17 +257,13 @@ pub(crate) fn dense_slot_table(len: usize, edges: &[PlannedEdge], dense: &mut Ve
     }
 }
 
-/// Phase 1, shared by every pooled engine: resets `plan` and fills it —
-/// through the [`crate::adversary::Adversary::plan_round_sync`] parallel
-/// tier when the adversary offers one **and** the executor has more than
-/// one worker, serially through
-/// [`crate::adversary::Adversary::plan_round`] otherwise. `edges` is the
-/// engine's query-order slot list (what `plan_round` iterates);
-/// `slot_edges` the dense slot-indexed table (what the parallel fill
-/// chunks); `allows_omission` the engine's omission flag. Both paths
-/// produce bit-identical plans: the `SyncFill` contract requires the fill
-/// to equal what `plan_round` would write, and holes stay
-/// [`PlannedMessage::Omit`] either way.
+/// Phase 1, shared by every pooled engine: resets `plan` and fills it.
+/// A pure family's [`crate::adversary::Adversary::fill`] decision is
+/// fanned across `exec` (inline at one worker) over `slot_edges`, the
+/// dense slot-indexed table; a stateful family plans serially through
+/// [`crate::adversary::Adversary::plan_round`] over `edges`, the engine's
+/// query-order slot list. `allows_omission` is the engine's omission
+/// flag. Holes stay [`PlannedMessage::Omit`] either way.
 pub(crate) fn fill_plan(
     adversary: &mut dyn Adversary,
     view: &AdversaryView<'_>,
@@ -275,23 +274,20 @@ pub(crate) fn fill_plan(
     exec: &Executor,
 ) {
     plan.begin(slot_edges.len());
-    if exec.jobs() > 1 {
-        let slots = RoundSlots::new(edges, allows_omission);
-        if let Some(fill) = adversary.plan_round_sync(view, &slots) {
-            exec.for_each(
-                plan.entries_mut(),
-                Chunking::Auto(PLAN_MIN_CHUNK),
-                |slot, out| {
-                    let edge = slot_edges[slot];
-                    if edge.receiver != NO_EDGE {
-                        *out = fill.message(view, edge);
-                    }
-                },
-            );
-            return;
-        }
+    let slots = RoundSlots::new(edges, allows_omission);
+    match adversary.fill(view, slots) {
+        Some(fill) => exec.for_each(
+            plan.entries_mut(),
+            Chunking::Auto(PLAN_MIN_CHUNK),
+            |slot, out| {
+                let edge = slot_edges[slot];
+                if edge.receiver != NO_EDGE {
+                    *out = fill.message(view, edge);
+                }
+            },
+        ),
+        None => adversary.plan_round(view, slots, plan),
     }
-    adversary.plan_round(view, RoundSlots::new(edges, allows_omission), plan);
 }
 
 #[cfg(test)]

@@ -109,13 +109,12 @@ impl<'a> Scenario<'a> {
     /// [`Scenario::vector`] fans each coordinate's node loop, and
     /// [`Scenario::delay_bounded`] fans each tick's **update phase**
     /// (its send/deliver phases stay serial to preserve the scheduler's
-    /// RNG order and mailbox overwrite semantics). Adversaries offering
-    /// the [`crate::adversary::Adversary::plan_round_sync`] tier
-    /// additionally fan their phase-1 plan fill on the scalar terminals.
-    /// Threads are spawned once when the terminal builds the engine —
-    /// never per step — and results are **bit-for-bit identical** to
-    /// serial execution for any value: parallelism is purely a
-    /// performance knob, never a semantic one.
+    /// RNG order and mailbox overwrite semantics). A pure adversary family
+    /// ([`crate::adversary::Adversary::fill`]) also fans its phase-1 plan
+    /// fill on the scalar terminals. Threads are spawned once when the
+    /// terminal builds the engine — never per step — and results are
+    /// **bit-for-bit identical** to serial execution for any value:
+    /// parallelism is purely a performance knob, never a semantic one.
     #[must_use]
     pub fn parallel(mut self, jobs: usize) -> Self {
         self.jobs = jobs;

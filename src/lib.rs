@@ -68,7 +68,8 @@
 //! ```
 //!
 //! See `examples/` for runnable walkthroughs of the paper's applications
-//! and `EXPERIMENTS.md` for the full reproduction record.
+//! and the README section "The parallel sweep runner" for regenerating
+//! every experiment.
 
 #![warn(missing_docs)]
 

@@ -76,8 +76,8 @@ fn checker_matches_brute_force_on_all_4_node_digraphs() {
     // does not, so it is also proper.
     assert!(satisfied > 0);
     assert!(satisfied < 1 << (N * (N - 1)));
-    // For the record: exactly one graph class boundary — print-level detail
-    // lives in EXPERIMENTS.md. K4 itself must be in the satisfying set:
+    // For the record: exactly one graph class boundary. K4 itself must be
+    // in the satisfying set:
     assert!(theorem1::check(&graph_from_mask(u32::MAX >> (32 - 12)), F).is_satisfied());
 }
 

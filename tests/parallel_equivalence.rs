@@ -6,9 +6,10 @@
 //! engines (including the dynamic engine's in-place CSR rebuild path,
 //! where the per-round plan slots are re-derived), the delay-bounded
 //! engine's pooled update phase under every scheduler family, the
-//! withholding engine's prefix-summed plan cursors, and the `Sync`
-//! planning tier (pooled plan fill vs serial `plan_round` across all 12
-//! adversary families).
+//! withholding engine's sub-CSR plan slots over its withheld rows, and
+//! the pooled plan fill of every pure adversary family (`Adversary::fill`
+//! fanned across the pool vs the same decision inline, across all 12
+//! roster entries).
 //!
 //! The contract under test is the one the two-phase protocol was built
 //! for: the adversary's `&mut` work runs serially once per round (all
@@ -250,8 +251,8 @@ proptest! {
         }
     }
 
-    /// Withholding engine: the prefix-summed plan cursors must make the
-    /// pooled update loop indistinguishable from the old serial sweep —
+    /// Withholding engine: the sub-CSR plan slots must make the pooled
+    /// update loop indistinguishable from the old serial sweep —
     /// serial vs every tested job count, for every adversary family.
     /// The in-degree floor of `3f + 1` keeps the trim total after the
     /// adversary withholds `f` messages per node.
@@ -324,13 +325,12 @@ fn scenario_parallel_matches_serial_bitwise() {
     }
 }
 
-/// The `Sync` planning tier, family by family: at `jobs > 1` the engines
-/// fan the plan fill through `plan_round_sync` for every adversary that
-/// offers it (and fall back to serial `plan_round` for the stateful
-/// ones) — either way the run must reproduce the serial trajectory
-/// bit-for-bit. `n = 120` exceeds the pool's chunk floor, so the node
-/// loop genuinely crosses threads here, under every one of the 12
-/// families.
+/// The pooled plan fill, family by family: at `jobs > 1` the engines fan
+/// a pure family's per-edge decision (`Adversary::fill`) across the pool
+/// (the stateful ones plan serially through `plan_round`) — either way
+/// the run must reproduce the serial trajectory bit-for-bit. `n = 120`
+/// exceeds the pool's chunk floor, so the node loop genuinely crosses
+/// threads here, under every one of the 12 families.
 #[test]
 fn planning_tier_is_bit_identical_for_all_twelve_families() {
     let n = 120;
