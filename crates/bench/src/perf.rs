@@ -104,7 +104,7 @@ pub fn run(config: Config, gate: Option<Gate<'_>>) -> Result<Output, PerfError> 
     })
 }
 
-fn parse_baseline(path: &str, text: &str) -> Result<Json, PerfError> {
+fn parse_baseline(path: &str, text: &str) -> Result<Json<'static>, PerfError> {
     json::parse(text).map_err(|e| PerfError::Run(format!("{path}: not a perf baseline: {e}")))
 }
 
@@ -1033,6 +1033,7 @@ fn batched_sweep(bench: &mut Bench) -> Res<Vec<Row>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     const COMMITTED: &str = include_str!("../../../BENCH_hotpath.json");
     const GATE: Gate<'static> = Gate {
@@ -1083,7 +1084,7 @@ mod tests {
             .collect()
     }
 
-    fn fields(v: &mut Json) -> &mut Vec<(String, Json)> {
+    fn fields<'v, 'a>(v: &'v mut Json<'a>) -> &'v mut Vec<(Cow<'a, str>, Json<'a>)> {
         match v {
             Json::Obj(pairs) => pairs,
             other => panic!("not an object: {other:?}"),
@@ -1093,7 +1094,7 @@ mod tests {
     /// The committed baseline with row `key`'s speedup (the first grid
     /// row's, for `results`) multiplied by 1000, or set to 1000 where it
     /// records none. `enforce` drops the row's informational marker.
-    fn thousandfold(key: &str, enforce: bool) -> Json {
+    fn thousandfold(key: &str, enforce: bool) -> Json<'static> {
         let mut baseline = json::parse(COMMITTED).unwrap();
         let row = &mut fields(&mut baseline)
             .iter_mut()

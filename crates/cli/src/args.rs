@@ -115,6 +115,21 @@ impl ParsedArgs {
         )))
     }
 
+    /// Rejects `--flag` unless `--owner` is `value`: only then is the flag
+    /// read, so anywhere else it would be accepted and ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] naming both flags.
+    pub fn reject_unless(&self, flag: &str, owner: &str, value: &str) -> Result<(), CliError> {
+        if self.has_flag(flag) && self.flag(owner) != Some(value) {
+            return Err(CliError::Usage(format!(
+                "--{flag} is read only with --{owner} {value}"
+            )));
+        }
+        Ok(())
+    }
+
     /// `true` if `--key` was passed (with or without a value).
     pub fn has_flag(&self, key: &str) -> bool {
         self.flag(key).is_some()

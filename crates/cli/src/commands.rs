@@ -478,6 +478,10 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
         ("simulate", [&run[..], &rule].concat())
     };
     args.reject_unknown(command, &known)?;
+    args.reject_unless("quantum", "rule", "quantized")?;
+    args.reject_unless("rounding", "rule", "quantized")?;
+    args.reject_unless("sched-seed", "scheduler", "random")?;
+    args.reject_unless("victims", "scheduler", "targeted")?;
     let g = load_graph(args)?;
     let n = g.node_count();
     let faulty: Vec<usize> = args.list("faulty")?;
@@ -1398,6 +1402,9 @@ fn submit_job_from_args(args: &ParsedArgs) -> Result<iabc_serve::JobSpec, CliErr
                 known.extend(["delay-bound", "scheduler", "sched-seed"]);
             }
             args.reject_unknown("submit scenario", &known)?;
+            // An ignored quantum would still split the run key.
+            args.reject_unless("quantum", "rule", "quantized")?;
+            args.reject_unless("sched-seed", "scheduler", "random")?;
             let path = args.positional(1).ok_or_else(|| {
                 CliError::Usage("scenario jobs need a graph file: submit scenario <file>".into())
             })?;
@@ -2016,6 +2023,111 @@ mod tests {
             let unknown = format!("unknown flag {flag}");
             assert!(err.to_string().contains(&unknown), "{case:?}: {err}");
         }
+    }
+
+    /// Runs a valid invocation of `command` on K4 (its graph file in place
+    /// of `G`) with `extra` appended, and expects the usage error that
+    /// names `flag` and what it needs.
+    fn assert_flag_needs(command: &[&str], extra: &[&str], flag: &str, needs: &str) {
+        let edge_list = run(&argv(&["generate", "complete", "4"])).unwrap();
+        let path = write_graph(&format!("k4-{}-needs-{flag}", command[0]), &edge_list);
+        let case: Vec<&str> = command
+            .iter()
+            .map(|&a| if a == "G" { path.as_str() } else { a })
+            .chain(extra.iter().copied())
+            .collect();
+        let err = run(&argv(&case)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{case:?}: {err}");
+        let want = format!("--{flag} is read only with {needs}");
+        assert!(err.to_string().contains(&want), "{case:?}: {err}");
+    }
+
+    const SIMULATE: [&str; 6] = ["simulate", "G", "--f", "1", "--faulty", "3"];
+    const DELAYED: [&str; 8] = [
+        "simulate",
+        "G",
+        "--f",
+        "1",
+        "--faulty",
+        "3",
+        "--delay-bound",
+        "2",
+    ];
+    const SUBMIT: [&str; 7] = [
+        "submit",
+        "scenario",
+        "G",
+        "--addr",
+        "127.0.0.1:9",
+        "--f",
+        "1",
+    ];
+
+    #[test]
+    fn simulate_quantum_needs_the_quantized_rule() {
+        assert_flag_needs(
+            &SIMULATE,
+            &["--quantum", "0.5"],
+            "quantum",
+            "--rule quantized",
+        );
+        let mean = ["--rule", "mean", "--quantum", "0.5"];
+        assert_flag_needs(&DELAYED, &mean, "quantum", "--rule quantized");
+    }
+
+    #[test]
+    fn simulate_rounding_needs_the_quantized_rule() {
+        assert_flag_needs(
+            &SIMULATE,
+            &["--rounding", "floor"],
+            "rounding",
+            "--rule quantized",
+        );
+    }
+
+    #[test]
+    fn simulate_sched_seed_needs_the_random_scheduler() {
+        assert_flag_needs(
+            &DELAYED,
+            &["--sched-seed", "4"],
+            "sched-seed",
+            "--scheduler random",
+        );
+        let max = ["--scheduler", "max", "--sched-seed", "4"];
+        assert_flag_needs(&DELAYED, &max, "sched-seed", "--scheduler random");
+    }
+
+    #[test]
+    fn simulate_victims_need_the_targeted_scheduler() {
+        assert_flag_needs(
+            &DELAYED,
+            &["--victims", "1,2"],
+            "victims",
+            "--scheduler targeted",
+        );
+    }
+
+    #[test]
+    fn submit_quantum_needs_the_quantized_rule() {
+        assert_flag_needs(
+            &SUBMIT,
+            &["--quantum", "0.5"],
+            "quantum",
+            "--rule quantized",
+        );
+    }
+
+    #[test]
+    fn submit_sched_seed_needs_the_random_scheduler() {
+        let max = [
+            "--delay-bound",
+            "2",
+            "--scheduler",
+            "max",
+            "--sched-seed",
+            "4",
+        ];
+        assert_flag_needs(&SUBMIT, &max, "sched-seed", "--scheduler random");
     }
 
     #[test]

@@ -127,24 +127,84 @@ pub fn state_bits(states: &[f64]) -> u64 {
 /// offsets, in-neighbor lists, per-node fault flags, and the faulty-edge
 /// sub-CSR. Two `(Digraph, NodeSet)` pairs that compile to the same
 /// execution shape fingerprint identically; anything that changes a single
-/// gather slot changes the digest.
+/// gather slot changes the digest. The bytes are those `TopologyFeed`
+/// folds, row by row.
 pub fn topology(topo: &CompiledTopology) -> u64 {
-    let n = topo.node_count();
-    let mut h = Fnv64::new();
-    h.write_usize(n);
-    for i in 0..n {
-        h.write_usize(topo.in_offset(i));
-        for &src in topo.in_neighbors_of(i) {
-            h.write_u32(src);
-        }
-        h.write_u8(u8::from(topo.is_faulty(i)));
-        h.write_usize(topo.faulty_in_offset(i));
-        for &(src, slot) in topo.faulty_in_edges_of(i) {
-            h.write_u32(src);
-            h.write_u32(slot);
+    let mut feed = TopologyFeed::new(topo.node_count(), |v| topo.is_faulty(v));
+    for v in 0..topo.node_count() {
+        feed.row(topo.in_neighbors_of(v));
+    }
+    feed.finish()
+}
+
+/// The byte feed of [`topology`], fed one in-neighbour row at a time, so a
+/// caller holding CSR rows (`parse::InRows::fingerprint`) hashes them
+/// without compiling a [`CompiledTopology`]. This is the only copy of the
+/// feed: both fingerprints go through it.
+///
+/// For `n` nodes it folds `n` (as a `usize`), then for each node `v` in
+/// id order: the offset of `v`'s row in the concatenated rows, each
+/// in-neighbour (`u32`), `v`'s fault flag (`u8`), the offset of `v`'s run
+/// in the faulty-edge sub-CSR, and for each faulty in-neighbour its
+/// `(slot, sender)` pair (`u32`, `u32`), `slot` being its position in the
+/// row.
+#[derive(Debug, Clone)]
+pub(crate) struct TopologyFeed<F> {
+    hasher: Fnv64,
+    is_faulty: F,
+    /// The node whose row comes next.
+    node: usize,
+    /// Edges in the rows fed so far.
+    offset: usize,
+    /// Faulty in-edges in the rows fed so far.
+    faulty_offset: usize,
+    /// The current row's faulty `(slot, sender)` pairs, found while its
+    /// neighbours are folded and folded after its fault flag.
+    faulty: Vec<(u32, u32)>,
+}
+
+impl<F: Fn(usize) -> bool> TopologyFeed<F> {
+    /// A feed for `n` nodes; `is_faulty(v)` is node `v`'s fault flag.
+    pub(crate) fn new(n: usize, is_faulty: F) -> Self {
+        let mut hasher = Fnv64::new();
+        hasher.write_usize(n);
+        Self {
+            hasher,
+            is_faulty,
+            node: 0,
+            offset: 0,
+            faulty_offset: 0,
+            faulty: Vec::new(),
         }
     }
-    h.finish()
+
+    /// Folds the next node's in-neighbours, strictly ascending. Rows
+    /// arrive in node order, one per node.
+    pub(crate) fn row(&mut self, row: &[u32]) {
+        let h = &mut self.hasher;
+        h.write_usize(self.offset);
+        self.faulty.clear();
+        for (slot, &sender) in row.iter().enumerate() {
+            h.write_u32(sender);
+            if (self.is_faulty)(sender as usize) {
+                self.faulty.push((slot as u32, sender));
+            }
+        }
+        h.write_u8(u8::from((self.is_faulty)(self.node)));
+        h.write_usize(self.faulty_offset);
+        for &(slot, sender) in &self.faulty {
+            h.write_u32(slot);
+            h.write_u32(sender);
+        }
+        self.faulty_offset += self.faulty.len();
+        self.offset += row.len();
+        self.node += 1;
+    }
+
+    /// The digest of the rows fed so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.hasher.finish()
+    }
 }
 
 /// Fingerprint of a fault set alone: universe size plus the sorted member

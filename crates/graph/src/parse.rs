@@ -13,15 +13,19 @@
 //!   non-ASCII whitespace such as U+00A0 and U+3000.
 //! - A node id or count is what `str::parse::<usize>` accepts: decimal
 //!   digits with an optional leading `+`; leading zeros are fine and a
-//!   value past `usize::MAX` is an error.
+//!   value past `usize::MAX` is an error. So is a count past `u32::MAX`,
+//!   the bound every [`CompiledTopology`] has.
 //! - A repeated edge is merged, not rejected: the graph keeps one copy.
 //!
 //! One tokenizer reads the format in a single byte pass. It feeds two
 //! consumers: [`parse_edge_list`] builds a [`Digraph`], and [`in_rows`]
 //! buckets the edges by target straight into the in-neighbour CSR rows a
 //! [`CompiledTopology`] is built from, with no `Digraph` in between. Both
-//! accept and reject the same texts with the same errors.
+//! accept and reject the same texts with the same errors. [`node_count`]
+//! reads the count line alone, so a caller can bound `n` before either
+//! consumer sizes anything from it.
 
+use crate::fingerprint::TopologyFeed;
 use crate::{CompiledTopology, Digraph, GraphError, NodeId, NodeSet};
 
 /// Serializes a graph to the edge-list format (round-trips with
@@ -64,6 +68,22 @@ pub fn parse_edge_list(text: &str) -> Result<Digraph, GraphError> {
     })
 }
 
+/// The node count an edge list declares, read from its count line alone:
+/// the edge lines are not read. The errors are those [`parse_edge_list`]
+/// gives for the same count line.
+///
+/// # Examples
+///
+/// ```
+/// use iabc_graph::parse;
+/// assert_eq!(parse::node_count("# a comment\n5000\n0 1\n")?, 5000);
+/// assert!(parse::node_count("5000000000\n").is_err());
+/// # Ok::<(), iabc_graph::GraphError>(())
+/// ```
+pub fn node_count(text: &str) -> Result<usize, GraphError> {
+    count_line(text).map(|(n, _)| n)
+}
+
 /// An edge list's in-adjacency as CSR rows: for every node, the sources
 /// of its in-edges in the order the text lists them. Compile it against a
 /// fault set with [`InRows::compile`]; the fault set can only be built
@@ -83,11 +103,6 @@ pub struct InRows {
 /// # Errors
 ///
 /// Exactly those of [`parse_edge_list`] on the same text.
-///
-/// # Panics
-///
-/// Panics if the declared node count exceeds `u32::MAX`, the bound every
-/// [`CompiledTopology`] has.
 ///
 /// # Examples
 ///
@@ -111,13 +126,11 @@ pub fn in_rows(text: &str) -> Result<InRows, GraphError> {
         .map(|chunk| usize::from(chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
         .sum();
     // Counting sort by target: `offsets[v + 2]` counts `v`'s in-edges.
+    // The tokenizer caps `n` at `u32::MAX`, and ids are below `n`, so
+    // they fit the `u32` edge buffer.
     let (edges, mut offsets) = read_edge_list(
         text,
-        |n| {
-            // Ids are below `n`, so they fit the `u32` edge buffer too.
-            assert!(u32::try_from(n).is_ok(), "node count exceeds u32");
-            (Vec::with_capacity(lines + 1), vec![0u32; n + 2])
-        },
+        |n| (Vec::with_capacity(lines + 1), vec![0u32; n + 2]),
         |(edges, offsets), u, v| {
             offsets[v + 2] += 1;
             edges.push((u as u32, v as u32));
@@ -157,15 +170,42 @@ impl InRows {
     ///
     /// Panics if the fault set universe differs from the node count.
     pub fn compile(&self, faults: &NodeSet) -> CompiledTopology {
+        let mut scratch = Vec::new();
         CompiledTopology::from_in_rows(self.n, faults, |v, row| {
-            row.extend_from_slice(
-                &self.sources[self.offsets[v] as usize..self.offsets[v + 1] as usize],
-            );
-            if !row.windows(2).all(|w| w[0] < w[1]) {
-                row.sort_unstable();
-                row.dedup();
-            }
+            row.extend_from_slice(self.row(v, &mut scratch));
         })
+    }
+
+    /// `fingerprint::topology(&self.compile(faults))`, hashed straight
+    /// from the rows: no [`CompiledTopology`] is built, and a row already
+    /// in order is not copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault set universe differs from the node count.
+    pub fn fingerprint(&self, faults: &NodeSet) -> u64 {
+        assert_eq!(faults.universe(), self.n, "fault set universe must match n");
+        let mut feed = TopologyFeed::new(self.n, |v| faults.contains(NodeId::new(v)));
+        let mut scratch = Vec::new();
+        for v in 0..self.n {
+            feed.row(self.row(v, &mut scratch));
+        }
+        feed.finish()
+    }
+
+    /// Node `v`'s in-neighbours, strictly ascending: the row as the text
+    /// listed it when it is already in order, else sorted and merged into
+    /// `scratch`.
+    fn row<'a>(&'a self, v: usize, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        let row = &self.sources[self.offsets[v] as usize..self.offsets[v + 1] as usize];
+        if row.windows(2).all(|w| w[0] < w[1]) {
+            return row;
+        }
+        scratch.clear();
+        scratch.extend_from_slice(row);
+        scratch.sort_unstable();
+        scratch.dedup();
+        scratch
     }
 }
 
@@ -184,19 +224,7 @@ fn read_edge_list<T>(
     start: impl FnOnce(usize) -> T,
     mut edge: impl FnMut(&mut T, usize, usize),
 ) -> Result<T, GraphError> {
-    let mut lines = Lines {
-        text,
-        pos: 0,
-        number: 1,
-    };
-    let count = lines.next().ok_or_else(|| GraphError::Parse {
-        line: 0,
-        message: "empty input: missing node count".into(),
-    })?;
-    let n = match count.first.value {
-        Some(n) if count.fields == 1 => n,
-        _ => return Err(count.error(text, "expected node count")),
-    };
+    let (n, mut lines) = count_line(text)?;
     let mut state = start(n);
     let bytes = text.as_bytes();
     loop {
@@ -210,6 +238,25 @@ fn read_edge_list<T>(
         };
         let (u, v) = line.edge(text, n)?;
         edge(&mut state, u, v);
+    }
+}
+
+/// Reads the count line: the node count, and the reader on the line
+/// after it.
+fn count_line(text: &str) -> Result<(usize, Lines<'_>), GraphError> {
+    let mut lines = Lines {
+        text,
+        pos: 0,
+        number: 1,
+    };
+    let count = lines.next().ok_or_else(|| GraphError::Parse {
+        line: 0,
+        message: "empty input: missing node count".into(),
+    })?;
+    match count.first.value {
+        Some(n) if count.fields == 1 && u32::try_from(n).is_ok() => Ok((n, lines)),
+        Some(_) if count.fields == 1 => Err(count.error(text, "expected a node count below 2^32")),
+        _ => Err(count.error(text, "expected node count")),
     }
 }
 
@@ -701,7 +748,9 @@ mod tests {
     }
 
     /// Both consumers of the tokenizer agree: the same compiled topology
-    /// and fingerprint, or the same error.
+    /// and fingerprint, or the same error. The rows hash to that
+    /// fingerprint without compiling, and the count line alone gives the
+    /// same node count or error.
     fn assert_consumers_agree(text: &str, faulty: &[usize]) {
         let via_digraph = parse_edge_list(text).map(|g| {
             let faults = NodeSet::from_indices(g.node_count(), faulty.iter().copied());
@@ -709,15 +758,41 @@ mod tests {
         });
         let via_rows = in_rows(text).map(|rows| {
             let faults = NodeSet::from_indices(rows.node_count(), faulty.iter().copied());
-            rows.compile(&faults)
+            (rows.compile(&faults), rows.fingerprint(&faults))
         });
         match (&via_digraph, &via_rows) {
-            (Ok(a), Ok(b)) => {
+            (Ok(a), Ok((b, hashed))) => {
                 assert_eq!(a, b, "{text:?}");
                 assert_eq!(fingerprint::topology(a), fingerprint::topology(b));
+                assert_eq!(fingerprint::topology(a), *hashed, "{text:?}");
+                assert_eq!(node_count(text), Ok(a.node_count()));
             }
-            _ => assert_eq!(via_digraph, via_rows, "{text:?}"),
+            _ => assert_eq!(
+                via_digraph,
+                via_rows.map(|(compiled, _)| compiled),
+                "{text:?}"
+            ),
         }
+        if let Err(e) = node_count(text) {
+            assert_eq!(parse_edge_list(text).err(), Some(e), "{text:?}");
+        }
+    }
+
+    /// A count past `u32::MAX` is an error from every reader, before any
+    /// of them sizes a buffer from it.
+    #[test]
+    fn counts_past_u32_are_parse_errors() {
+        let want = GraphError::Parse {
+            line: 2,
+            message: "expected a node count below 2^32, found \"5000000000\"".into(),
+        };
+        for text in ["# huge\n5000000000\n0 1\n", "# huge\n 5000000000 \n"] {
+            assert_eq!(node_count(text), Err(want.clone()));
+            assert_eq!(in_rows(text).err(), Some(want.clone()));
+            assert_eq!(parse_edge_list(text), Err(want.clone()));
+        }
+        assert_eq!(node_count("4294967295\n0 1\n"), Ok(u32::MAX as usize));
+        assert!(node_count("4294967296\n").is_err());
     }
 
     /// A random digraph written as an edge list the long way round: its

@@ -38,7 +38,7 @@ fn connect(addr: &str) -> Result<TcpStream, ServeError> {
 /// Submits a job and collects the streamed response.
 pub fn submit(addr: &str, job: &JobSpec) -> Result<SubmitOutcome, ServeError> {
     let mut stream = connect(addr)?;
-    write_frame(&mut stream, &Request::Submit(job.clone()).to_json())
+    write_frame(&mut stream, &Request::submit_json(job))
         .map_err(|e| ServeError::Io(e.to_string()))?;
     let mut progress = Vec::new();
     loop {

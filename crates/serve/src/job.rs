@@ -36,6 +36,14 @@ use rand::{Rng, SeedableRng};
 /// payload encoding changes so stale stores can never alias fresh runs.
 pub const KEY_SCHEMA_VERSION: u32 = 1;
 
+/// The most nodes a scenario job may declare. [`JobSpec::key`] and
+/// [`ScenarioSpec::execute`] read the graph's count line and check it
+/// against this cap before anything is sized from `n`. A miss runs on a
+/// `Digraph`, which keeps an in- and an out-neighbour bitset per node:
+/// 2n² bits, 64 MiB at this cap. A larger count is a job error, not an
+/// allocation the process cannot survive.
+pub const MAX_NODES: usize = 1 << 14;
+
 /// How a scenario's inputs are obtained.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InputSpec {
@@ -160,17 +168,31 @@ impl ScenarioSpec {
         }
     }
 
+    /// The node count the graph declares, checked against [`MAX_NODES`]
+    /// from its count line alone.
+    fn node_count(&self) -> Result<usize, ServeError> {
+        let n = parse::node_count(&self.graph).map_err(bad_graph)?;
+        if n > MAX_NODES {
+            return Err(ServeError::Job(format!(
+                "the graph declares {n} nodes; a job may have at most {MAX_NODES}"
+            )));
+        }
+        Ok(n)
+    }
+
     /// Folds every output-determining ingredient into `h`; inputs are
     /// folded as resolved bit patterns so explicit and seeded derivations
     /// can never alias. The topology goes straight from the edge-list text
-    /// to CSR rows ([`parse::in_rows`]), so a cache hit never builds the
-    /// `Digraph` a miss runs on; both compile to the same topology.
+    /// to CSR rows ([`parse::in_rows`]) and is hashed from them
+    /// ([`parse::InRows::fingerprint`]), so a cache hit builds neither the
+    /// `Digraph` a miss runs on nor the `CompiledTopology` both compile to.
     fn hash(&self, h: &mut Fnv64) -> Result<(), ServeError> {
+        self.node_count()?;
         let rows = parse::in_rows(&self.graph).map_err(bad_graph)?;
         let n = rows.node_count();
         let faults = self.resolve_faults(n)?;
         h.write_str("scenario");
-        h.write_u64(fingerprint::topology(&rows.compile(&faults)));
+        h.write_u64(rows.fingerprint(&faults));
         h.write_u64(fingerprint::fault_set(&faults));
         h.write_str(&self.adversary);
         h.write_u64(self.seed);
@@ -213,6 +235,7 @@ impl ScenarioSpec {
 
     /// Runs the scenario and returns the `IABCOUT1` payload bytes.
     pub fn execute(&self) -> Result<Vec<u8>, ServeError> {
+        self.node_count()?;
         let g = parse::parse_edge_list(&self.graph).map_err(bad_graph)?;
         let n = g.node_count();
         let faults = self.resolve_faults(n)?;
@@ -273,27 +296,28 @@ impl JobSpec {
         Ok(RunKey(h.finish()))
     }
 
-    /// Renders to the wire JSON (`job` member of a submit request).
-    pub fn to_json(&self) -> Json {
+    /// Renders to the wire JSON (`job` member of a submit request),
+    /// borrowing the job's strings: the graph text is not copied.
+    pub fn to_json(&self) -> Json<'_> {
         match self {
             JobSpec::Sweep { ids } => Json::obj([
                 ("kind", Json::Str("sweep".into())),
                 (
                     "ids",
-                    Json::Arr(ids.iter().map(|id| Json::Str(id.clone())).collect()),
+                    Json::Arr(ids.iter().map(|id| Json::Str(id.as_str().into())).collect()),
                 ),
             ]),
             JobSpec::Scenario(spec) => {
                 let mut pairs = vec![
                     ("kind", Json::Str("scenario".into())),
-                    ("graph", Json::Str(spec.graph.clone())),
+                    ("graph", Json::Str(spec.graph.as_str().into())),
                     (
                         "faulty",
                         Json::Arr(spec.faulty.iter().map(|&v| Json::Num(v as f64)).collect()),
                     ),
                     ("f", Json::Num(spec.f as f64)),
-                    ("rule", Json::Str(spec.rule.clone())),
-                    ("adversary", Json::Str(spec.adversary.clone())),
+                    ("rule", Json::Str(spec.rule.as_str().into())),
+                    ("adversary", Json::Str(spec.adversary.as_str().into())),
                     ("seed", Json::u64(spec.seed)),
                     ("epsilon", Json::Num(spec.epsilon)),
                     ("max_rounds", Json::Num(spec.max_rounds as f64)),
@@ -311,7 +335,7 @@ impl JobSpec {
                 {
                     pairs.push(("engine", Json::Str("delay-bounded".into())));
                     pairs.push(("delay_bound", Json::Num(*bound as f64)));
-                    pairs.push(("scheduler", Json::Str(scheduler.clone())));
+                    pairs.push(("scheduler", Json::Str(scheduler.as_str().into())));
                     pairs.push(("sched_seed", Json::u64(*sched_seed)));
                 }
                 match &spec.inputs {
@@ -327,7 +351,7 @@ impl JobSpec {
     }
 
     /// Parses the wire JSON form.
-    pub fn from_json(json: &Json) -> Result<JobSpec, ServeError> {
+    pub fn from_json(json: &Json<'_>) -> Result<JobSpec, ServeError> {
         let kind = json
             .get("kind")
             .and_then(Json::as_str)
@@ -795,6 +819,37 @@ mod tests {
         }
         .execute()
         .is_err());
+    }
+
+    /// A count line past the node cap is a job error from both entry
+    /// points, read before anything is sized from it: 5·10⁹ does not fit
+    /// the parser's `u32` ids, and 4·10⁹ would size gigabytes.
+    #[test]
+    fn hostile_node_counts_are_job_errors() {
+        for count in ["5000000000", "4000000000"] {
+            let spec = ScenarioSpec {
+                graph: format!("# hostile\n{count}\n0 1\n"),
+                ..sample_scenario()
+            };
+            let key = JobSpec::Scenario(spec.clone()).key().map(|_| ());
+            for result in [key, spec.execute().map(|_| ())] {
+                assert!(
+                    matches!(&result, Err(ServeError::Job(msg)) if msg.contains(count)),
+                    "{result:?}"
+                );
+            }
+        }
+        let declaring = |n: usize| {
+            JobSpec::Scenario(ScenarioSpec {
+                graph: format!("{n}\n0 1\n"),
+                ..sample_scenario()
+            })
+        };
+        assert!(declaring(MAX_NODES).key().is_ok());
+        assert!(matches!(
+            declaring(MAX_NODES + 1).key(),
+            Err(ServeError::Job(_))
+        ));
     }
 
     #[test]

@@ -43,21 +43,23 @@ use crate::ServeError;
 /// corrupt length prefixes.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Writes one frame. The length prefix and body go out in a single
-/// `write_all` — two small writes on a Nagle-enabled socket cost a
-/// delayed-ACK round trip (~40 ms) per frame, which dwarfs a cache hit.
-pub fn write_frame(w: &mut impl Write, value: &Json) -> std::io::Result<()> {
-    let body = value.render();
-    let len = body.len() as u32;
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(body.as_bytes());
+/// Writes one frame. The body renders straight into the frame buffer,
+/// sized once from the value's rendered length, behind a length prefix
+/// patched in afterwards. The prefix and body go out in a single `write_all` —
+/// two small writes on a Nagle-enabled socket cost a delayed-ACK round
+/// trip (~40 ms) per frame, which dwarfs a cache hit.
+pub fn write_frame(w: &mut impl Write, value: &Json<'_>) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(4 + value.rendered_len());
+    frame.extend_from_slice(&[0; 4]);
+    value.render_into(&mut frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF before a length prefix.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, ServeError> {
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Json<'static>>, ServeError> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -73,9 +75,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, ServeError> {
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)
         .map_err(|e| ServeError::Io(e.to_string()))?;
-    let text = String::from_utf8(body)
+    let text = std::str::from_utf8(&body)
         .map_err(|_| ServeError::Protocol("frame body is not UTF-8".into()))?;
-    json::parse(&text)
+    json::parse(text)
         .map(Some)
         .map_err(|e| ServeError::Protocol(e.to_string()))
 }
@@ -94,23 +96,28 @@ pub enum Request {
 }
 
 impl Request {
-    /// Renders to the wire form.
-    pub fn to_json(&self) -> Json {
+    /// Renders to the wire form, owning every string so the value can
+    /// outlive `self`.
+    pub fn to_json(&self) -> Json<'static> {
         match self {
-            Request::Submit(job) => {
-                Json::obj([("type", Json::Str("submit".into())), ("job", job.to_json())])
-            }
+            Request::Submit(job) => Request::submit_json(job).into_owned(),
             Request::Query(key) => Json::obj([
                 ("type", Json::Str("query".into())),
-                ("key", Json::Str(key.hex())),
+                ("key", Json::Str(key.hex().into())),
             ]),
             Request::Compact => Json::obj([("type", Json::Str("compact".into()))]),
             Request::Shutdown => Json::obj([("type", Json::Str("shutdown".into()))]),
         }
     }
 
+    /// The wire form of `Request::Submit(job)`, borrowing `job`'s strings
+    /// instead of cloning the job: what [`crate::client::submit`] frames.
+    pub fn submit_json(job: &JobSpec) -> Json<'_> {
+        Json::obj([("type", Json::Str("submit".into())), ("job", job.to_json())])
+    }
+
     /// Parses the wire form.
-    pub fn from_json(json: &Json) -> Result<Request, ServeError> {
+    pub fn from_json(json: &Json<'_>) -> Result<Request, ServeError> {
         match json.get("type").and_then(Json::as_str) {
             Some("submit") => {
                 let job = json
@@ -230,14 +237,15 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, ServeError> {
 }
 
 impl Response {
-    /// Renders to the wire form.
-    pub fn to_json(&self) -> Json {
+    /// Renders to the wire form, owning every string so the value can
+    /// outlive `self`.
+    pub fn to_json(&self) -> Json<'static> {
         match self {
             Response::Progress { done, total, label } => Json::obj([
                 ("type", Json::Str("progress".into())),
                 ("done", Json::Num(*done as f64)),
                 ("total", Json::Num(*total as f64)),
-                ("label", Json::Str(label.clone())),
+                ("label", Json::Str(label.clone().into())),
             ]),
             Response::Result {
                 cache_hit,
@@ -251,14 +259,14 @@ impl Response {
                     "cache",
                     Json::Str(if *cache_hit { "hit" } else { "miss" }.into()),
                 ),
-                ("key", Json::Str(key.hex())),
+                ("key", Json::Str(key.hex().into())),
                 ("hits", Json::Num(*hits as f64)),
                 ("misses", Json::Num(*misses as f64)),
-                ("payload", Json::Str(to_hex(payload))),
+                ("payload", Json::Str(to_hex(payload).into())),
             ]),
             Response::Absent { key } => Json::obj([
                 ("type", Json::Str("absent".into())),
-                ("key", Json::Str(key.hex())),
+                ("key", Json::Str(key.hex().into())),
             ]),
             Response::Compacted {
                 records_before,
@@ -276,13 +284,13 @@ impl Response {
             ]),
             Response::Error { message } => Json::obj([
                 ("type", Json::Str("error".into())),
-                ("message", Json::Str(message.clone())),
+                ("message", Json::Str(message.clone().into())),
             ]),
         }
     }
 
     /// Parses the wire form.
-    pub fn from_json(json: &Json) -> Result<Response, ServeError> {
+    pub fn from_json(json: &Json<'_>) -> Result<Response, ServeError> {
         match json.get("type").and_then(Json::as_str) {
             Some("progress") => Ok(Response::Progress {
                 done: json.get("done").and_then(Json::as_usize).unwrap_or(0),

@@ -611,3 +611,62 @@ impl Server {
         Ok(stats)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::{EngineSpec, InputSpec, ScenarioSpec};
+
+    /// A submit whose graph declares 5·10⁹ nodes is answered with an
+    /// error frame over a real socket, and the same daemon then answers a
+    /// hit.
+    #[test]
+    fn a_hostile_node_count_is_an_error_frame_not_a_dead_daemon() {
+        let dir = std::env::temp_dir().join(format!("iabc-serve-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            jobs: 1,
+            store_dir: dir.clone(),
+            accept_limit: Some(3),
+            max_connections: 0,
+            max_store_bytes: None,
+        };
+        let mut server = Server::bind(&config).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let daemon = std::thread::spawn(move || server.run());
+
+        let scenario = |graph: &str| {
+            JobSpec::Scenario(ScenarioSpec {
+                graph: graph.into(),
+                faulty: vec![],
+                f: 0,
+                rule: "mean".into(),
+                quantum: None,
+                adversary: "constant".into(),
+                seed: 3,
+                inputs: InputSpec::Seeded(3),
+                epsilon: 1e-6,
+                max_rounds: 50,
+                engine: EngineSpec::Synchronous,
+            })
+        };
+        let good = scenario("3\n0 1\n1 0\n1 2\n2 1\n");
+        let first = crate::submit(&addr, &good).unwrap();
+        match crate::submit(&addr, &scenario("5000000000\n0 1\n")) {
+            Err(ServeError::Server(message)) => assert!(
+                message.contains("job error") && message.contains("5000000000"),
+                "{message}"
+            ),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        let second = crate::submit(&addr, &good).unwrap();
+        assert!(!first.cache_hit && second.cache_hit);
+        assert_eq!(first.payload, second.payload);
+
+        let stats = daemon.join().unwrap().unwrap();
+        assert_eq!(stats.connections, 3);
+        assert_eq!((stats.job_misses, stats.job_hits), (1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -1,14 +1,42 @@
 //! Property-based tests for the graph substrate: NodeSet laws against a
-//! reference model, generator invariants, parse round-trips, and structural
-//! algorithm properties.
+//! reference model, generator invariants, parse round-trips, the
+//! row-fed topology fingerprint against its reference byte feed, and
+//! structural algorithm properties.
 
 use std::collections::BTreeSet;
 
-use iabc::graph::{algorithms, generators, parse, Digraph, NodeId, NodeSet};
+use iabc::graph::fingerprint::{self, Fnv64};
+use iabc::graph::{algorithms, generators, parse, CompiledTopology, Digraph, NodeId, NodeSet};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 fn set_from(model: &BTreeSet<usize>, universe: usize) -> NodeSet {
     NodeSet::from_indices(universe, model.iter().copied())
+}
+
+/// The topology fingerprint's byte feed as a walk of a compiled CSR, the
+/// form it took before the row-fed `TopologyFeed`: the reference that
+/// feed must reproduce byte for byte. The faulty sub-CSR holds
+/// `(slot, sender)` pairs and is fed in that order.
+fn reference_topology(topo: &CompiledTopology) -> u64 {
+    let n = topo.node_count();
+    let mut h = Fnv64::new();
+    h.write_usize(n);
+    for i in 0..n {
+        h.write_usize(topo.in_offset(i));
+        for &src in topo.in_neighbors_of(i) {
+            h.write_u32(src);
+        }
+        h.write_u8(u8::from(topo.is_faulty(i)));
+        h.write_usize(topo.faulty_in_offset(i));
+        for &(slot, sender) in topo.faulty_in_edges_of(i) {
+            h.write_u32(slot);
+            h.write_u32(sender);
+        }
+    }
+    h.finish()
 }
 
 proptest! {
@@ -68,6 +96,37 @@ proptest! {
         let text = parse::to_edge_list(&g);
         let parsed = parse::parse_edge_list(&text).expect("roundtrip parse");
         prop_assert_eq!(parsed, g);
+    }
+
+    /// Edge lists written shuffled, with repeated lines and rows out of
+    /// order, hash from their CSR rows to the reference feed over the
+    /// compiled topology, under random fault sets.
+    #[test]
+    fn row_fed_topology_hash_matches_the_reference_feed(
+        n in 1usize..40,
+        edges in proptest::collection::vec((0usize..40, 0usize..40), 0..400),
+        repeats in proptest::collection::vec(0usize..400, 0..80),
+        faulty in proptest::collection::btree_set(0usize..40, 0..10),
+        shuffle in any::<u64>(),
+    ) {
+        let mut lines: Vec<(usize, usize)> =
+            edges.into_iter().filter(|&(u, v)| u < n && v < n && u != v).collect();
+        if !lines.is_empty() {
+            let copies: Vec<(usize, usize)> = repeats.iter().map(|&r| lines[r % lines.len()]).collect();
+            lines.extend(copies);
+        }
+        lines.shuffle(&mut StdRng::seed_from_u64(shuffle));
+        let mut text = format!("# shuffled\n{n}\n");
+        for (u, v) in &lines {
+            text.push_str(&format!("{u} {v}\n"));
+        }
+        let faults = NodeSet::from_indices(n, faulty.into_iter().filter(|&v| v < n));
+        let rows = parse::in_rows(&text).expect("a valid edge list");
+        let reference = reference_topology(&rows.compile(&faults));
+        prop_assert_eq!(rows.fingerprint(&faults), reference);
+        let graph = parse::parse_edge_list(&text).expect("a valid edge list");
+        let compiled = CompiledTopology::compile(&graph, &faults);
+        prop_assert_eq!(fingerprint::topology(&compiled), reference);
     }
 
     /// Reversal is an involution that swaps degree profiles.
