@@ -19,18 +19,19 @@
 //!   `iabc_sim::fastmath`, which steps FastMath against the exact tier in
 //!   lockstep and enforces a per-round ULP bound.
 //! * **FastMath is still deterministic.** The lane split, the fold order,
-//!   and the sorting networks are fixed, and the x86-64 intrinsic paths
-//!   perform the same integer operations as the portable code — so
-//!   FastMath output is itself pinned by goldens, just *different* goldens
-//!   from the exact tier's.
+//!   and the sorting networks are fixed, and every per-ISA version of the
+//!   key kernels compiles the same portable body — so FastMath output is
+//!   itself pinned by goldens, just *different* goldens from the exact
+//!   tier's.
 //!
 //! Three mechanical layers deliver the speedup:
 //!
-//! 1. a branch-free sign-magnitude key encode (4-lane unrolled scalar ops,
-//!    with an AVX2 intrinsic path behind runtime feature detection on
-//!    x86-64 — AVX2 lacks a 64-bit arithmetic shift, so the sign mask is
-//!    built with a signed compare against zero and shifted logically,
-//!    which is bit-identical to the portable arithmetic-shift formula);
+//! 1. a branch-free sign-magnitude key encode and decode, and the columnar
+//!    sort's compare-exchange loop over precomputed comparator tables: one
+//!    portable body, compiled for AVX-512F (eight `u64` lanes per
+//!    instruction, native unsigned `min`/`max`), for AVX2 and for the
+//!    baseline, with one runtime dispatch picking the widest version the
+//!    host supports;
 //! 2. a data-oblivious Batcher odd–even sorting network for rows of
 //!    in-degree ≤ 32 (the common case across the bench grid), padded to a
 //!    power of two with `u64::MAX` sentinels that sort past every real
@@ -50,6 +51,8 @@
 //! (vertical SIMD) sort follows the identical construction per lane, so
 //! dense graphs — complete n ≤ 129, circulant degree ≤ 128 — stay on the
 //! vectorized path instead of dropping to the scalar fallback.
+
+use std::sync::OnceLock;
 
 use crate::error::RuleError;
 use crate::rules::{self, TrimmedMean, TrimmedMidpoint, UpdateRule, EXP_MASK, SIGN_BIT};
@@ -98,112 +101,108 @@ fn as_bits_mut(values: &mut [f64]) -> &mut [u64] {
     unsafe { core::slice::from_raw_parts_mut(values.as_mut_ptr().cast::<u64>(), values.len()) }
 }
 
-/// Whether the AVX2 intrinsic paths are usable on this machine. The
-/// detection macro caches in a process-wide static, so this is a load and
-/// a test after the first call.
+/// An instruction-set level the key passes are compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// x86-64 AVX2: four `u64` lanes per instruction.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// x86-64 AVX-512F: eight lanes, with native unsigned 64-bit
+    /// `min`/`max` and arithmetic shift.
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+}
+
+impl Isa {
+    /// The widest level this host supports.
+    fn best() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        for isa in [Isa::Avx512f, Isa::Avx2] {
+            if isa.detected() {
+                return isa;
+            }
+        }
+        Isa::Baseline
+    }
+
+    /// Whether this host supports the level. The detection macro caches
+    /// in a process-wide static, so this is a load and a test.
+    fn detected(self) -> bool {
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+        }
+    }
+}
+
+/// One pass of the key kernels over a buffer.
+#[derive(Debug, Clone, Copy)]
+enum KeyPass<'t> {
+    /// [`biased_key`] on every element.
+    Encode,
+    /// [`unbias_key`] on every element.
+    Decode,
+    /// The compare-exchanges of `table` over slot rows `lanes` keys wide.
+    Sort { lanes: usize, table: &'t [[u8; 2]] },
+}
+
+/// The portable body of every key pass. It is inlined into one wrapper
+/// per [`Isa`], so each level vectorizes the same integer operations.
+/// The one-row scalar paths inline it at the baseline level instead: on
+/// a row of a few keys, the dispatched call and its 512-bit set-up cost
+/// more than the wider vectors save.
+#[inline(always)]
+fn key_pass(pass: KeyPass<'_>, keys: &mut [u64]) {
+    match pass {
+        KeyPass::Encode => keys.iter_mut().for_each(|k| *k = biased_key(*k)),
+        KeyPass::Decode => keys.iter_mut().for_each(|k| *k = unbias_key(*k)),
+        KeyPass::Sort { lanes, table } => {
+            for &[i, j] in table {
+                // i < j: row i ends at or before row j starts.
+                let (lo, hi) = keys.split_at_mut(usize::from(j) * lanes);
+                let row_i = &mut lo[usize::from(i) * lanes..][..lanes];
+                for (a, b) in row_i.iter_mut().zip(&mut hi[..lanes]) {
+                    let (x, y) = (*a, *b);
+                    *a = x.min(y);
+                    *b = x.max(y);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
+#[target_feature(enable = "avx512f")]
+fn key_pass_avx512f(pass: KeyPass<'_>, keys: &mut [u64]) {
+    key_pass(pass, keys);
 }
 
-/// Encodes every element of `bits` to its biased total-order key,
-/// branch-free. Dispatches to AVX2 when available; the intrinsic path
-/// performs the identical integer operations, so the output is
-/// bit-identical either way.
-#[inline]
-fn encode_biased(bits: &mut [u64]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: gated on runtime AVX2 detection.
-        unsafe { encode_biased_avx2(bits) };
-        return;
-    }
-    encode_biased_portable(bits);
-}
-
-/// Decodes biased keys back to the original f64 bit patterns.
-#[inline]
-fn decode_biased(bits: &mut [u64]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: gated on runtime AVX2 detection.
-        unsafe { decode_biased_avx2(bits) };
-        return;
-    }
-    decode_biased_portable(bits);
-}
-
-/// 4-lane unrolled scalar key encode — the portable default, and the
-/// semantics the intrinsic path must match bit-for-bit.
-fn encode_biased_portable(bits: &mut [u64]) {
-    let mut chunks = bits.chunks_exact_mut(4);
-    for c in &mut chunks {
-        c[0] = biased_key(c[0]);
-        c[1] = biased_key(c[1]);
-        c[2] = biased_key(c[2]);
-        c[3] = biased_key(c[3]);
-    }
-    for b in chunks.into_remainder() {
-        *b = biased_key(*b);
-    }
-}
-
-/// 4-lane unrolled scalar key decode.
-fn decode_biased_portable(bits: &mut [u64]) {
-    let mut chunks = bits.chunks_exact_mut(4);
-    for c in &mut chunks {
-        c[0] = unbias_key(c[0]);
-        c[1] = unbias_key(c[1]);
-        c[2] = unbias_key(c[2]);
-        c[3] = unbias_key(c[3]);
-    }
-    for b in chunks.into_remainder() {
-        *b = unbias_key(*b);
-    }
-}
-
-/// AVX2 key encode. AVX2 has no 64-bit arithmetic right shift, so the
-/// all-ones-if-negative mask comes from `cmpgt(0, v)` and is then shifted
-/// *logically* by one — exactly the `((v as i64) >> 63) >> 1` mask of the
-/// portable formula.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn encode_biased_avx2(bits: &mut [u64]) {
-    use core::arch::x86_64::*;
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let zero = _mm256_setzero_si256();
-    let mut chunks = bits.chunks_exact_mut(4);
-    for c in &mut chunks {
-        let p = c.as_mut_ptr().cast::<__m256i>();
-        let v = _mm256_loadu_si256(p);
-        let neg = _mm256_cmpgt_epi64(zero, v);
-        let key = _mm256_xor_si256(_mm256_xor_si256(v, _mm256_srli_epi64(neg, 1)), sign);
-        _mm256_storeu_si256(p, key);
-    }
-    for b in chunks.into_remainder() {
-        *b = biased_key(*b);
-    }
+fn key_pass_avx2(pass: KeyPass<'_>, keys: &mut [u64]) {
+    key_pass(pass, keys);
 }
 
-/// AVX2 key decode — un-bias, rebuild the sign mask from the unbiased
-/// key, XOR it back off.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn decode_biased_avx2(bits: &mut [u64]) {
-    use core::arch::x86_64::*;
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let zero = _mm256_setzero_si256();
-    let mut chunks = bits.chunks_exact_mut(4);
-    for c in &mut chunks {
-        let p = c.as_mut_ptr().cast::<__m256i>();
-        let k = _mm256_xor_si256(_mm256_loadu_si256(p), sign);
-        let neg = _mm256_cmpgt_epi64(zero, k);
-        let out = _mm256_xor_si256(k, _mm256_srli_epi64(neg, 1));
-        _mm256_storeu_si256(p, out);
-    }
-    for b in chunks.into_remainder() {
-        *b = unbias_key(*b);
+/// Runs `pass` compiled for `isa`, or for the baseline when this host
+/// lacks `isa`.
+fn run_keys(isa: Isa, pass: KeyPass<'_>, keys: &mut [u64]) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f if isa.detected() => {
+            // SAFETY: the guard detected AVX-512F on this host.
+            unsafe { key_pass_avx512f(pass, keys) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if isa.detected() => {
+            // SAFETY: the guard detected AVX2 on this host.
+            unsafe { key_pass_avx2(pass, keys) }
+        }
+        _ => key_pass(pass, keys),
     }
 }
 
@@ -353,71 +352,20 @@ pub const COLUMN_PAD: f64 = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
 pub const COLUMN_PAD_KEY: u64 = u64::MAX;
 
 /// Encodes a buffer of raw `f64` bit patterns into biased total-order
-/// keys, in place (AVX2-accelerated when available, bit-identical either
-/// way). The key-domain entry point for callers that gather and sort the
+/// keys, in place (compiled per ISA level, bit-identical on every one).
+/// The key-domain entry point for callers that gather and sort the
 /// same values many times: encode once, sort with [`sort_columns_keys`]
 /// as often as needed, decode only what survives.
 #[inline]
 pub fn encode_keys(bits: &mut [u64]) {
-    encode_biased(bits);
+    run_keys(Isa::best(), KeyPass::Encode, bits);
 }
 
 /// Inverse of [`encode_keys`]: decodes biased keys back into the original
 /// `f64` bit patterns, in place.
 #[inline]
 pub fn decode_keys(bits: &mut [u64]) {
-    decode_biased(bits);
-}
-
-/// One vertical compare-exchange across `lanes` parallel columns:
-/// for each lane `l`, orders the biased keys at `i + l` and `j + l`.
-#[inline]
-fn vce_portable(bits: &mut [u64], i: usize, j: usize, lanes: usize) {
-    for l in 0..lanes {
-        let a = bits[i + l];
-        let b = bits[j + l];
-        bits[i + l] = a.min(b);
-        bits[j + l] = a.max(b);
-    }
-}
-
-/// AVX2 vertical compare-exchange: four lanes per instruction. AVX2 has
-/// no unsigned 64-bit compare, so both operands are range-shifted by the
-/// sign bit and compared signed — the classic trick, bit-identical in
-/// outcome to the portable unsigned `min`/`max`.
-///
-/// # Safety
-///
-/// Caller must guarantee AVX2 is available and `i + lanes <= bits.len()`,
-/// `j + lanes <= bits.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vce_avx2(bits: &mut [u64], i: usize, j: usize, lanes: usize) {
-    use core::arch::x86_64::*;
-    debug_assert!(i + lanes <= bits.len() && j + lanes <= bits.len());
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let base = bits.as_mut_ptr();
-    let mut l = 0;
-    while l + 4 <= lanes {
-        let pa = base.add(i + l).cast::<__m256i>();
-        let pb = base.add(j + l).cast::<__m256i>();
-        let a = _mm256_loadu_si256(pa);
-        let b = _mm256_loadu_si256(pb);
-        // a > b as unsigned ⇔ (a ^ sign) > (b ^ sign) as signed.
-        let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(a, sign), _mm256_xor_si256(b, sign));
-        // cmpgt yields all-ones per 64-bit lane, so the byte-granular
-        // blend selects whole lanes.
-        _mm256_storeu_si256(pa, _mm256_blendv_epi8(a, b, gt));
-        _mm256_storeu_si256(pb, _mm256_blendv_epi8(b, a, gt));
-        l += 4;
-    }
-    while l < lanes {
-        let a = *base.add(i + l);
-        let b = *base.add(j + l);
-        *base.add(i + l) = a.min(b);
-        *base.add(j + l) = a.max(b);
-        l += 1;
-    }
+    run_keys(Isa::best(), KeyPass::Decode, bits);
 }
 
 /// Walks the compare-exchange schedule of Batcher's odd–even mergesort
@@ -466,8 +414,8 @@ fn for_each_batcher_merge(n: usize, p: usize, mut ce: impl FnMut(usize, usize)) 
 /// the replica-batched engine. `values` is slot-major: slot `s`, lane `l`
 /// at `s * lanes + l`, so one compare-exchange of the (data-oblivious)
 /// network orders slot `s` against slot `s'` in **every lane at once** —
-/// four lanes per AVX2 instruction, with the schedule cost amortized over
-/// all of them.
+/// eight lanes per AVX-512F instruction (four under AVX2), walking a
+/// comparator table built once per process.
 ///
 /// The per-column result is byte-identical to [`sort_total_fast`] (and
 /// hence to the exact tier's [`crate::rules::sort_total`]) on that
@@ -497,9 +445,9 @@ fn for_each_batcher_merge(n: usize, p: usize, mut ce: impl FnMut(usize, usize)) 
 /// ```
 pub fn sort_columns_total_fast(values: &mut [f64], lanes: usize) {
     let bits = as_bits_mut(values);
-    encode_biased(bits);
+    encode_keys(bits);
     sort_columns_keys(bits, lanes);
-    decode_biased(bits);
+    decode_keys(bits);
 }
 
 /// Key-domain columnar sort: like [`sort_columns_total_fast`], but the
@@ -525,18 +473,26 @@ pub fn sort_columns_keys(keys: &mut [u64], lanes: usize) {
         slots.is_power_of_two() && slots <= MERGE_MAX_LEN,
         "slot count {slots} must be a power of two <= {MERGE_MAX_LEN} (pad with COLUMN_PAD_KEY)"
     );
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        columnar_schedule(slots, |i, j| {
-            // SAFETY: gated on runtime AVX2 detection; i, j are slot
-            // offsets < slots, so both lane ranges are in bounds.
-            unsafe { vce_avx2(keys, i * lanes, j * lanes, lanes) };
-        });
-        return;
-    }
-    columnar_schedule(slots, |i, j| {
-        vce_portable(keys, i * lanes, j * lanes, lanes)
+    let table = comparator_table(slots);
+    run_keys(Isa::best(), KeyPass::Sort { lanes, table }, keys);
+}
+
+/// The [`columnar_schedule`] of a padded slot count (a power of two from 2
+/// to [`MERGE_MAX_LEN`]) as a comparator table, in schedule order. All
+/// tables are built on the first call and kept for the process.
+fn comparator_table(slots: usize) -> &'static [[u8; 2]] {
+    static TABLES: OnceLock<Vec<Box<[[u8; 2]]>>> = OnceLock::new();
+    let tables = TABLES.get_or_init(|| {
+        (1..=MERGE_MAX_LEN.trailing_zeros())
+            .map(|k| {
+                let mut table = Vec::new();
+                let byte = |s| u8::try_from(s).expect("slot indices stay below MERGE_MAX_LEN");
+                columnar_schedule(1 << k, |i, j| table.push([byte(i), byte(j)]));
+                table.into_boxed_slice()
+            })
+            .collect()
     });
+    &tables[slots.trailing_zeros() as usize - 1]
 }
 
 /// The columnar compare-exchange schedule: for `slots <=`
@@ -578,9 +534,9 @@ fn columnar_schedule(slots: usize, mut ce: impl FnMut(usize, usize)) {
 #[inline]
 pub fn sort_total_fast(values: &mut [f64]) {
     let bits = as_bits_mut(values);
-    encode_biased(bits);
+    key_pass(KeyPass::Encode, bits);
     sort_biased_keys(bits);
-    decode_biased(bits);
+    key_pass(KeyPass::Decode, bits);
 }
 
 /// The 4-lane survivor sum: four independent accumulators folded in a
@@ -666,7 +622,7 @@ pub fn validated_trimmed_survivors_fast(
     }
     if nonfinite > 0 || values.len() < 2 * f {
         // Cold path: undo the transform, then report precisely.
-        decode_biased(as_bits_mut(values));
+        key_pass(KeyPass::Decode, as_bits_mut(values));
         if nonfinite > 0 {
             let bad = values
                 .iter()
@@ -682,7 +638,7 @@ pub fn validated_trimmed_survivors_fast(
     }
     let bits = as_bits_mut(values);
     sort_biased_keys(bits);
-    decode_biased(bits);
+    key_pass(KeyPass::Decode, bits);
     Ok(&values[f..values.len() - f])
 }
 
@@ -1061,6 +1017,87 @@ mod tests {
                             col[s].to_bits(),
                             "slots = {slots}, lanes = {lanes}, lane {l}, slot {s}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The key-pass levels this host runs, baseline first.
+    fn detected_levels() -> Vec<Isa> {
+        let mut levels = vec![Isa::Baseline];
+        #[cfg(target_arch = "x86_64")]
+        levels.extend(
+            [Isa::Avx2, Isa::Avx512f]
+                .into_iter()
+                .filter(|isa| isa.detected()),
+        );
+        levels
+    }
+
+    #[test]
+    fn comparator_tables_replay_the_columnar_schedule() {
+        for slots in (1..=MERGE_MAX_LEN.trailing_zeros()).map(|k| 1usize << k) {
+            let mut schedule = Vec::new();
+            columnar_schedule(slots, |i, j| schedule.push((i, j)));
+            let table: Vec<(usize, usize)> = comparator_table(slots)
+                .iter()
+                .map(|&[i, j]| (usize::from(i), usize::from(j)))
+                .collect();
+            assert_eq!(table, schedule, "slots = {slots}");
+        }
+    }
+
+    #[test]
+    fn every_isa_level_sorts_each_column_like_the_exact_tier() {
+        let levels = detected_levels();
+        println!("column kernels checked at ISA levels: {levels:?}");
+        // Edge-biased draws: half from the tricky pool (±0.0, subnormals,
+        // ±inf, NaN payloads) plus the pad sentinel, half raw bit patterns.
+        let mut pool: Vec<u64> = tricky_values().iter().map(|v| v.to_bits()).collect();
+        pool.push(COLUMN_PAD.to_bits());
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x & 1 == 0 {
+                pool[(x >> 1) as usize % pool.len()]
+            } else {
+                x.rotate_left(17)
+            }
+        };
+        for slots in (1..=MERGE_MAX_LEN.trailing_zeros()).map(|k| 1usize << k) {
+            for lanes in [1usize, 3, 4, 5, 8, 9, 31, 32, 33] {
+                for _ in 0..4 {
+                    let raw: Vec<u64> = (0..slots * lanes).map(|_| draw()).collect();
+                    let mut expect: Vec<Vec<f64>> = (0..lanes)
+                        .map(|l| {
+                            (0..slots)
+                                .map(|s| f64::from_bits(raw[s * lanes + l]))
+                                .collect()
+                        })
+                        .collect();
+                    for col in expect.iter_mut() {
+                        sort_total(col);
+                    }
+                    for &isa in &levels {
+                        let mut keys = raw.clone();
+                        run_keys(isa, KeyPass::Encode, &mut keys);
+                        let encoded: Vec<u64> = raw.iter().map(|&b| biased_key(b)).collect();
+                        assert_eq!(keys, encoded, "{isa:?} encode, {slots} x {lanes}");
+                        let table = comparator_table(slots);
+                        run_keys(isa, KeyPass::Sort { lanes, table }, &mut keys);
+                        run_keys(isa, KeyPass::Decode, &mut keys);
+                        for (l, col) in expect.iter().enumerate() {
+                            for (s, v) in col.iter().enumerate() {
+                                assert_eq!(
+                                    keys[s * lanes + l],
+                                    v.to_bits(),
+                                    "{isa:?}: slots = {slots}, lanes = {lanes}, lane {l}, slot {s}"
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -59,6 +59,8 @@ pub enum ServeError {
     Job(String),
     /// The server answered with an error frame.
     Server(String),
+    /// A compute died without an outcome (its thread panicked).
+    Internal(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -68,6 +70,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Protocol(m) => write!(f, "protocol error: {m}"),
             ServeError::Job(m) => write!(f, "job error: {m}"),
             ServeError::Server(m) => write!(f, "server error: {m}"),
+            ServeError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
 }

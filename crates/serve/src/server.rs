@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::job::{
@@ -104,6 +104,42 @@ impl SingleFlight {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// A flight leader's duty to publish, discharged on drop: the table entry
+/// is removed first, so a submission arriving after the publish finds the
+/// store object (already inserted) instead of a dead flight, then every
+/// parked follower wakes to the outcome. A leader that unwinds out of its
+/// compute publishes [`ServeError::Internal`], so neither its followers
+/// nor later identical submissions park on it forever.
+struct Publish<'a> {
+    flights: &'a SingleFlight,
+    key: u64,
+    flight: Arc<Flight>,
+    outcome: Option<Result<FlightResult, ServeError>>,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            Err(ServeError::Internal(
+                "the identical in-flight compute panicked".into(),
+            ))
+        });
+        // No lock is held across a compute, so neither can be poisoned by
+        // the unwind this may run in; recover anyway rather than abort.
+        self.flights
+            .flights
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        *self
+            .flight
+            .done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        self.flight.cv.notify_all();
     }
 }
 
@@ -314,6 +350,12 @@ pub fn answer_submit(
     };
     match role {
         Role::Leader(flight) => {
+            let mut publish = Publish {
+                flights,
+                key: key.0,
+                flight,
+                outcome: None,
+            };
             // Double-check under leadership: a previous leader may have
             // published between this thread's store probe and winning the
             // table slot. Re-probing here makes "exactly one journaled
@@ -335,13 +377,8 @@ pub fn answer_submit(
                     SubmitDisposition::Miss,
                 ),
             };
-            // Publish order matters: drop the table entry first so a
-            // submission arriving after the publish finds the store
-            // object (already inserted) instead of a dead flight, then
-            // wake every parked follower.
-            flights.flights.lock().unwrap().remove(&key.0);
-            *flight.done.lock().unwrap() = Some(outcome.clone());
-            flight.cv.notify_all();
+            publish.outcome = Some(outcome.clone());
+            drop(publish);
             outcome.map(|result| {
                 (
                     Response::Result {
@@ -616,6 +653,108 @@ impl Server {
 mod tests {
     use super::*;
     use crate::job::{EngineSpec, InputSpec, ScenarioSpec};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A mean-rule scenario on `graph` under the constant adversary.
+    fn scenario(graph: &str) -> JobSpec {
+        JobSpec::Scenario(ScenarioSpec {
+            graph: graph.into(),
+            faulty: vec![],
+            f: 0,
+            rule: "mean".into(),
+            quantum: None,
+            adversary: "constant".into(),
+            seed: 3,
+            inputs: InputSpec::Seeded(3),
+            epsilon: 1e-6,
+            max_rounds: 50,
+            engine: EngineSpec::Synchronous,
+        })
+    }
+
+    type Answer = Result<(Response, SubmitDisposition), ServeError>;
+
+    /// Runs `answer_submit` with a no-op progress callback on its own
+    /// thread and waits up to 30 s for its answer. A thread still parked
+    /// then is left detached: joining it would hang the test.
+    struct Submission(mpsc::Receiver<Answer>, std::thread::JoinHandle<()>);
+
+    impl Submission {
+        fn spawn(store: &Arc<Store>, flights: &Arc<SingleFlight>, job: &JobSpec) -> Self {
+            let (tx, rx) = mpsc::channel();
+            let (store, flights, job) = (Arc::clone(store), Arc::clone(flights), job.clone());
+            let handle = std::thread::spawn(move || {
+                let _ = tx.send(answer_submit(&store, &flights, &job, 1, |_, _, _| {}));
+            });
+            Submission(rx, handle)
+        }
+
+        fn answer(self) -> Result<Answer, mpsc::RecvTimeoutError> {
+            let answer = self.0.recv_timeout(Duration::from_secs(30))?;
+            self.1.join().expect("the submitting thread panicked");
+            Ok(answer)
+        }
+    }
+
+    /// A leader whose compute panics (here its progress callback) must
+    /// not wedge its key: a follower parked on it receives an internal
+    /// error, and the next identical submission computes afresh.
+    #[test]
+    fn a_panicking_leader_releases_its_followers_and_its_key() {
+        let dir = std::env::temp_dir().join(format!("iabc-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let flights = Arc::new(SingleFlight::new());
+        let job = scenario("3\n0 1\n1 0\n1 2\n2 1\n");
+        let key = job.key().unwrap();
+        let expected = match &job {
+            JobSpec::Scenario(spec) => spec.execute().unwrap(),
+            JobSpec::Sweep { .. } => unreachable!(),
+        };
+
+        // The leader's compute waits until a follower holds the flight
+        // (the table, the leader and the follower: three owners), then
+        // panics.
+        let mut follower = None;
+        let leader = catch_unwind(AssertUnwindSafe(|| {
+            answer_submit(&store, &flights, &job, 1, |_, _, _| {
+                follower = Some(Submission::spawn(&store, &flights, &job));
+                let parked = || {
+                    let map = flights.flights.lock().unwrap();
+                    map.get(&key.0).map_or(0, Arc::strong_count) >= 3
+                };
+                while !parked() {
+                    std::thread::yield_now();
+                }
+                panic!("injected compute failure");
+            })
+        }));
+        assert!(leader.is_err(), "the leader's panic propagates");
+        match follower.unwrap().answer() {
+            Ok(Err(ServeError::Internal(_))) => {}
+            other => panic!("the parked follower got {other:?}"),
+        }
+
+        let next = Submission::spawn(&store, &flights, &job)
+            .answer()
+            .expect("an identical submission after the panic parked");
+        match next.unwrap() {
+            (
+                Response::Result {
+                    cache_hit, payload, ..
+                },
+                disposition,
+            ) => {
+                assert_eq!(disposition, SubmitDisposition::Miss);
+                assert!(!cache_hit);
+                assert_eq!(payload, expected);
+            }
+            (other, _) => panic!("expected a result, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     /// A submit whose graph declares 5·10⁹ nodes is answered with an
     /// error frame over a real socket, and the same daemon then answers a
@@ -636,21 +775,6 @@ mod tests {
         let addr = server.local_addr().unwrap().to_string();
         let daemon = std::thread::spawn(move || server.run());
 
-        let scenario = |graph: &str| {
-            JobSpec::Scenario(ScenarioSpec {
-                graph: graph.into(),
-                faulty: vec![],
-                f: 0,
-                rule: "mean".into(),
-                quantum: None,
-                adversary: "constant".into(),
-                seed: 3,
-                inputs: InputSpec::Seeded(3),
-                epsilon: 1e-6,
-                max_rounds: 50,
-                engine: EngineSpec::Synchronous,
-            })
-        };
         let good = scenario("3\n0 1\n1 0\n1 2\n2 1\n");
         let first = crate::submit(&addr, &good).unwrap();
         match crate::submit(&addr, &scenario("5000000000\n0 1\n")) {

@@ -430,8 +430,9 @@ impl<'a> BatchedSimulation<'a> {
                 // pre-encoded keys, pad to a power-of-two slot count,
                 // network-sort all R columns at once (the schedule is
                 // data-oblivious, so one compare-exchange orders a slot
-                // pair in every replica — four per AVX2 instruction),
-                // then decode only the surviving slots. Gathered values
+                // pair in every replica — eight per AVX-512F instruction,
+                // four under AVX2, over a comparator table built once per
+                // process), then decode only the surviving slots. Gathered values
                 // are sanitized finite, so the only rule error — too few
                 // values to trim — is excluded by the guard.
                 self.keybuf.clear();
