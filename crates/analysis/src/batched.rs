@@ -16,9 +16,10 @@
 //!   with equal specs are groupable; their coordinate-hashed seeds stay
 //!   per-cell.
 //! * [`run_sim_cells`] runs a grid of spec'd cells either **dispatched**
-//!   (one width-1 batch per cell — the reference path) or **batched**
-//!   (same-spec cells grouped, first-appearance order, one width-`G`
-//!   batch per group, results scattered back to grid order).
+//!   (one width-1 batch per cell — the reference path that tests and
+//!   benchmarks compare against) or **batched** (same-spec cells grouped,
+//!   first-appearance order, one width-`G` batch per group, results
+//!   scattered back to grid order).
 //!
 //! # Why batching is unobservable in the tables
 //!
@@ -45,9 +46,9 @@
 //!
 //! * `sweep census --replicas R` — the convergence census
 //!   ([`census_conv_cells`]): `R` cells per `(n, f)` differing only in
-//!   seed, so `--batch` collapses them into width-`R` runs.
+//!   seed, which the CLI always collapses into width-`R` runs.
 //!
-//! Two sweep grids have nothing to group, so they take no `--batch`:
+//! Two sweep grids have nothing to group:
 //!
 //! * `sweep experiments` — E-series cells pin the **exact** tier
 //!   (bit-exact single runs), and no path silently
@@ -331,7 +332,7 @@ pub const CENSUS_CONV_EPSILON: f64 = 1e-6;
 /// `census-conv[n=…,f=…,replica=…]`. All `replicas` cells of an `(n, f)`
 /// share a spec (complete topology, first-`f` faults, trimmed-mean `f`,
 /// max-pull attack — the attack that exercises the engine's shared-hull
-/// plan path), so `--batch` collapses each `(n, f)` into one
+/// plan path), so batching collapses each `(n, f)` into one
 /// width-`replicas` run.
 pub fn census_conv_cells(max_n: usize, fs: &[usize], replicas: usize) -> Vec<SimCell> {
     let mut cells = Vec::new();

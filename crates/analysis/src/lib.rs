@@ -11,8 +11,8 @@
 //!   cores with per-cell coordinate-derived seeds, bit-identical for any
 //!   worker count;
 //! * [`batched`] — batched sweep execution: groups same-spec simulation
-//!   cells into one replica-batched FastMath run (`--batch`), byte-
-//!   identical to per-cell dispatch;
+//!   cells into one replica-batched FastMath run (the census's convergence
+//!   table), byte-identical to per-cell dispatch;
 //! * [`experiments`] — one runnable regeneration per paper artifact
 //!   (E1–E12, extensions X1–X13; the README section "The parallel sweep
 //!   runner" shows how to regenerate them).

@@ -15,6 +15,7 @@
 //! contraction exactly: `range(M x) ≤ τ(M) · range(x)` — a per-round,
 //! execution-specific sharpening of the Lemma 5 phase bound (experiment X2).
 
+use iabc_core::rules::sanitize;
 use iabc_core::RuleError;
 use iabc_graph::{Digraph, NodeId, NodeSet};
 use iabc_sim::adversary::{Adversary, AdversaryView};
@@ -141,12 +142,7 @@ pub fn round_matrix(
                     PlannedMessage::Omit => prev[i.index()],
                 };
                 cursor += 1;
-                let v = if raw.is_nan() {
-                    1e100
-                } else {
-                    raw.clamp(-1e100, 1e100)
-                };
-                received.push((v, j, false));
+                received.push((sanitize(raw), j, false));
             } else {
                 received.push((prev[j.index()], j, true));
             }

@@ -15,7 +15,7 @@ use std::time::Instant;
 use iabc_analysis::batched::{self, AdversarySpec, SimCell, SimCellSpec};
 use iabc_analysis::sweep::CellCoords;
 use iabc_core::fastmath::{self, FastRule};
-use iabc_core::rules::{self, TrimmedMean};
+use iabc_core::rules::TrimmedMean;
 use iabc_graph::{generators, CompiledTopology, Digraph, NodeSet};
 use iabc_runtime::{ConstantLiar, LocalTransport, MultiplexConfig, MultiplexedDeployment};
 use iabc_serve::json::{self, Json};
@@ -134,7 +134,7 @@ struct Datapoint {
 /// Every datapoint, in measuring order. The file lists the keyed ones in
 /// this order, then the grid under `results`.
 #[rustfmt::skip]
-static TABLE: [Datapoint; 12] = [
+static TABLE: [Datapoint; 11] = [
     Datapoint { key: "results", rule: Rule::Grid, run: grid },
     Datapoint { key: "parallel", rule: Rule::SameJobs, run: parallel },
     Datapoint { key: "pool", rule: Rule::SameJobs, run: pool },
@@ -144,7 +144,6 @@ static TABLE: [Datapoint; 12] = [
     Datapoint { key: "serve_concurrent", rule: Rule::SameJobs, run: serve_concurrent },
     Datapoint { key: "serve_compaction", rule: Rule::Never, run: serve_compaction },
     Datapoint { key: "fastmath", rule: Rule::SameJobs, run: fastmath },
-    Datapoint { key: "fastmath_scalar", rule: Rule::Never, run: fastmath_scalar },
     Datapoint { key: "replica_batch", rule: Rule::SameJobs, run: replica_batch },
     Datapoint { key: "batched_sweep", rule: Rule::AnyJobs, run: batched_sweep },
 ];
@@ -829,7 +828,7 @@ fn serve_compaction(bench: &mut Bench) -> Res<Vec<Row>> {
     Ok(vec![row])
 }
 
-/// Pseudo-random sort keys for the fast-tier rows.
+/// Pseudo-random sort keys for the fast-tier columns.
 fn sort_values(len: usize) -> Vec<f64> {
     (0..len)
         .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 * 1e-12)
@@ -881,39 +880,6 @@ fn fastmath(bench: &mut Bench) -> Res<Vec<Row>> {
         FASTMATH_F,
         &[("lanes", lanes), ("blocks", blocks)],
     );
-    Ok(vec![row.rates(
-        ("exact_updates_per_sec", exact),
-        ("fast_updates_per_sec", fast),
-        fast / exact,
-    )])
-}
-
-/// The scalar `trim_kernel_fast` against the exact `rules::trim_kernel`,
-/// one row at a time: the ~1x number from before the columnar tier. A
-/// one-row scalar sort is not where the fast tier claims a win, so it is
-/// never compared.
-fn fastmath_scalar(bench: &mut Bench) -> Res<Vec<Row>> {
-    let quick = bench.config.quick;
-    let rows = if quick { 2_000 } else { 8_000 };
-    let len = 16;
-    let reps = if quick { 20 } else { 50 };
-    let values = sort_values(rows * len);
-    let rate = |kernel: &dyn Fn(f64, &mut [f64], usize) -> f64| -> Res<f64> {
-        let mut rowbuf = vec![0.0f64; len];
-        let mut sink = 0.0f64;
-        let passes = per_sec(1, reps, || {
-            for row in values.chunks_exact(len) {
-                rowbuf.copy_from_slice(row);
-                sink += kernel(rowbuf[0], &mut rowbuf, FASTMATH_F);
-            }
-            Ok(())
-        })?;
-        std::hint::black_box(sink);
-        Ok(passes * rows as f64)
-    };
-    let exact = rate(&rules::trim_kernel)?;
-    let fast = rate(&fastmath::trim_kernel_fast)?;
-    let row = Row::new("rows", len, FASTMATH_F, &[("rows", rows)]);
     Ok(vec![row.rates(
         ("exact_updates_per_sec", exact),
         ("fast_updates_per_sec", fast),
@@ -975,10 +941,10 @@ fn replica_batch(bench: &mut Bench) -> Res<Vec<Row>> {
 
 /// A same-topology census slice of 32 cells, differing only in their
 /// coordinate seeds, run per cell vs grouped into one width-32 replica
-/// batch (`sweep … --batch`), both on one worker. The results must be
-/// identical. The in-degree puts every row on the merge-network path and
-/// the constant adversary takes the shared-plan path, as a real `--batch`
-/// census does.
+/// batch (as `sweep census --replicas` groups them), both on one worker.
+/// The results must be identical. The in-degree puts every row on the
+/// merge-network path and the constant adversary takes the shared-plan
+/// path, as a real census does.
 fn batched_sweep(bench: &mut Bench) -> Res<Vec<Row>> {
     let quick = bench.config.quick;
     let cells = 32;
@@ -1066,7 +1032,6 @@ mod tests {
             ("serve_concurrent", "complete", 128, 4),
             ("serve_compaction", "complete", 128, 4),
             ("fastmath", "columns", 64, 2),
-            ("fastmath_scalar", "rows", 16, 2),
             ("replica_batch", "circulant", 256, 2),
             ("batched_sweep", "complete", 48, 1),
         ];
@@ -1198,12 +1163,7 @@ mod tests {
 
     #[test]
     fn informational_rows_are_never_compared() {
-        for key in [
-            "deploy_scale",
-            "serve_compaction",
-            "fastmath_scalar",
-            "parallel",
-        ] {
+        for key in ["deploy_scale", "serve_compaction", "parallel"] {
             let baseline = thousandfold(key, false);
             assert_eq!(
                 verdict(&baseline, &quick_rows(false), 4).as_deref(),
@@ -1380,8 +1340,6 @@ mod tests {
             }),
             (point("fastmath"), Row::new("columns", 64, 2, &[("lanes", 32), ("blocks", 200)])
                 .rates(("exact_updates_per_sec", 916444.858), ("fast_updates_per_sec", 2287655.361), 2.496)),
-            (point("fastmath_scalar"), Row::new("rows", 16, 2, &[("rows", 2000)])
-                .rates(("exact_updates_per_sec", 8562908.477), ("fast_updates_per_sec", 9797214.799), 1.144)),
             (point("replica_batch"), Row::new("circulant", 256, 2, &[("replicas", 32), ("rounds", 20)])
                 .rates(("dispatch_replica_steps_per_sec", 22459.927), ("batched_replica_steps_per_sec", 60420.428), 2.69)),
             (point("batched_sweep"), Row::new("complete", 48, 1, &[("cells", 32), ("rounds", 8)])
@@ -1407,7 +1365,6 @@ mod tests {
   "serve_concurrent": {"topology": "complete", "n": 128, "f": 4, "clients": 4, "hits": 40, "jobs": 4, "sequential_hits_per_sec": 37.175, "concurrent_hits_per_sec": 1010.183, "speedup": 27.174},
   "serve_compaction": {"topology": "complete", "n": 128, "f": 4, "jobs": 4, "informational": true, "records_before": 43, "records_after": 2, "journal_bytes_before": 1419, "journal_bytes_after": 66, "compaction_ratio": 21.500},
   "fastmath": {"topology": "columns", "n": 64, "f": 2, "lanes": 32, "blocks": 200, "jobs": 4, "exact_updates_per_sec": 916444.858, "fast_updates_per_sec": 2287655.361, "speedup": 2.496},
-  "fastmath_scalar": {"topology": "rows", "n": 16, "f": 2, "rows": 2000, "jobs": 4, "informational": true, "exact_updates_per_sec": 8562908.477, "fast_updates_per_sec": 9797214.799, "speedup": 1.144},
   "replica_batch": {"topology": "circulant", "n": 256, "f": 2, "replicas": 32, "rounds": 20, "jobs": 4, "dispatch_replica_steps_per_sec": 22459.927, "batched_replica_steps_per_sec": 60420.428, "speedup": 2.690},
   "batched_sweep": {"topology": "complete", "n": 48, "f": 1, "cells": 32, "rounds": 8, "jobs": 4, "dispatch_cells_per_sec": 558.493, "batched_cells_per_sec": 5675.498, "speedup": 10.162},
   "results": [

@@ -1087,7 +1087,7 @@ pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
             ))
         }
         "census" => {
-            args.reject_unknown("sweep census", &["jobs", "max-n", "f", "replicas", "batch"])?;
+            args.reject_unknown("sweep census", &["jobs", "max-n", "f", "replicas"])?;
             let max_n: usize = args.optional("max-n")?.unwrap_or(4);
             let fs: Vec<usize> = args.list("f")?;
             let fs = if fs.is_empty() { vec![0, 1] } else { fs };
@@ -1106,8 +1106,7 @@ pub fn sweep_cmd(args: &ParsedArgs) -> Result<String, CliError> {
                 format!("exhaustive tolerance census (n = 2..={max_n}, {jobs} jobs)\n\n{table}");
             let replicas: usize = args.optional("replicas")?.unwrap_or(0);
             if replicas > 0 {
-                let batch = args.has_flag("batch");
-                let conv = batched::run_census_conv_sweep(max_n, &fs, replicas, jobs, batch);
+                let conv = batched::run_census_conv_sweep(max_n, &fs, replicas, jobs, true);
                 out.push_str(&format!(
                     "\nconvergence census ({replicas} replicas/cell, max-pull attack, \
                      trimmed-mean)\n\n{conv}"
@@ -1816,6 +1815,10 @@ mod tests {
         // A census beyond the enumerable limit must error, not silently cap.
         let err = run(&argv(&["sweep", "census", "--max-n", "8"])).unwrap_err();
         assert!(err.to_string().contains("monte-carlo"));
+        // The census always groups same-spec cells; there is no switch.
+        let err = run(&argv(&["sweep", "census", "--replicas", "2", "--batch"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("unknown flag --batch"), "{err}");
     }
 
     #[test]
@@ -2592,8 +2595,8 @@ mod tests {
         assert!(json.contains("\"compiled_steps_per_sec\""), "{json}");
         // 6 grid entries + parallel, pool, deploy, deploy_scale,
         // serve_cache, serve_concurrent, serve_compaction, fastmath,
-        // fastmath_scalar, replica_batch, and batched_sweep datapoints.
-        assert_eq!(json.matches("\"topology\"").count(), 17, "{json}");
+        // replica_batch, and batched_sweep datapoints.
+        assert_eq!(json.matches("\"topology\"").count(), 16, "{json}");
         assert!(json.contains("\"parallel\""), "{json}");
         assert!(json.contains("\"serial_steps_per_sec\""), "{json}");
         assert!(json.contains("\"pool\""), "{json}");
@@ -2625,16 +2628,8 @@ mod tests {
             scale_line.contains("\"informational\": true",),
             "{scale_line}"
         );
-        // The scalar kernel faceoff is recorded but check-exempt; the
-        // enforced fastmath line measures the columnar merge-network path.
-        let scalar_line = json
-            .lines()
-            .find(|l| l.contains("\"fastmath_scalar\""))
-            .unwrap();
-        assert!(
-            scalar_line.contains("\"informational\": true"),
-            "{scalar_line}"
-        );
+        // The enforced fastmath line measures the columnar merge-network
+        // path.
         let columnar_line = json.lines().find(|l| l.contains("\"fastmath\":")).unwrap();
         assert!(
             columnar_line.contains("\"lanes\": 32") && columnar_line.contains("\"n\": 64"),

@@ -132,12 +132,11 @@ pub fn usage() -> String {
                                       replicas per eligible graph in one batched\n\
                                       pass, tallying convergence\n\
        sweep census [--max-n 4 --f 0,1] [--replicas R] [--jobs N]\n\
-              [--batch]               exhaustive small-n census, one cell per (n,f);\n\
+                                      exhaustive small-n census, one cell per (n,f);\n\
                                       --replicas R appends a convergence census\n\
                                       (R seeded runs per eligible (n,f), max-pull\n\
-                                      attack); --batch groups same-spec cells into\n\
-                                      one replica-batched FastMath run --\n\
-                                      byte-identical tables either way\n\
+                                      attack, each (n,f)'s runs grouped into one\n\
+                                      replica-batched FastMath run)\n\
        record <file> --f N --faulty A,B --rounds R --out T.txt   record a transcript\n\
        replay <file> --f N --transcript T.txt   verify a recorded run\n\
        deploy --nodes N [--mode threaded|multiplexed] [--jobs J] [--degree D]\n\
@@ -187,10 +186,9 @@ pub const PERF_USAGE: &str = "perf [--quick] [--steps S] [--jobs N] [--out BENCH
                                       random/kite topologies, then parallel, pool,\n\
                                       deploy, deploy_scale, serve_cache,\n\
                                       serve_concurrent, serve_compaction, fastmath,\n\
-                                      fastmath_scalar, replica_batch and\n\
-                                      batched_sweep at --jobs N (default 4);\n\
-                                      --steps sets the step count of the grid and\n\
-                                      of parallel\n\
+                                      replica_batch and batched_sweep at --jobs N\n\
+                                      (default 4); --steps sets the step count of\n\
+                                      the grid and of parallel\n\
        perf --check [--baseline FILE] [--tolerance 0.4]\n\
                                       diff a fresh run against the committed\n\
                                       BENCH_hotpath.json and fail on a speedup\n\

@@ -18,15 +18,17 @@
 //! bit-for-bit result (the left-to-right survivor sum in
 //! [`average_with_own`] is part of the contract), and every golden,
 //! proptest, and cross-engine equivalence suite in the workspace is
-//! anchored to it. [`crate::fastmath`] is the **FastMath tier**: opt-in
-//! vectorized counterparts (`sort_total_fast`, `trim_kernel_fast`, the
-//! [`crate::fastmath::FastRule`] family) whose *sorting and trimming are
-//! byte-identical* to this module but whose survivor sum folds four lanes
-//! and may differ by a few ULPs. Nothing routes through FastMath unless a
-//! caller asks for it, and the epsilon-audit harness in `iabc_sim`
-//! bounds the per-round divergence against this tier. When in doubt, use
-//! this module; reach for FastMath only on throughput-bound replica
-//! sweeps.
+//! anchored to it. [`crate::fastmath`] is the **FastMath tier**: a
+//! columnar sort that orders many replicas' rows at once, and the
+//! [`crate::fastmath::FastRule`] family the batched engine in `iabc_sim`
+//! applies with it. That engine is bit-identical to this module — it
+//! sums each lane left to right and runs these rules on the rows its
+//! sorting networks do not cover — and its epsilon-audit harness checks
+//! it against this tier at 0 ULPs. Nothing routes through FastMath unless
+//! a caller asks for it; reach for it on throughput-bound replica sweeps.
+//!
+//! Every engine clamps received values with [`sanitize`] before a rule
+//! sees them.
 
 use std::fmt;
 
@@ -190,6 +192,28 @@ pub fn average_with_own(own: f64, survivors: &[f64]) -> f64 {
 #[inline]
 pub fn trim_kernel(own: f64, values: &mut [f64], f: usize) -> f64 {
     average_with_own(own, trimmed_survivors(values, f))
+}
+
+/// Sentinel magnitude for sanitized non-finite Byzantine payloads. Large
+/// enough to land in the trimmed tails, small enough that partial sums stay
+/// finite.
+pub const SANITIZE_CLAMP: f64 = 1e100;
+
+/// Clamps a received value to a finite one, so that honest arithmetic
+/// stays well-defined: NaN maps to `+SANITIZE_CLAMP` (it will sit in a
+/// trimmed tail like any other outlier), and everything else is clamped
+/// to `±SANITIZE_CLAMP`. Every engine and runtime applies it at the
+/// receiver boundary, which is what keeps their trajectories identical.
+///
+/// `#[inline]` because the generic node loops that call it once per
+/// received message are instantiated in other crates.
+#[inline]
+pub fn sanitize(v: f64) -> f64 {
+    if v.is_nan() {
+        SANITIZE_CLAMP
+    } else {
+        v.clamp(-SANITIZE_CLAMP, SANITIZE_CLAMP)
+    }
 }
 
 /// The fused `(µ, U)` extremes scan over the **fault-free** entries of a
@@ -464,6 +488,14 @@ mod tests {
     fn honest_extremes_rejects_non_finite_honest_state() {
         use iabc_graph::NodeSet;
         honest_extremes(&[f64::NAN], &NodeSet::with_universe(1));
+    }
+
+    #[test]
+    fn sanitize_clamps_non_finite() {
+        assert_eq!(sanitize(f64::INFINITY), SANITIZE_CLAMP);
+        assert_eq!(sanitize(f64::NEG_INFINITY), -SANITIZE_CLAMP);
+        assert_eq!(sanitize(f64::NAN), SANITIZE_CLAMP);
+        assert_eq!(sanitize(3.5), 3.5);
     }
 
     #[test]

@@ -15,23 +15,11 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use iabc_core::rules::trim_kernel;
+use iabc_core::rules::{sanitize, trim_kernel};
 use iabc_graph::{Digraph, NodeId, NodeSet};
 
 use crate::behavior::LocalByzantine;
 use crate::error::RuntimeError;
-
-/// Mirrors the simulator's receiver-side sanitization so that the threaded
-/// deployment and the deterministic engine compute identical trajectories.
-const SANITIZE_CLAMP: f64 = 1e100;
-
-pub(crate) fn sanitize(v: f64) -> f64 {
-    if v.is_nan() {
-        SANITIZE_CLAMP
-    } else {
-        v.clamp(-SANITIZE_CLAMP, SANITIZE_CLAMP)
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Message {

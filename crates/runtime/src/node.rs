@@ -9,11 +9,10 @@
 //! [`trim_kernel`](iabc_core::rules::trim_kernel), faulty nodes refresh the
 //! local inbox their [`LocalByzantine`] strategy is allowed to see.
 
-use iabc_core::rules::trim_kernel;
+use iabc_core::rules::{sanitize, trim_kernel};
 use iabc_graph::{CompiledTopology, NodeId};
 
 use crate::behavior::LocalByzantine;
-use crate::deploy::sanitize;
 use crate::mailbox::Mailboxes;
 
 /// A faulty node: its strategy and the raw (unsanitized) values it

@@ -15,7 +15,7 @@
 //!   withhold. Survivor count is `|N⁻_i| − 3f`, whence the §7 requirement
 //!   `|N⁻_i| ≥ 3f + 1` (and the `2f + 1` threshold in the async `⇒`).
 
-use iabc_core::rules::{TrimmedMean, UpdateRule};
+use iabc_core::rules::{sanitize, TrimmedMean, UpdateRule};
 use iabc_core::RuleError;
 use iabc_exec::{Chunking, Executor, ScratchPool};
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
@@ -359,7 +359,7 @@ impl<'a> DelayBoundedSim<'a> {
                     let planned = self.plan.get(cursor);
                     cursor += 1;
                     match planned {
-                        PlannedMessage::Value(raw) => Some(crate::engine::sanitize(raw)),
+                        PlannedMessage::Value(raw) => Some(sanitize(raw)),
                         PlannedMessage::Omit => None,
                     }
                 } else {

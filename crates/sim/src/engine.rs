@@ -32,7 +32,7 @@
 use std::fmt;
 
 use iabc_core::fault_model::IdentifiedRule;
-use iabc_core::rules::UpdateRule;
+use iabc_core::rules::{sanitize, UpdateRule};
 use iabc_core::RuleError;
 use iabc_exec::{Chunking, Executor, ScratchPool};
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
@@ -44,11 +44,6 @@ use crate::plan::{
     dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, PlannedMessage, RoundPlan,
 };
 use crate::run::{check_inputs, honest_range_of, Engine, Outcome, RunConfig, StepStatus};
-
-/// Sentinel magnitude for sanitized non-finite Byzantine payloads. Large
-/// enough to land in the trimmed tails, small enough that partial sums stay
-/// finite.
-pub(crate) const SANITIZE_CLAMP: f64 = 1e100;
 
 /// The rule side of the kernel: the shape of one received message and how
 /// the rule consumes a gathered row. Implemented for `&dyn UpdateRule`
@@ -555,22 +550,6 @@ fn step_node<R: RoundRule>(
     Ok(())
 }
 
-/// Clamps Byzantine payloads to finite sentinels so that honest arithmetic
-/// stays well-defined. NaN maps to `+SANITIZE_CLAMP` (it will sit in a
-/// trimmed tail like any other outlier).
-///
-/// `#[inline]` because the generic node loop is instantiated in the
-/// calling crate, where a non-inline helper from this crate would cost one
-/// call per received message.
-#[inline]
-pub(crate) fn sanitize(v: f64) -> f64 {
-    if v.is_nan() {
-        SANITIZE_CLAMP
-    } else {
-        v.clamp(-SANITIZE_CLAMP, SANITIZE_CLAMP)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,14 +832,6 @@ mod tests {
         assert_eq!(out.rounds, 7);
         assert!(!out.converged);
         assert!(out.final_range > 0.0);
-    }
-
-    #[test]
-    fn sanitize_clamps_non_finite() {
-        assert_eq!(sanitize(f64::INFINITY), SANITIZE_CLAMP);
-        assert_eq!(sanitize(f64::NEG_INFINITY), -SANITIZE_CLAMP);
-        assert_eq!(sanitize(f64::NAN), SANITIZE_CLAMP);
-        assert_eq!(sanitize(3.5), 3.5);
     }
 
     #[test]

@@ -12,20 +12,27 @@
 //! lockstep with states laid out **replica-major** (one `Vec<f64>` of
 //! `n × R`, node `i` replica `r` at `i*R + r`): one compile, one CSR row
 //! walk per round that gathers `R` contiguous lanes per in-neighbour, and
-//! the [`iabc_core::fastmath`] kernel applied per lane.
+//! the [`iabc_core::fastmath`] column sort applied to all lanes at once.
 //!
-//! # The epsilon contract
+//! # The contract: bit-identity with the exact tier
 //!
-//! The batched engine uses the FastMath tier
-//! ([`iabc_core::fastmath::FastRule`]), whose sorting/trimming is
-//! byte-identical to the exact tier but whose survivor sum may differ by a
-//! few ULPs. [`epsilon_audit`] makes that bound *checked*: it steps a
-//! fresh batch against `R` exact-tier [`crate::Simulation`]s in lockstep,
-//! compares every `(node, replica)` state each round under a ULP bound,
-//! and then **resynchronizes** the batch to the exact states — so
-//! adversary plans stay bit-identical on both sides and the bound
-//! genuinely measures *per-round kernel error*, not compounded drift.
-//! A deliberately wrong kernel must fail the audit;
+//! The batched engine is **bit-identical to the exact tier**. Each row is
+//! gathered once, as sanitized biased keys, and then takes one of two
+//! paths. Rows of `2f` to [`MERGE_MAX_LEN`] values sort on the columnar
+//! networks (byte-identical to the exact sort) and fold each lane's
+//! survivors left to right from `-0.0`, exactly as
+//! [`iabc_core::rules::average_with_own`] does. Every other row — too short
+//! to trim, or past the networks — decodes its lanes and runs the exact
+//! rule ([`FastRule::exact`]) on each, so a short row reports the exact
+//! tier's error.
+//!
+//! [`epsilon_audit`] makes that *checked*: it steps a fresh batch against
+//! `R` exact-tier [`crate::Simulation`]s in lockstep, compares every
+//! `(node, replica)` state each round under a ULP bound (the audit suite
+//! runs it at 0), and then **resynchronizes** the batch to the exact
+//! states — so adversary plans stay bit-identical on both sides and the
+//! bound measures *per-round kernel error*, not compounded drift. A
+//! deliberately wrong kernel must fail the audit;
 //! [`BatchedSimulation::with_perturbation`] exists so tests can prove the
 //! harness bites (see `tests/fastmath_audit.rs`).
 //!
@@ -49,10 +56,10 @@ use iabc_core::fastmath::{
     biased_key, decode_keys, encode_keys, sort_columns_keys, ulp_distance, FastRule,
     COLUMN_PAD_KEY, MERGE_MAX_LEN,
 };
+use iabc_core::rules::{sanitize, UpdateRule};
 use iabc_graph::{CompiledTopology, Digraph, NodeId, NodeSet};
 
 use crate::adversary::{Adversary, AdversaryView, BatchPlan};
-use crate::engine::{sanitize, SANITIZE_CLAMP};
 use crate::error::SimError;
 use crate::plan::{
     dense_slot_table, fill_plan, sub_csr_edges, PlannedEdge, PlannedMessage, RoundPlan,
@@ -64,14 +71,17 @@ use crate::run::RunConfig;
 /// [module docs](self).
 ///
 /// Built through [`crate::Scenario::monte_carlo_batch`] or directly via
-/// [`BatchedSimulation::new`]. This engine is FastMath-only — for
-/// bit-exact single runs use [`crate::Simulation`].
+/// [`BatchedSimulation::new`]. Each replica's trajectory is bit-identical
+/// to a [`crate::Simulation`] run of the matching exact rule.
 #[derive(Debug)]
 pub struct BatchedSimulation<'a> {
     graph: &'a Digraph,
     compiled: CompiledTopology,
     fault_set: NodeSet,
     rule: FastRule,
+    /// `rule.exact()`, built once: the rule of every row the columnar
+    /// networks do not cover.
+    exact: Box<dyn UpdateRule>,
     replicas: usize,
     /// One independent adversary per replica (each holds its own RNG
     /// stream / caches, exactly as `R` separate engines would).
@@ -87,16 +97,11 @@ pub struct BatchedSimulation<'a> {
     /// Per-replica n-length column snapshot (the adversary view's state
     /// vector — adversaries speak the scalar layout).
     snapshot: Vec<f64>,
-    /// Slot-major gather buffer: slot `s`, replica `r` at `s * replicas + r`.
-    scratch: Vec<f64>,
-    /// Per-replica sort buffer handed to the FastMath kernel.
+    /// Per-lane scratch: the vertical reduce's `R` survivor sums, or one
+    /// lane's decoded row for the exact rule.
     sortbuf: Vec<f64>,
-    /// True when at least one fault-free row fits the columnar network
-    /// path (unrolled or merge networks) — gates the per-round
-    /// key-encode prologue.
-    columnar: bool,
-    /// Fault-free rows that take the scalar per-replica fallback (too
-    /// short to trim, or in-degree past [`MERGE_MAX_LEN`]) — fixed at
+    /// Fault-free rows the columnar networks do not cover (too short to
+    /// trim, or in-degree past [`MERGE_MAX_LEN`]) — fixed at
     /// construction; see [`BatchedSimulation::scalar_fallback_rows`].
     scalar_fallback_rows: usize,
     /// The one [`BatchPlan`] every replica's adversary reported, if the
@@ -112,12 +117,23 @@ pub struct BatchedSimulation<'a> {
     /// are receiver-independent, so encoding per out-edge would redo the
     /// same work `deg` times).
     keys: Vec<u64>,
-    /// Slot-major key gather for the columnar path (layout of `scratch`).
+    /// Slot-major key gather of one row, sized once for the widest padded
+    /// row: slot `s`, replica `r` at `row_offset + s * replicas + r`.
     keybuf: Vec<u64>,
+    /// Where the row starts in `keybuf`: its first 64-byte boundary, so
+    /// the column kernels' vector loads never split a cache line whatever
+    /// the allocator hands out.
+    row_offset: usize,
     exec: iabc_exec::Executor,
     /// Testing hook: added to every fault-free update. See
     /// [`BatchedSimulation::with_perturbation`].
     perturbation: f64,
+}
+
+/// Whether a row of `deg` values sorts on the columnar networks under a
+/// rule trimming `f` per side; every other row runs the exact rule.
+fn fits_networks(deg: usize, f: usize) -> bool {
+    2 * f <= deg && deg <= MERGE_MAX_LEN
 }
 
 impl<'a> BatchedSimulation<'a> {
@@ -171,21 +187,12 @@ impl<'a> BatchedSimulation<'a> {
             &mut slot_edges,
         );
         let adversaries: Vec<Box<dyn Adversary>> = (0..replicas).map(&mut make_adversary).collect();
-        let max_deg = compiled.max_in_degree();
-        let f = rule.f();
-        let mut columnar = false;
-        let mut scalar_fallback_rows = 0;
-        for i in 0..n {
-            if compiled.is_faulty(i) {
-                continue;
-            }
-            let deg = compiled.in_neighbors_of(i).len();
-            if deg >= 2 * f.max(1) && deg <= MERGE_MAX_LEN {
-                columnar = true;
-            } else {
-                scalar_fallback_rows += 1;
-            }
-        }
+        let scalar_fallback_rows = (0..n)
+            .filter(|&i| {
+                !compiled.is_faulty(i)
+                    && !fits_networks(compiled.in_neighbors_of(i).len(), rule.f())
+            })
+            .count();
         // The shared-plan fast path needs every replica to report the
         // same deterministic plan — one randomized lane forces the full
         // per-replica protocol for all of them.
@@ -193,11 +200,17 @@ impl<'a> BatchedSimulation<'a> {
             .first()
             .and_then(|a| a.batch_plan())
             .filter(|p| adversaries.iter().all(|a| a.batch_plan() == Some(*p)));
+        let max_deg = compiled.max_in_degree();
+        // Seven spare keys: room to start the widest row on a 64-byte
+        // boundary wherever the allocation lands.
+        let keybuf = vec![0u64; max_deg.next_power_of_two() * replicas + 7];
+        let row_offset = keybuf.as_ptr().align_offset(64).min(7);
         Ok(BatchedSimulation {
             graph,
             compiled,
             fault_set,
             rule,
+            exact: rule.exact(),
             replicas,
             adversaries,
             plans: (0..replicas).map(|_| RoundPlan::new()).collect(),
@@ -207,15 +220,14 @@ impl<'a> BatchedSimulation<'a> {
             planned_edges,
             slot_edges,
             snapshot: vec![0.0; n],
-            scratch: Vec::with_capacity(max_deg * replicas),
-            sortbuf: Vec::with_capacity(max_deg),
-            columnar,
+            sortbuf: Vec::with_capacity(max_deg.max(replicas)),
             scalar_fallback_rows,
             shared_plan,
             plan_sharing: true,
             shared_values: Vec::new(),
             keys: Vec::new(),
-            keybuf: Vec::new(),
+            keybuf,
+            row_offset,
             exec: iabc_exec::Executor::serial(),
             perturbation: 0.0,
         })
@@ -247,12 +259,12 @@ impl<'a> BatchedSimulation<'a> {
         self.replicas
     }
 
-    /// Fault-free rows that take the scalar per-replica fallback instead
-    /// of the columnar network path: rows too short to trim (the rule
-    /// must report its own error with exact-tier precedence) or with
-    /// in-degree past [`MERGE_MAX_LEN`]. Zero means every update in
-    /// every round runs vectorized — e.g. complete `n = 100` (in-degree
-    /// 99) is fully covered by the merge networks.
+    /// Fault-free rows that run the exact rule per replica instead of the
+    /// columnar network path: rows too short to trim (the rule reports
+    /// the exact tier's error) or with in-degree past [`MERGE_MAX_LEN`].
+    /// Zero means every update in every round runs vectorized — e.g.
+    /// complete `n = 100` (in-degree 99) is fully covered by the merge
+    /// networks.
     pub fn scalar_fallback_rows(&self) -> usize {
         self.scalar_fallback_rows
     }
@@ -408,12 +420,11 @@ impl<'a> BatchedSimulation<'a> {
         // key domain once per round. A value's key does not depend on the
         // receiver, so encoding inside the per-node gather would redo the
         // same transform out-degree times.
-        if self.columnar {
-            self.keys.clear();
-            self.keys
-                .extend(self.states.iter().map(|&v| sanitize(v).to_bits()));
-            encode_keys(&mut self.keys);
-        }
+        self.keys.clear();
+        self.keys
+            .extend(self.states.iter().map(|&v| sanitize(v).to_bits()));
+        encode_keys(&mut self.keys);
+        let f = self.rule.f();
         // Phase 2: one CSR walk advances every replica.
         for i in 0..n {
             if self.compiled.is_faulty(i) {
@@ -421,87 +432,87 @@ impl<'a> BatchedSimulation<'a> {
             }
             let row = self.compiled.in_neighbors_of(i);
             let deg = row.len();
-            let f = self.rule.f();
+            let columnar = fits_networks(deg, f);
+            // Mean never trims, and the exact rule sums in gather order —
+            // sorting would only reorder (and so reassociate) its sum, so
+            // the network runs for the trimming rules only.
+            let sorted = columnar && !matches!(self.rule, FastRule::Mean);
+            let slots = if sorted { deg.next_power_of_two() } else { deg };
+            let buf = &mut self.keybuf[self.row_offset..][..slots * r_count];
+            // One gather of the pre-encoded keys, then one patch of the
+            // faulty slots from the round's plan.
+            for (dst, &j) in buf.chunks_exact_mut(r_count).zip(row) {
+                let j = j as usize * r_count;
+                dst.copy_from_slice(&self.keys[j..j + r_count]);
+            }
             let base = self.compiled.faulty_in_offset(i) as u32;
             let fedges = self.compiled.faulty_in_edges_of(i);
-            if deg >= 2 * f.max(1) && deg <= MERGE_MAX_LEN {
-                // Columnar fast path (unrolled networks to 32 slots,
-                // block-sort + merge networks to 128): gather the
-                // pre-encoded keys, pad to a power-of-two slot count,
-                // network-sort all R columns at once (the schedule is
-                // data-oblivious, so one compare-exchange orders a slot
-                // pair in every replica — eight per AVX-512F instruction,
-                // four under AVX2, over a comparator table built once per
-                // process), then decode only the surviving slots. Gathered values
-                // are sanitized finite, so the only rule error — too few
-                // values to trim — is excluded by the guard.
-                self.keybuf.clear();
-                for &j in row {
-                    let src = &self.keys[j as usize * r_count..j as usize * r_count + r_count];
-                    self.keybuf.extend_from_slice(src);
-                }
-                match shared {
-                    // Conforming sends the sender's own state — exactly
-                    // the key the gather already placed in that slot.
-                    Some(BatchPlan::Conforming) => {}
-                    // Constant / Pull: one planned value per lane.
-                    Some(_) => {
-                        for &(slot, _sender) in fedges {
-                            let lane = slot as usize * r_count;
-                            for r in 0..r_count {
-                                self.keybuf[lane + r] =
-                                    biased_key(sanitize(self.shared_values[r]).to_bits());
-                            }
-                        }
-                    }
-                    None => {
-                        for (k, &(slot, _sender)) in fedges.iter().enumerate() {
-                            let lane = slot as usize * r_count;
-                            for r in 0..r_count {
-                                let raw = match self.plans[r].get(base + k as u32) {
-                                    PlannedMessage::Value(v) => v,
-                                    PlannedMessage::Omit => self.states[i * r_count + r],
-                                };
-                                self.keybuf[lane + r] = biased_key(sanitize(raw).to_bits());
-                            }
+            match shared {
+                // Conforming sends the sender's own state — exactly the key
+                // the gather already placed in that slot.
+                Some(BatchPlan::Conforming) => {}
+                // Constant / Pull: one planned value per lane.
+                Some(_) => {
+                    for &(slot, _sender) in fedges {
+                        let lane = slot as usize * r_count;
+                        for r in 0..r_count {
+                            buf[lane + r] = biased_key(sanitize(self.shared_values[r]).to_bits());
                         }
                     }
                 }
-                // Mean never trims, and the exact rule sums in gather
-                // order — sorting would only reorder (and so reassociate)
-                // its sum, so the network runs for the trimming rules only.
-                if !matches!(self.rule, FastRule::Mean) {
-                    self.keybuf
-                        .resize(deg.next_power_of_two() * r_count, COLUMN_PAD_KEY);
-                    sort_columns_keys(&mut self.keybuf, r_count);
+                None => {
+                    for (k, &(slot, _sender)) in fedges.iter().enumerate() {
+                        let lane = slot as usize * r_count;
+                        for r in 0..r_count {
+                            let raw = match self.plans[r].get(base + k as u32) {
+                                PlannedMessage::Value(v) => v,
+                                PlannedMessage::Omit => self.states[i * r_count + r],
+                            };
+                            buf[lane + r] = biased_key(sanitize(raw).to_bits());
+                        }
+                    }
                 }
-                let own_lane = i * r_count;
+            }
+            let own_lane = i * r_count;
+            if columnar {
+                // Columnar path (one 32-slot network, or 32-slot blocks
+                // fused by merge stages up to 128): pad to a power-of-two
+                // slot count, network-sort all R columns at once (the
+                // schedule is data-oblivious, so one compare-exchange
+                // orders a slot pair in every replica — eight per AVX-512F
+                // instruction, four under AVX2, over a comparator table
+                // built once per process), then decode only the surviving
+                // slots. Gathered values are sanitized finite, so the only
+                // rule error — too few values to trim — is excluded by the
+                // guard.
+                if sorted {
+                    buf[deg * r_count..].fill(COLUMN_PAD_KEY);
+                    sort_columns_keys(buf, r_count);
+                }
                 match self.rule {
                     FastRule::TrimmedMean(_) | FastRule::Mean => {
                         // Vertical survivor reduction: decode the (contiguous)
                         // surviving slot rows, then add each row into
-                        // per-replica accumulators. Every replica's sum stays
-                        // the exact tier's left-to-right fold (the
-                        // accumulators are independent, so the compiler
-                        // vectorizes across replicas without reassociating
-                        // within one), making this path bit-identical to
-                        // `rules::average_with_own` over the sanitized gather.
+                        // per-replica accumulators. Every replica's sum is the
+                        // exact tier's left-to-right fold, started at -0.0 as
+                        // `Iterator::sum` starts (the accumulators are
+                        // independent, so the compiler vectorizes across
+                        // replicas without reassociating within one), making
+                        // this path bit-identical to `rules::average_with_own`
+                        // over the sanitized gather.
                         let weight = 1.0 / ((deg - 2 * f) as f64 + 1.0);
-                        decode_keys(&mut self.keybuf[f * r_count..(deg - f) * r_count]);
+                        let survivors = &mut buf[f * r_count..(deg - f) * r_count];
+                        decode_keys(survivors);
                         self.sortbuf.clear();
-                        self.sortbuf.resize(r_count, 0.0);
-                        for s in f..deg - f {
-                            let srow = &self.keybuf[s * r_count..(s + 1) * r_count];
+                        self.sortbuf.resize(r_count, -0.0);
+                        for srow in survivors.chunks_exact(r_count) {
                             for (acc, &b) in self.sortbuf.iter_mut().zip(srow) {
                                 *acc += f64::from_bits(b);
                             }
                         }
                         for r in 0..r_count {
-                            let mut out = weight * (self.states[own_lane + r] + self.sortbuf[r]);
-                            if self.perturbation != 0.0 {
-                                out += self.perturbation;
-                            }
-                            self.next[own_lane + r] = out;
+                            self.next[own_lane + r] =
+                                weight * (self.states[own_lane + r] + self.sortbuf[r]);
                         }
                     }
                     FastRule::TrimmedMidpoint(_) => {
@@ -509,94 +520,51 @@ impl<'a> BatchedSimulation<'a> {
                         // those rows (once each: decode is not an involution).
                         // When the trim consumes the whole gather (deg == 2f)
                         // the midpoint degenerates to `own`, matching the
-                        // scalar rule.
+                        // exact rule.
                         if deg > 2 * f {
                             let (lo_row, hi_row) = (f * r_count, (deg - f - 1) * r_count);
-                            decode_keys(&mut self.keybuf[lo_row..lo_row + r_count]);
+                            decode_keys(&mut buf[lo_row..lo_row + r_count]);
                             if hi_row != lo_row {
-                                decode_keys(&mut self.keybuf[hi_row..hi_row + r_count]);
+                                decode_keys(&mut buf[hi_row..hi_row + r_count]);
                             }
                             for r in 0..r_count {
                                 let own = self.states[own_lane + r];
-                                let lo = f64::from_bits(self.keybuf[lo_row + r]).min(own);
-                                let hi = f64::from_bits(self.keybuf[hi_row + r]).max(own);
-                                let mut out = (lo + hi) / 2.0;
-                                if self.perturbation != 0.0 {
-                                    out += self.perturbation;
-                                }
-                                self.next[own_lane + r] = out;
+                                let lo = f64::from_bits(buf[lo_row + r]).min(own);
+                                let hi = f64::from_bits(buf[hi_row + r]).max(own);
+                                self.next[own_lane + r] = (lo + hi) / 2.0;
                             }
                         } else {
                             for r in 0..r_count {
                                 let own = self.states[own_lane + r];
-                                let mut out = (own + own) / 2.0;
-                                if self.perturbation != 0.0 {
-                                    out += self.perturbation;
-                                }
-                                self.next[own_lane + r] = out;
+                                self.next[own_lane + r] = (own + own) / 2.0;
                             }
                         }
                     }
                 }
             } else {
-                // Scalar fallback (rows past the network bound, or too
-                // short to trim — the latter so the rule reports its own
-                // error with exact-tier precedence): gather and sanitize
-                // the raw values, then run each replica through the
-                // scalar FastMath kernel.
-                self.scratch.clear();
-                for &j in row {
-                    let src = &self.states[j as usize * r_count..j as usize * r_count + r_count];
-                    self.scratch.extend_from_slice(src);
-                }
-                // Branchless sanitize (clamp propagates NaN, the select
-                // maps it to the clamp value — same function as
-                // `engine::sanitize`) so the pass auto-vectorizes.
-                for v in self.scratch.iter_mut() {
-                    let c = (*v).clamp(-SANITIZE_CLAMP, SANITIZE_CLAMP);
-                    *v = if c.is_nan() { SANITIZE_CLAMP } else { c };
-                }
-                match shared {
-                    // Same no-op as the columnar branch: the sanitized
-                    // gather already holds each faulty sender's state.
-                    Some(BatchPlan::Conforming) => {}
-                    Some(_) => {
-                        for &(slot, _sender) in fedges {
-                            let lane = slot as usize * r_count;
-                            for r in 0..r_count {
-                                self.scratch[lane + r] = sanitize(self.shared_values[r]);
-                            }
-                        }
-                    }
-                    None => {
-                        for (k, &(slot, _sender)) in fedges.iter().enumerate() {
-                            let lane = slot as usize * r_count;
-                            for r in 0..r_count {
-                                let raw = match self.plans[r].get(base + k as u32) {
-                                    PlannedMessage::Value(v) => v,
-                                    PlannedMessage::Omit => self.states[i * r_count + r],
-                                };
-                                self.scratch[lane + r] = sanitize(raw);
-                            }
-                        }
-                    }
-                }
+                // Rows the networks do not cover — too short to trim, or
+                // past MERGE_MAX_LEN: each replica's decoded row goes
+                // through the exact rule, so a short row reports the exact
+                // tier's error and a wide row matches it bit for bit.
+                decode_keys(buf);
                 for r in 0..r_count {
                     self.sortbuf.clear();
                     self.sortbuf
-                        .extend((0..deg).map(|s| self.scratch[s * r_count + r]));
-                    let own = self.states[i * r_count + r];
-                    let mut out = self.rule.update(own, &mut self.sortbuf).map_err(|source| {
-                        SimError::Rule {
-                            node: i,
-                            round: self.round,
-                            source,
-                        }
-                    })?;
-                    if self.perturbation != 0.0 {
-                        out += self.perturbation;
-                    }
-                    self.next[i * r_count + r] = out;
+                        .extend(buf[r..].iter().step_by(r_count).map(|&b| f64::from_bits(b)));
+                    let own = self.states[own_lane + r];
+                    self.next[own_lane + r] =
+                        self.exact
+                            .update(own, &mut self.sortbuf)
+                            .map_err(|source| SimError::Rule {
+                                node: i,
+                                round: self.round,
+                                source,
+                            })?;
+                }
+            }
+            if self.perturbation != 0.0 {
+                for out in &mut self.next[own_lane..own_lane + r_count] {
+                    *out += self.perturbation;
                 }
             }
         }
@@ -871,9 +839,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_replica_scalar_runs_within_ulps() {
-        // Each replica of the batch must land (per round, within the
-        // FastMath epsilon) where its own scalar engine lands.
+    fn batch_matches_per_replica_scalar_runs_bit_for_bit() {
+        // Each replica of the batch must land (per round, bit for bit)
+        // where its own scalar engine lands.
         let g = generators::complete(7);
         let faults = NodeSet::from_indices(7, [5, 6]);
         let replicas = 4;
@@ -890,9 +858,9 @@ mod tests {
             make,
         )
         .unwrap();
-        let report = epsilon_audit(&mut batch, make, 25, 4).unwrap();
+        let report = epsilon_audit(&mut batch, make, 25, 0).unwrap();
         assert_eq!(report.rounds, 25);
-        assert!(report.max_ulps <= 4);
+        assert_eq!(report.max_ulps, 0);
     }
 
     #[test]
@@ -973,9 +941,8 @@ mod tests {
     fn merge_network_rows_stay_columnar_and_audit() {
         // complete(40) has in-degree 39: past the unrolled networks but
         // within MERGE_MAX_LEN, so phase 2 stays on the columnar merge-
-        // network path (no scalar fallback rows at all) — and the
-        // columnar trimmed-mean fold is bit-identical to the exact tier,
-        // so the audit holds at a tight bound.
+        // network path (no exact-rule rows at all) — and the columnar
+        // trimmed-mean fold is bit-identical to the exact tier.
         let g = generators::complete(40);
         let faults = NodeSet::from_indices(40, [38, 39]);
         let replicas = 3;
@@ -993,14 +960,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(batch.scalar_fallback_rows(), 0);
-        let report = epsilon_audit(&mut batch, make, 10, 4).unwrap();
+        let report = epsilon_audit(&mut batch, make, 10, 0).unwrap();
         assert_eq!(report.rounds, 10);
     }
 
     #[test]
-    fn wide_rows_take_the_scalar_fallback_and_still_audit() {
+    fn wide_rows_run_the_exact_rule_bit_for_bit() {
         // complete(140) has in-degree 139 > MERGE_MAX_LEN: phase 2 runs
-        // the per-replica scalar kernel, and the audit bound still holds.
+        // the exact rule per replica, so the audit holds at 0 ULPs.
         let g = generators::complete(140);
         let faults = NodeSet::from_indices(140, [138, 139]);
         let replicas = 2;
@@ -1019,9 +986,7 @@ mod tests {
         .unwrap();
         // Every fault-free row overflows the merge networks.
         assert_eq!(batch.scalar_fallback_rows(), 138);
-        // 137 survivors per row: the 4-lane fold can drift a few more
-        // ulps than the small-row cases, so give the bound headroom.
-        let report = epsilon_audit(&mut batch, make, 6, 32).unwrap();
+        let report = epsilon_audit(&mut batch, make, 6, 0).unwrap();
         assert_eq!(report.rounds, 6);
     }
 
@@ -1136,7 +1101,7 @@ mod tests {
         )
         .unwrap()
         .with_perturbation(1e-9);
-        let err = epsilon_audit(&mut batch, make, 5, 4).unwrap_err();
+        let err = epsilon_audit(&mut batch, make, 5, 0).unwrap_err();
         assert!(
             matches!(err, AuditError::Divergence { round: 1, .. }),
             "{err}"
@@ -1163,7 +1128,8 @@ mod tests {
 
     #[test]
     fn rule_error_carries_node_and_round() {
-        // Cycle has in-degree 1 < 2f = 2: the very first step fails.
+        // Cycle has in-degree 1 < 2f = 2: the very first step fails, with
+        // the exact engine's error.
         let g = generators::cycle(4);
         let mut batch = BatchedSimulation::new(
             &g,
@@ -1176,5 +1142,15 @@ mod tests {
         .unwrap();
         let err = batch.step().unwrap_err();
         assert!(matches!(err, SimError::Rule { round: 1, .. }));
+        let rule = iabc_core::rules::TrimmedMean::new(1);
+        let mut exact = crate::Simulation::new(
+            &g,
+            &[0.0; 4],
+            NodeSet::with_universe(4),
+            &rule,
+            Box::new(ConformingAdversary::new()),
+        )
+        .unwrap();
+        assert_eq!(err, exact.step().unwrap_err());
     }
 }

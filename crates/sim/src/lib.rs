@@ -124,8 +124,8 @@
 //!   ([`iabc_core::fault_model::ModelTrimmedMean`]).
 //! * [`fastmath`] — the opt-in FastMath tier: the replica-batched
 //!   Monte-Carlo engine (`R` lockstep replicas on a replica-major
-//!   structure-of-arrays state layout) and the epsilon-audit harness
-//!   that bounds its per-round divergence against the exact engines.
+//!   structure-of-arrays state layout), bit-identical to the exact
+//!   engines, and the epsilon-audit harness that checks it against them.
 //! * [`certified`] — Lemma 5 a-priori termination certificates.
 //! * [`transcript`] — message-level recording and deterministic replay.
 //! * [`mod@reference`] — the retained naive pre-refactor stepper (differential

@@ -24,12 +24,11 @@
 //! unchanged; the *arithmetic* below is still the pre-refactor loop,
 //! allocations and all.)
 
-use iabc_core::rules::UpdateRule;
+use iabc_core::rules::{sanitize, UpdateRule};
 use iabc_core::RuleError;
 use iabc_graph::{Digraph, NodeSet};
 
 use crate::adversary::{Adversary, AdversaryView};
-use crate::engine::sanitize;
 use crate::error::SimError;
 use crate::plan::{faulty_edges_of, PlannedMessage, RoundPlan, RoundSlots};
 

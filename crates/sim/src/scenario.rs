@@ -386,8 +386,8 @@ impl<'a> Scenario<'a> {
     /// `i * replicas + r`); `make_adversary(r)` builds each replica's
     /// independent adversary. Opting into this terminal opts into the
     /// FastMath tier: the rule is an [`FastRule`], not an exact-tier
-    /// [`Scenario::rule`], and outputs may differ from the exact engine
-    /// by the audited ULP epsilon.
+    /// [`Scenario::rule`]. Each replica's outputs are bit-identical to the
+    /// exact engine's under [`FastRule::exact`].
     ///
     /// # Errors
     ///

@@ -2,9 +2,10 @@
 //! global allocator.
 //!
 //! This binary holds a single test, so nothing else allocates while it
-//! counts. The four shapes are the spec groups of the `batch` benchmark
-//! workload at its 32 lanes: two sort on the unrolled networks, two on
-//! the merge networks, all on a shared adversary plan.
+//! counts. Four shapes are the spec groups of the `batch` benchmark
+//! workload at its 32 lanes: two sort on one 32-slot network, two on
+//! the merge networks. The fifth, complete(140), has every row past the
+//! networks, on the exact rule. All run on a shared adversary plan.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -54,10 +55,12 @@ const WARM_UP: usize = 5;
 const STEPS: usize = 100;
 
 /// Allocations made by `STEPS` steps, after `WARM_UP` uncounted ones, of
-/// a `LANES`-wide batch on `graph` with nodes `0..f` faulty.
+/// a `LANES`-wide batch on `graph` with nodes `0..f` faulty, whose rows
+/// past the networks must number `exact_rows`.
 fn allocations_per_hundred_steps(
     graph: &Digraph,
     f: usize,
+    exact_rows: usize,
     adversary: impl Fn() -> Box<dyn Adversary>,
 ) -> usize {
     let n = graph.node_count();
@@ -74,7 +77,7 @@ fn allocations_per_hundred_steps(
         |_| adversary(),
     )
     .expect("the shape is a valid batch");
-    assert_eq!(sim.scalar_fallback_rows(), 0);
+    assert_eq!(sim.scalar_fallback_rows(), exact_rows);
     assert!(sim.shared_plan().is_some());
     for _ in 0..WARM_UP {
         sim.step().unwrap();
@@ -93,19 +96,28 @@ fn a_batched_step_allocates_nothing() {
     let counts = [
         (
             "circulant(128, 24) under Pull",
-            allocations_per_hundred_steps(&generators::circulant(128, 1..=24), 2, pull(true)),
+            allocations_per_hundred_steps(&generators::circulant(128, 1..=24), 2, 0, pull(true)),
         ),
         (
             "circulant(128, 28) under Constant",
-            allocations_per_hundred_steps(&generators::circulant(128, 1..=28), 3, constant(1e9)),
+            allocations_per_hundred_steps(&generators::circulant(128, 1..=28), 3, 0, constant(1e9)),
         ),
         (
             "complete(100) under Pull",
-            allocations_per_hundred_steps(&generators::complete(100), 4, pull(false)),
+            allocations_per_hundred_steps(&generators::complete(100), 4, 0, pull(false)),
         ),
         (
             "circulant(160, 64) under Constant",
-            allocations_per_hundred_steps(&generators::circulant(160, 1..=64), 3, constant(-1e9)),
+            allocations_per_hundred_steps(
+                &generators::circulant(160, 1..=64),
+                3,
+                0,
+                constant(-1e9),
+            ),
+        ),
+        (
+            "complete(140) under Constant",
+            allocations_per_hundred_steps(&generators::complete(140), 2, 138, constant(1e9)),
         ),
     ];
     for (shape, count) in counts {

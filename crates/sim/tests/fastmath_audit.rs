@@ -1,14 +1,15 @@
 //! FastMath epsilon-audit harness over the adversary-family × rule grid.
 //!
-//! The FastMath tier's contract is a **per-round ULP bound** against the
-//! exact tier: `epsilon_audit` steps a [`BatchedSimulation`] against `R`
-//! scalar engines in lockstep, resynchronizing each round so the bound
-//! measures kernel error, not compounded drift. This suite runs that
-//! audit across every adversary family and every [`FastRule`], pins
-//! golden convergence behaviour for a reference workload, and proves the
-//! harness itself is non-tautological (a deliberately perturbed kernel
-//! must FAIL the audit — the CI `fastmath-audit` job runs exactly this
-//! file in release mode).
+//! The FastMath tier's contract is **bit-identity** with the exact tier:
+//! `epsilon_audit` steps a [`BatchedSimulation`] against `R` scalar
+//! engines in lockstep, resynchronizing each round so the bound measures
+//! kernel error, not compounded drift, and this suite holds it to 0 ULPs.
+//! It runs that audit across every adversary family and every
+//! [`FastRule`], on the columnar networks and on the exact-rule rows past
+//! them, pins golden convergence behaviour for a reference workload, and
+//! proves the harness itself is non-tautological (a deliberately
+//! perturbed kernel must FAIL the audit — the CI `fastmath-audit` job
+//! runs exactly this file in release mode).
 
 use iabc_core::fastmath::FastRule;
 use iabc_graph::{generators, Digraph, NodeSet};
@@ -20,13 +21,11 @@ use iabc_sim::adversary::{
 use iabc_sim::fastmath::{epsilon_audit, AuditError, BatchedSimulation};
 use iabc_sim::{RunConfig, Scenario};
 
-/// The audit's per-round tolerance. The columnar trimmed-mean path is
-/// bit-identical to the exact fold; the scalar FastMath kernel's 4-lane
-/// survivor sum reassociates, which costs a few ULPs per round at the
-/// grid's in-degrees. 8 is comfortably above observed worst cases while
-/// still catching any real kernel defect (the canary perturbs by 1e-9,
-/// thousands of ULPs at these magnitudes).
-const AUDIT_ULPS: u64 = 8;
+/// The audit's per-round tolerance: none. The columnar networks sort
+/// byte-identically to the exact sort and fold each lane left to right
+/// from `-0.0`, as the exact sum does, and every other row runs the exact
+/// rule itself.
+const AUDIT_ULPS: u64 = 0;
 const AUDIT_ROUNDS: usize = 12;
 const REPLICAS: usize = 4;
 
@@ -34,6 +33,14 @@ const REPLICAS: usize = 4;
 fn grid_inputs(n: usize) -> Vec<f64> {
     (0..n * REPLICAS)
         .map(|i| ((i * 53) % 97) as f64 * 0.25 - 3.0)
+        .collect()
+}
+
+/// Replica-major inputs with every replica on the node-major `column`.
+fn replicated(column: &[f64]) -> Vec<f64> {
+    column
+        .iter()
+        .flat_map(|&v| std::iter::repeat_n(v, REPLICAS))
         .collect()
 }
 
@@ -70,9 +77,7 @@ const FAMILIES: [&str; 11] = [
     "nan",
 ];
 
-fn audit_grid_on(graph: &Digraph, faults: &NodeSet, f: usize) {
-    let n = graph.node_count();
-    let inputs = grid_inputs(n);
+fn audit_grid_on(graph: &Digraph, faults: &NodeSet, f: usize, inputs: &[f64]) {
     for family in FAMILIES {
         for rule in [
             FastRule::TrimmedMean(f),
@@ -80,7 +85,7 @@ fn audit_grid_on(graph: &Digraph, faults: &NodeSet, f: usize) {
             FastRule::Mean,
         ] {
             let mut batch =
-                BatchedSimulation::new(graph, &inputs, faults.clone(), rule, REPLICAS, |r| {
+                BatchedSimulation::new(graph, inputs, faults.clone(), rule, REPLICAS, |r| {
                     family_factory(family, r)
                 })
                 .expect("grid workload is valid");
@@ -98,12 +103,17 @@ fn audit_grid_on(graph: &Digraph, faults: &NodeSet, f: usize) {
 
 /// The columnar path: every fault-free in-degree fits the vertical
 /// sorting network, so this grid exercises the SIMD sort + vertical
-/// reduction under every adversary family and rule.
+/// reduction under every adversary family and rule. Complete(3) at f = 1
+/// trims every value it receives, so its trimmed mean is `own` plus an
+/// empty sum: with `-0.0` states that sum's start decides the sign.
 #[test]
 fn audit_grid_columnar_topology() {
     let g = generators::complete(7);
     let faults = NodeSet::from_indices(7, [5, 6]);
-    audit_grid_on(&g, &faults, 2);
+    audit_grid_on(&g, &faults, 2, &grid_inputs(7));
+    let g = generators::complete(3);
+    let faults = NodeSet::from_indices(3, [2]);
+    audit_grid_on(&g, &faults, 1, &replicated(&[-0.0, -0.0, 0.0]));
 }
 
 /// The merge-network path: in-degree 39 is past the unrolled networks
@@ -129,7 +139,7 @@ fn audit_grid_merge_network_topology() {
                 0,
                 "in-degree 39 must ride the merge networks"
             );
-            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8, 32)
+            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8, AUDIT_ULPS)
                 .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
             assert_eq!(report.rounds, 8, "{family} × {}", rule.name());
         }
@@ -139,7 +149,7 @@ fn audit_grid_merge_network_topology() {
 /// The acceptance topology for the merge-network tier: complete
 /// `n = 100` forces in-degree 99 on every fault-free row — past the
 /// unrolled networks, inside the merge networks. Every row must stay on
-/// the columnar path (zero scalar fallback) and the full audit grid must
+/// the columnar path (no exact-rule rows) and the full audit grid must
 /// hold there, with the shared-plan fast path active for the
 /// deterministic families.
 #[test]
@@ -167,7 +177,7 @@ fn audit_grid_merge_network_complete_100() {
                 family != "random",
                 "{family}"
             );
-            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8, 32)
+            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8, AUDIT_ULPS)
                 .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
             assert_eq!(report.rounds, 8, "{family} × {}", rule.name());
         }
@@ -192,7 +202,7 @@ fn perturbed_kernel_canary_fails_on_complete_100() {
     )
     .expect("grid workload is valid")
     .with_perturbation(1e-9);
-    let err = epsilon_audit(&mut batch, |r| family_factory("constant", r), 8, 32)
+    let err = epsilon_audit(&mut batch, |r| family_factory("constant", r), 8, AUDIT_ULPS)
         .expect_err("perturbed kernel must fail the audit at in-degree 99");
     assert!(
         matches!(err, AuditError::Divergence { round: 1, .. }),
@@ -200,9 +210,9 @@ fn perturbed_kernel_canary_fails_on_complete_100() {
     );
 }
 
-/// The true scalar-fallback path after the merge-network extension:
-/// in-degree 139 is past [`MERGE_MAX_LEN`] = 128, so phase 2 runs the
-/// per-replica scalar kernel — still audited, still bounded.
+/// The rows past the networks: in-degree 139 is past [`MERGE_MAX_LEN`] =
+/// 128, so phase 2 runs the exact rule on each replica's decoded row —
+/// audited at 0 ULPs like every other row.
 #[test]
 fn audit_grid_scalar_fallback_topology() {
     let g = generators::complete(140);
@@ -220,7 +230,7 @@ fn audit_grid_scalar_fallback_topology() {
                 138,
                 "in-degree 139 is past MERGE_MAX_LEN and must fall back"
             );
-            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 6, 32)
+            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 6, AUDIT_ULPS)
                 .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
             assert_eq!(report.rounds, 6, "{family} × {}", rule.name());
         }
@@ -303,8 +313,8 @@ fn golden_batch_outcome_converges_every_replica() {
 
 /// Golden determinism: the same workload stepped twice produces byte-
 /// identical state vectors — the FastMath tier is exactly reproducible
-/// (the AVX2 and portable paths are bit-identical by construction, so
-/// this golden holds on any host).
+/// (every per-ISA version of the key kernels compiles one portable body,
+/// so this golden holds on any host).
 #[test]
 fn golden_batch_states_are_reproducible() {
     let g = generators::circulant(12, 1..=4);

@@ -1,16 +1,18 @@
 //! Property tests for the FastMath tier's sign-magnitude key transform
-//! and its byte-identity contract with the exact tier, biased toward the
+//! and its bit-identity contract with the exact tier, biased toward the
 //! IEEE-754 edge cases a uniform float strategy almost never draws:
-//! `-0.0` vs `+0.0`, subnormals, `±inf`, and NaN payloads. Covers both
-//! the unrolled networks (lengths ≤ 32) and the Batcher merge-network
-//! extension (lengths 33..=128), scalar and columnar.
+//! `-0.0` vs `+0.0`, subnormals, `±inf`, and NaN payloads. Covers the
+//! columnar sort on one 32-slot network (lengths ≤ 32) and on the Batcher
+//! merge-network extension (lengths 33..=128), and the batched engine's
+//! update against the exact engine on rows of every length: short rows,
+//! network rows, and the exact-rule rows past 128.
 
-use iabc::core::fastmath::{
-    biased_key, sort_columns_total_fast, sort_total_fast, ulp_distance, unbias_key,
-    validated_trimmed_survivors_fast, COLUMN_PAD,
-};
-use iabc::core::rules::{sort_total, validated_trimmed_survivors};
-use iabc::core::RuleError;
+use iabc::core::fastmath::{biased_key, sort_columns_total_fast, unbias_key, FastRule, COLUMN_PAD};
+use iabc::core::rules::sort_total;
+use iabc::graph::{Digraph, NodeSet};
+use iabc::sim::adversary::{Adversary, ConformingAdversary, NaNAdversary};
+use iabc::sim::fastmath::BatchedSimulation;
+use iabc::sim::Simulation;
 use proptest::prelude::*;
 
 /// Raw `f64` bit patterns weighted toward the edges of the encoding:
@@ -52,6 +54,78 @@ fn finite_edge_bits() -> impl Strategy<Value = u64> {
     })
 }
 
+/// One column of `bits` padded with [`COLUMN_PAD`] to a power-of-two
+/// slot count, as the batched engine pads a row, must sort its real
+/// prefix byte-identically to the exact tier's sort.
+fn padded_column_sorts_like_sort_total(bits: &[u64]) {
+    let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+    let mut column = values.clone();
+    column.resize(values.len().next_power_of_two(), COLUMN_PAD);
+    sort_columns_total_fast(&mut column, 1);
+    let mut exact = values;
+    sort_total(&mut exact);
+    let fast_bits: Vec<u64> = column[..exact.len()].iter().map(|v| v.to_bits()).collect();
+    let exact_bits: Vec<u64> = exact.iter().map(|v| v.to_bits()).collect();
+    prop_assert_eq!(fast_bits, exact_bits, "len {}", exact.len());
+}
+
+/// Steps node 0 of a star once: every other node is a faulty sender, so
+/// lane `r` of node 0 starts at `columns[r][0]` and receives
+/// `columns[r][1..]` (or what `make(r)`'s adversary sends in its place).
+/// The batch of all lanes and one exact engine per lane must agree on
+/// node 0 bit for bit, or fail with the same error.
+fn star_step_is_exact(
+    columns: &[Vec<f64>],
+    rule: FastRule,
+    make: impl Fn(usize) -> Box<dyn Adversary>,
+) {
+    let lanes = columns.len();
+    let n = columns[0].len();
+    let g = Digraph::from_edges(n, (1..n).map(|j| (j, 0))).expect("a star");
+    let faults = NodeSet::from_indices(n, 1..n);
+    let inputs: Vec<f64> = (0..n * lanes)
+        .map(|k| columns[k % lanes][k / lanes])
+        .collect();
+    let mut batch = BatchedSimulation::new(&g, &inputs, faults.clone(), rule, lanes, &make)
+        .expect("finite inputs");
+    let batched = batch.step().map(|()| batch.states()[..lanes].to_vec());
+    let exact_rule = rule.exact();
+    for (r, column) in columns.iter().enumerate() {
+        let mut sim = Simulation::new(&g, column, faults.clone(), &*exact_rule, make(r))
+            .expect("finite inputs");
+        let exact = sim.step().map(|_| sim.states()[0]);
+        match (&batched, &exact) {
+            (Ok(states), Ok(v)) => {
+                prop_assert_eq!(states[r].to_bits(), v.to_bits(), "{:?} lane {}", rule, r)
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            _ => prop_assert!(false, "{:?} lane {}: {:?} vs {:?}", rule, r, batched, exact),
+        }
+    }
+}
+
+/// The three FastMath rules at fault bound `f`.
+fn rules(f: usize) -> [FastRule; 3] {
+    [
+        FastRule::TrimmedMean(f),
+        FastRule::TrimmedMidpoint(f),
+        FastRule::Mean,
+    ]
+}
+
+/// `lanes` node-major star columns: `own` then the row, each lane a
+/// rotation of the row so the lanes differ.
+fn rotated_columns(own: f64, row: &[f64], lanes: usize) -> Vec<Vec<f64>> {
+    (0..lanes)
+        .map(|l| {
+            let mut row = row.to_vec();
+            let shift = l % row.len().max(1);
+            row.rotate_left(shift);
+            std::iter::once(own).chain(row).collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -75,20 +149,15 @@ proptest! {
         prop_assert_eq!(key_ord, total_ord, "bits {:#x} vs {:#x}", a, b);
     }
 
-    /// FastMath's sort is byte-identical to the exact tier's on any
-    /// input, edge cases included (both are total_cmp sorts; equal keys
-    /// mean identical bytes, so stability is moot).
+    /// A row of up to 32 values, padded as the engine pads it, sorts
+    /// byte-identically to the exact tier's sort on any input, edge cases
+    /// included (both are total_cmp sorts; equal keys mean identical
+    /// bytes, so stability is moot).
     #[test]
-    fn sort_total_fast_is_byte_identical(
-        bits in proptest::collection::vec(edge_bits(), 0..24),
+    fn padded_column_is_byte_identical_to_sort_total(
+        bits in proptest::collection::vec(edge_bits(), 0..=32),
     ) {
-        let mut fast: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let mut exact = fast.clone();
-        sort_total_fast(&mut fast);
-        sort_total(&mut exact);
-        let fast_bits: Vec<u64> = fast.iter().map(|v| v.to_bits()).collect();
-        let exact_bits: Vec<u64> = exact.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fast_bits, exact_bits);
+        padded_column_sorts_like_sort_total(&bits);
     }
 
     /// The columnar (vertical SIMD) sort agrees byte-for-byte with the
@@ -127,22 +196,15 @@ proptest! {
     }
 
     /// The merge-network extension (lengths 33..=128: sorted 32-blocks
-    /// fused by Batcher merge stages) is byte-identical to the exact
-    /// tier's sort on edge-biased bit patterns — signed zeros,
-    /// subnormals, NaN payloads, infinities. Below 33 the unrolled
-    /// networks already carry this property; this pins the new range.
+    /// fused by Batcher merge stages), padded as the engine pads it, is
+    /// byte-identical to the exact tier's sort on edge-biased bit
+    /// patterns — signed zeros, subnormals, NaN payloads, infinities.
     #[test]
-    fn merge_network_sort_is_byte_identical_for_lengths_33_to_128(
+    fn padded_merge_column_is_byte_identical_for_lengths_33_to_128(
         len in 33usize..=128,
         seed_bits in proptest::collection::vec(edge_bits(), 128),
     ) {
-        let mut fast: Vec<f64> = seed_bits[..len].iter().map(|&b| f64::from_bits(b)).collect();
-        let mut exact = fast.clone();
-        sort_total_fast(&mut fast);
-        sort_total(&mut exact);
-        let fast_bits: Vec<u64> = fast.iter().map(|v| v.to_bits()).collect();
-        let exact_bits: Vec<u64> = exact.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fast_bits, exact_bits, "len {}", len);
+        padded_column_sorts_like_sort_total(&seed_bits[..len]);
     }
 
     /// Columnar merge networks: the vertical compare-exchange schedule at
@@ -186,84 +248,69 @@ proptest! {
         }
     }
 
-    /// Validated trimming: FastMath's fused validate+encode front-end
-    /// returns byte-identical survivors on finite inputs, and the exact
-    /// tier's error — same variant, same reported value — on inputs
-    /// containing NaN or ±inf (NaN precedence included: the first
-    /// non-finite value in scan order wins on both tiers).
+    /// Validated trimming in the batched engine: a row too short to trim
+    /// fails with the exact engine's error, and every other row returns
+    /// the exact rule's state bit for bit — under a conforming sender
+    /// (edge values up to ±MAX, which both engines clamp) and under one
+    /// sending NaN and ±inf (which both sanitize).
     #[test]
     fn validated_trim_matches_exact_errors_and_survivors(
         own_bits in finite_edge_bits(),
-        bits in proptest::collection::vec(edge_bits(), 0..16),
+        bits in proptest::collection::vec(finite_edge_bits(), 0..16),
         f in 0usize..3,
     ) {
-        let own = f64::from_bits(own_bits);
-        let mut fast: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let mut exact = fast.clone();
-        let fast_res: Result<Vec<u64>, RuleError> =
-            validated_trimmed_survivors_fast(own, &mut fast, f)
-                .map(|s| s.iter().map(|v| v.to_bits()).collect());
-        let exact_res: Result<Vec<u64>, RuleError> =
-            validated_trimmed_survivors(own, &mut exact, f)
-                .map(|s| s.iter().map(|v| v.to_bits()).collect());
-        match (&fast_res, &exact_res) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(RuleError::NonFiniteInput { value: a }), Err(RuleError::NonFiniteInput { value: b })) =>
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "reported values differ"),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            _ => prop_assert!(false, "tiers disagree: {:?} vs {:?}", fast_res, exact_res),
+        let column: Vec<f64> = std::iter::once(own_bits)
+            .chain(bits)
+            .map(f64::from_bits)
+            .collect();
+        let make = |r: usize| -> Box<dyn Adversary> {
+            if r == 0 {
+                Box::new(ConformingAdversary::new())
+            } else {
+                Box::new(NaNAdversary::new())
+            }
+        };
+        for rule in rules(f) {
+            star_step_is_exact(&[column.clone(), column.clone()], rule, make);
         }
     }
 
-    /// The FastMath trim kernel's only licensed deviation is the 4-lane
-    /// survivor sum. A reassociated sum cannot promise ULPs of the
-    /// *result* under catastrophic cancellation (no reordered sum can),
-    /// so the true contract is the standard one: absolute error bounded
-    /// by machine epsilon times the magnitude mass `Σ|vᵢ| + |own|`.
-    /// Zeros, subnormals and mixed signs all stay inside it.
+    /// The batched update is the exact rule's, bit for bit, on rows of up
+    /// to 40 mixed-sign edge values across up to five lanes: the columnar
+    /// trimmed mean folds each lane left to right from `-0.0`, as the
+    /// exact sum does, so no cancellation or signed zero can split them.
     #[test]
-    fn trim_kernel_fast_error_is_bounded_by_magnitude_mass(
+    fn batched_rows_are_bit_identical_to_the_exact_rule(
         own_bits in finite_edge_bits(),
-        bits in proptest::collection::vec(finite_edge_bits(), 5..24),
+        bits in proptest::collection::vec(finite_edge_bits(), 0..=40),
+        lanes in 1usize..=5,
         f in 0usize..3,
     ) {
-        prop_assume!(bits.len() > 2 * f);
-        // The kernels' domain is the engine's sanitized range (|v| <=
-        // 1e100): past it, a reassociated sum may overflow where the
-        // sequential one does not, which is outside the contract.
-        let clamp = |b: u64| f64::from_bits(b).clamp(-1e100, 1e100);
-        let own = clamp(own_bits);
-        let mut fast: Vec<f64> = bits.iter().map(|&b| clamp(b)).collect();
-        let mut exact = fast.clone();
-        let mass: f64 = own.abs() + fast.iter().map(|v| v.abs()).sum::<f64>();
-        let a = iabc::core::fastmath::trim_kernel_fast(own, &mut fast, f);
-        let b = iabc::core::rules::trim_kernel(own, &mut exact, f);
-        let bound = 64.0 * f64::EPSILON * mass;
-        prop_assert!(
-            (a - b).abs() <= bound,
-            "fast {a} vs exact {b}: |diff| {} > bound {bound}", (a - b).abs()
-        );
+        let row: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+        let columns = rotated_columns(f64::from_bits(own_bits), &row, lanes);
+        for rule in rules(f) {
+            star_step_is_exact(&columns, rule, |_| Box::new(ConformingAdversary::new()));
+        }
     }
+}
 
-    /// On same-sign workloads (no cancellation) the 4-lane fold *does*
-    /// stay within a handful of ULPs of the exact kernel — the bound the
-    /// engine-level epsilon audit enforces on real rounds.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Rows past the networks (in-degree above 128) run the exact rule on
+    /// each lane's decoded row, so they match the exact engine bit for
+    /// bit too.
     #[test]
-    fn trim_kernel_fast_is_tight_without_cancellation(
+    fn wide_rows_are_bit_identical_to_the_exact_rule(
         own_bits in finite_edge_bits(),
-        bits in proptest::collection::vec(finite_edge_bits(), 5..24),
-        f in 0usize..3,
+        bits in proptest::collection::vec(finite_edge_bits(), 129..=160),
+        lanes in 1usize..=3,
+        f in 0usize..4,
     ) {
-        prop_assume!(bits.len() > 2 * f);
-        let abs = |b: u64| f64::from_bits(b).clamp(-1e100, 1e100).abs();
-        let own = abs(own_bits);
-        let mut fast: Vec<f64> = bits.iter().map(|&b| abs(b)).collect();
-        let mut exact = fast.clone();
-        let a = iabc::core::fastmath::trim_kernel_fast(own, &mut fast, f);
-        let b = iabc::core::rules::trim_kernel(own, &mut exact, f);
-        prop_assert!(
-            ulp_distance(a, b) <= 32,
-            "fast {a} vs exact {b} ({} ulps)", ulp_distance(a, b)
-        );
+        let row: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+        let columns = rotated_columns(f64::from_bits(own_bits), &row, lanes);
+        for rule in rules(f) {
+            star_step_is_exact(&columns, rule, |_| Box::new(ConformingAdversary::new()));
+        }
     }
 }
