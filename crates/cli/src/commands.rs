@@ -2,26 +2,24 @@
 
 use iabc_analysis::{batched, sweep};
 use iabc_baselines::{DolevMidpoint, DolevSelectMean, Wmsr};
-use iabc_core::fault_model::{check_model, AdversaryStructure, FaultModel};
-use iabc_core::quantized::{QuantizedTrimmedMean, Rounding};
-use iabc_core::rules::{Mean, TrimmedMean, TrimmedMidpoint, UpdateRule};
+use iabc_core::fault_model::{check_model, AdversaryStructure, FaultModel, ModelTrimmedMean};
+use iabc_core::quantized::Rounding;
+use iabc_core::rules::{TrimmedMean, UpdateRule};
 use iabc_core::{alpha, construction, local_fault, minimality, robustness, theorem1, Threshold};
 use iabc_graph::dot::{to_dot, DotGroup};
-use iabc_graph::{generators, metrics, parse, Digraph, NodeSet};
-use iabc_sim::adversary::{
-    Adversary, ConformingAdversary, ConstantAdversary, CrashAdversary, EchoAdversary,
-    ExtremesAdversary, FlipFlopAdversary, NaNAdversary, PolarizingAdversary, PullAdversary,
-    RandomAdversary,
-};
-use iabc_sim::async_engine::{
-    ImmediateScheduler, MaxDelayScheduler, RandomScheduler, Scheduler, TargetedScheduler,
-};
-use iabc_sim::{RunConfig, Scenario};
+use iabc_graph::{generators, metrics, parse, Digraph, NodeId, NodeSet};
+use iabc_serve::{job, ServeError};
+use iabc_sim::adversary::Adversary;
+use iabc_sim::async_engine::{Scheduler, TargetedScheduler};
+use iabc_sim::{Engine, RunConfig, Scenario};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::args::{CliError, ParsedArgs};
 
+/// Reads the graph file (`-` is stdin). A count line past
+/// [`job::MAX_NODES`], the daemon's cap, is refused before anything is
+/// sized from it, so a scenario the CLI runs is one the daemon accepts.
 fn load_graph(args: &ParsedArgs) -> Result<Digraph, CliError> {
     let path = args
         .positional(0)
@@ -36,7 +34,15 @@ fn load_graph(args: &ParsedArgs) -> Result<Digraph, CliError> {
     } else {
         std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?
     };
-    parse::parse_edge_list(&text).map_err(|e| CliError::Graph(e.to_string()))
+    let graph_error = |e: iabc_graph::GraphError| CliError::Graph(e.to_string());
+    let n = parse::node_count(&text).map_err(graph_error)?;
+    if n > job::MAX_NODES {
+        return Err(CliError::Graph(format!(
+            "the graph declares {n} nodes; iabc reads at most {}",
+            job::MAX_NODES
+        )));
+    }
+    parse::parse_edge_list(&text).map_err(graph_error)
 }
 
 /// `iabc check <file> --f N [--async] [--local] [--structure SPEC] [--jobs T] [--explain]`
@@ -169,70 +175,78 @@ pub fn generate(rest: &[String]) -> Result<String, CliError> {
     Ok(parse::to_edge_list(&g))
 }
 
-/// Resolves an adversary name into an infallible factory (adversaries are
-/// stateful, so harnesses that run several contenders need a fresh one per
-/// run). Unknown names error here, once — the returned closure cannot fail.
-fn adversary_factory(
-    name: &str,
-    seed: u64,
-) -> Result<Box<dyn Fn() -> Box<dyn Adversary>>, CliError> {
-    Ok(match name {
-        "conforming" => Box::new(|| Box::new(ConformingAdversary::new())),
-        "constant" => Box::new(|| Box::new(ConstantAdversary::new(1e9))),
-        "random" => Box::new(move || Box::new(RandomAdversary::new(-1e6, 1e6, seed))),
-        "extremes" => Box::new(|| Box::new(ExtremesAdversary::new(1e6))),
-        "pull-low" => Box::new(|| Box::new(PullAdversary::new(false))),
-        "pull-high" => Box::new(|| Box::new(PullAdversary::new(true))),
-        "crash" => Box::new(|| Box::new(CrashAdversary::new(2))),
-        "flip-flop" => Box::new(|| Box::new(FlipFlopAdversary::new(1e6))),
-        "polarizing" => Box::new(|| Box::new(PolarizingAdversary::new())),
-        "echo" => Box::new(|| Box::new(EchoAdversary::new())),
-        "nan" => Box::new(|| Box::new(NaNAdversary::new())),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown adversary {other:?} (try conforming, constant, random, extremes, \
-                 pull-low, pull-high, crash, flip-flop, polarizing, echo, nan)"
-            )))
-        }
+/// A scenario word the shared vocabulary ([`job`]) refused: a usage
+/// error, worded as the daemon words it.
+fn bad_word(e: ServeError) -> CliError {
+    CliError::Usage(match e {
+        ServeError::Job(message) => message,
+        other => other.to_string(),
     })
 }
 
-fn adversary_by_name(name: &str, seed: u64) -> Result<Box<dyn Adversary>, CliError> {
-    adversary_factory(name, seed).map(|make| make())
+/// `--faulty A,B,..` over `n` nodes: the nodes as listed (reports print
+/// them) and their set.
+fn faulty_from_args(args: &ParsedArgs, n: usize) -> Result<(Vec<usize>, NodeSet), CliError> {
+    let faulty: Vec<usize> = args.list("faulty")?;
+    if faulty.iter().any(|&v| v >= n) {
+        return Err(CliError::Usage(format!(
+            "--faulty contains a node >= n = {n}"
+        )));
+    }
+    let fault_set = NodeSet::from_indices(n, faulty.iter().copied());
+    Ok((faulty, fault_set))
 }
 
-fn rule_by_name(name: &str, f: usize, args: &ParsedArgs) -> Result<Box<dyn UpdateRule>, CliError> {
-    Ok(match name {
-        "trimmed-mean" => Box::new(TrimmedMean::new(f)),
-        "mean" => Box::new(Mean::new()),
-        "midpoint" => Box::new(TrimmedMidpoint::new(f)),
-        "w-msr" => Box::new(Wmsr::new(f)),
-        "dolev-midpoint" => Box::new(DolevMidpoint::new(f)),
-        "dolev-select-mean" => Box::new(DolevSelectMean::new(f)),
-        "quantized" => {
-            let quantum: f64 = args.required("quantum")?;
-            let rounding = match args.flag("rounding").unwrap_or("nearest") {
-                "nearest" => Rounding::Nearest,
-                "floor" => Rounding::Floor,
-                "ceil" => Rounding::Ceil,
-                other => {
-                    return Err(CliError::Usage(format!(
-                        "unknown rounding {other:?} (try nearest, floor, ceil)"
-                    )))
-                }
-            };
-            Box::new(
-                QuantizedTrimmedMean::new(f, quantum, rounding)
-                    .map_err(|e| CliError::Usage(e.to_string()))?,
-            )
-        }
+/// `--inputs V,V,..`, one per node, or else the [`job::seeded_inputs`]
+/// draw from `--seed` (default 0).
+fn inputs_from_args(args: &ParsedArgs, n: usize) -> Result<Vec<f64>, CliError> {
+    match args.list::<f64>("inputs")? {
+        given if given.is_empty() => Ok(job::seeded_inputs(n, args.optional("seed")?.unwrap_or(0))),
+        given if given.len() == n => Ok(given),
+        given => Err(CliError::Usage(format!(
+            "--inputs has {} values for {n} nodes",
+            given.len()
+        ))),
+    }
+}
+
+/// `--adversary NAME` (default `extremes`), seeded by `--seed`, as a
+/// factory of fresh adversaries.
+fn adversary_from_args(args: &ParsedArgs) -> Result<impl Fn() -> Box<dyn Adversary>, CliError> {
+    let seed = args.optional("seed")?.unwrap_or(0);
+    job::adversary_factory(args.flag("adversary").unwrap_or("extremes"), seed).map_err(bad_word)
+}
+
+/// `--eps E` (default 1e-6) and `--max-rounds R` (default `max_rounds`),
+/// recording states.
+fn run_config_from_args(args: &ParsedArgs, max_rounds: usize) -> Result<RunConfig, CliError> {
+    Ok(RunConfig {
+        record_states: true,
+        epsilon: args.optional("eps")?.unwrap_or(1e-6),
+        max_rounds: args.optional("max-rounds")?.unwrap_or(max_rounds),
+    })
+}
+
+/// `--rule NAME` (default `trimmed-mean`) trimming `f`; the `quantized`
+/// rule reads `--quantum Q` and `--rounding nearest|floor|ceil`.
+fn rule_from_args(args: &ParsedArgs, f: usize) -> Result<Box<dyn UpdateRule>, CliError> {
+    let name = args.flag("rule").unwrap_or("trimmed-mean");
+    // Both flags are refused unless the rule is `quantized`.
+    let quantum = match name {
+        "quantized" => Some(args.required("quantum")?),
+        _ => None,
+    };
+    let rounding = match args.flag("rounding").unwrap_or("nearest") {
+        "nearest" => Rounding::Nearest,
+        "floor" => Rounding::Floor,
+        "ceil" => Rounding::Ceil,
         other => {
             return Err(CliError::Usage(format!(
-                "unknown rule {other:?} (try trimmed-mean, mean, midpoint, w-msr, \
-                 dolev-midpoint, dolev-select-mean, quantized)"
+                "unknown rounding {other:?} (try nearest, floor, ceil)"
             )))
         }
-    })
+    };
+    job::rule_by_name(name, f, quantum, rounding).map_err(bad_word)
 }
 
 /// Parses an adversary-structure spec: generator sets separated by `;`,
@@ -258,213 +272,91 @@ fn parse_structure(spec: &str, n: usize) -> Result<AdversaryStructure, CliError>
     AdversaryStructure::new(n, generators).map_err(|e| CliError::Usage(e.to_string()))
 }
 
-fn parse_inputs(args: &ParsedArgs, n: usize) -> Result<Vec<f64>, CliError> {
-    let given: Vec<f64> = args.list("inputs")?;
-    if given.is_empty() {
-        let seed: u64 = args.optional("seed")?.unwrap_or(0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        Ok((0..n).map(|_| rng.random_range(0.0..100.0)).collect())
-    } else if given.len() != n {
-        Err(CliError::Usage(format!(
-            "--inputs has {} values for {n} nodes",
-            given.len()
-        )))
-    } else {
-        Ok(given)
-    }
-}
-
-/// `iabc simulate <file> --structure SPEC --faulty A,B ...`: run the
-/// structure-aware rule ([`ModelTrimmedMean`]) in the identity-aware
-/// engine under an explicit adversary structure.
-fn simulate_with_structure(
+/// Runs `engine` and appends its outcome to a `simulate` header:
+/// convergence, final range and validity, the agreed value of the lowest
+/// fault-free node, and with `--trace` the extremes after every step.
+/// `unit` names a step: `round`, or `tick` on the delay-bounded engine.
+fn simulate_report(
+    mut report: String,
+    unit: &str,
+    engine: &mut dyn Engine,
+    config: &RunConfig,
     args: &ParsedArgs,
-    g: &Digraph,
-    spec: &str,
-    faulty: &[usize],
 ) -> Result<String, CliError> {
-    use iabc_core::fault_model::ModelTrimmedMean;
-
-    let n = g.node_count();
-    let structure = parse_structure(spec, n)?;
-    let fault_set = NodeSet::from_indices(n, faulty.iter().copied());
-    if !structure.admits(&fault_set) {
-        return Err(CliError::Usage(format!(
-            "--faulty {faulty:?} is not a feasible fault set of the structure {structure}"
-        )));
-    }
-    let model = FaultModel::Structure(structure);
-    let inputs = parse_inputs(args, n)?;
-    let adversary = adversary_by_name(
-        args.flag("adversary").unwrap_or("extremes"),
-        args.optional("seed")?.unwrap_or(0),
-    )?;
-    let rule = ModelTrimmedMean::new(model.clone());
-    let config = RunConfig {
-        record_states: true,
-        epsilon: args.optional("eps")?.unwrap_or(1e-6),
-        max_rounds: args.optional("max-rounds")?.unwrap_or(10_000),
-    };
-    let mut sim = Scenario::on(g)
-        .inputs(&inputs)
-        .faults(fault_set.clone())
-        .adversary(adversary)
-        .model_aware(&rule)
+    let out = engine
+        .run(config)
         .map_err(|e| CliError::Run(e.to_string()))?;
-    let out = sim.run(&config).map_err(|e| CliError::Run(e.to_string()))?;
-    let mut report =
-        format!("{g}, model = {model}, rule = model-trimmed-mean, faulty = {faulty:?}\n");
-    report.push_str(&format!(
-        "converged: {} in {} rounds; final range {:.3e}; validity: {}\n",
-        out.converged,
-        out.rounds,
-        out.final_range,
-        if out.validity.is_valid() {
-            "ok"
-        } else {
-            "VIOLATED"
+    let validity = match (unit, out.validity.is_valid()) {
+        ("tick", true) => "per-round validity audit: ok",
+        // With stale deliveries U[t] may transiently exceed U[t-1]; only
+        // containment in the initial hull is guaranteed by the model, so a
+        // per-round "violated" here is a staleness artifact, not an attack.
+        ("tick", false) => {
+            "per-round validity audit: violated (per-round audit; async model only \
+             guarantees the initial hull)"
         }
+        (_, true) => "validity: ok",
+        (_, false) => "validity: VIOLATED",
+    };
+    report.push_str(&format!(
+        "converged: {} in {} {unit}s; final range {:.3e}; {validity}\n",
+        out.converged, out.rounds, out.final_range,
     ));
     if let Some(last) = out.trace.last() {
         if let Some((i, v)) = last
             .states
             .iter()
             .enumerate()
-            .find(|(i, _)| !fault_set.contains(iabc_graph::NodeId::new(*i)))
+            .find(|(i, _)| !engine.fault_set().contains(NodeId::new(*i)))
         {
             report.push_str(&format!("agreed value (node {i}): {v:.6}\n"));
+        }
+    }
+    if args.has_flag("trace") {
+        report.push_str(&format!("{unit:<7}U[t]        mu[t]       range\n"));
+        for r in out.trace.records() {
+            let (round, max, min, range) = (r.round, r.max, r.min, r.range());
+            report.push_str(&format!("{round:<6} {max:<11.5} {min:<11.5} {range:.3e}\n"));
         }
     }
     Ok(report)
 }
 
 /// Resolves `--scheduler NAME` for the delay-bounded engine. `random`
-/// draws from `--sched-seed` (default 0); `targeted` maximally delays the
-/// receivers in `--victims A,B,..`.
-fn scheduler_by_name(
-    name: &str,
-    args: &ParsedArgs,
-    n: usize,
-) -> Result<Box<dyn Scheduler>, CliError> {
-    Ok(match name {
-        "immediate" => Box::new(ImmediateScheduler),
-        "max" => Box::new(MaxDelayScheduler),
-        "random" => Box::new(RandomScheduler::new(
-            args.optional("sched-seed")?.unwrap_or(0),
-        )),
-        "targeted" => {
-            let victims: Vec<usize> = args.list("victims")?;
-            if victims.is_empty() {
-                return Err(CliError::Usage(
-                    "--scheduler targeted needs --victims A,B,..".into(),
-                ));
-            }
-            if victims.iter().any(|&v| v >= n) {
-                return Err(CliError::Usage(format!(
-                    "--victims contains a node >= n = {n}"
-                )));
-            }
-            Box::new(TargetedScheduler::new(NodeSet::from_indices(n, victims)))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown scheduler {other:?} (try immediate, max, random, targeted)"
-            )))
-        }
-    })
-}
-
-/// `iabc simulate <file> --f N --faulty A,B --delay-bound B
-/// [--scheduler NAME] [--jobs N] ...`: run the §7 partially-asynchronous
-/// engine. `--jobs` fans each tick's update phase across the persistent
-/// worker pool (the send/deliver phases stay serial so the scheduler's
-/// RNG stream is identical for any job count) — results are bit-for-bit
-/// identical to `--jobs 1`.
-fn simulate_delay_bounded(
-    args: &ParsedArgs,
-    g: &Digraph,
-    f: usize,
-    faulty: &[usize],
-    delay_bound: usize,
-    jobs: usize,
-) -> Result<String, CliError> {
-    if delay_bound == 0 {
-        return Err(CliError::Usage("--delay-bound must be >= 1".into()));
+/// draws from `--sched-seed` (default 0); `targeted`, whose victims a job
+/// cannot carry, maximally delays the receivers in `--victims A,B,..`.
+fn scheduler_from_args(args: &ParsedArgs, n: usize) -> Result<Box<dyn Scheduler>, CliError> {
+    let name = args.flag("scheduler").unwrap_or("immediate");
+    if name != "targeted" {
+        let seed = args.optional("sched-seed")?.unwrap_or(0);
+        return job::engine_scheduler_by_name(name, seed).map_err(|_| {
+            CliError::Usage(format!(
+                "unknown scheduler {name:?} (try immediate, max, random, targeted)"
+            ))
+        });
     }
-    let n = g.node_count();
-    let fault_set = NodeSet::from_indices(n, faulty.iter().copied());
-    let inputs = parse_inputs(args, n)?;
-    let adversary = adversary_by_name(
-        args.flag("adversary").unwrap_or("extremes"),
-        args.optional("seed")?.unwrap_or(0),
-    )?;
-    let rule = rule_by_name(args.flag("rule").unwrap_or("trimmed-mean"), f, args)?;
-    let scheduler_name = args.flag("scheduler").unwrap_or("immediate").to_string();
-    let scheduler = scheduler_by_name(&scheduler_name, args, n)?;
-    let config = RunConfig {
-        record_states: true,
-        epsilon: args.optional("eps")?.unwrap_or(1e-6),
-        max_rounds: args.optional("max-rounds")?.unwrap_or(10_000),
-    };
-    let mut sim = Scenario::on(g)
-        .inputs(&inputs)
-        .faults(fault_set.clone())
-        .rule(rule.as_ref())
-        .adversary(adversary)
-        .parallel(jobs)
-        .delay_bounded(scheduler, delay_bound)
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let jobs_used = sim.jobs();
-    let out = sim.run(&config).map_err(|e| CliError::Run(e.to_string()))?;
-    let mut report = format!(
-        "{g}, f = {f}, rule = {}, faulty = {faulty:?}, delay bound B = {delay_bound}, \
-         scheduler = {scheduler_name}, jobs = {jobs_used}\n",
-        rule.name(),
-    );
-    report.push_str(&format!(
-        "converged: {} in {} ticks; final range {:.3e}; per-round validity audit: {}\n",
-        out.converged,
-        out.rounds,
-        out.final_range,
-        // With stale deliveries U[t] may transiently exceed U[t-1]; only
-        // containment in the initial hull is guaranteed by the model, so a
-        // per-round "violated" here is a staleness artifact, not an attack.
-        if out.validity.is_valid() {
-            "ok"
-        } else {
-            "violated (per-round audit; async model only guarantees the initial hull)"
-        }
-    ));
-    if let Some(last) = out.trace.last() {
-        if let Some((i, v)) = last
-            .states
-            .iter()
-            .enumerate()
-            .find(|(i, _)| !fault_set.contains(iabc_graph::NodeId::new(*i)))
-        {
-            report.push_str(&format!("agreed value (node {i}): {v:.6}\n"));
-        }
+    let victims: Vec<usize> = args.list("victims")?;
+    if victims.is_empty() {
+        return Err(CliError::Usage(
+            "--scheduler targeted needs --victims A,B,..".into(),
+        ));
     }
-    if args.has_flag("trace") {
-        report.push_str("tick   U[t]        mu[t]       range\n");
-        for r in out.trace.records() {
-            report.push_str(&format!(
-                "{:<6} {:<11.5} {:<11.5} {:.3e}\n",
-                r.round,
-                r.max,
-                r.min,
-                r.range()
-            ));
-        }
+    if victims.iter().any(|&v| v >= n) {
+        return Err(CliError::Usage(format!(
+            "--victims contains a node >= n = {n}"
+        )));
     }
-    Ok(report)
+    Ok(Box::new(TargetedScheduler::new(NodeSet::from_indices(
+        n, victims,
+    ))))
 }
 
 /// `iabc simulate <file> --f N --faulty A,B [--adversary NAME] [--inputs ..]
-/// [--seed S] [--eps E] [--max-rounds R] [--rule NAME] [--jobs N] [--trace]`;
-/// `iabc simulate <file> --structure SPEC --faulty A,B ...` for the
-/// structure-aware engine; `--delay-bound B [--scheduler NAME]` for the §7
-/// delay-bounded engine (`--jobs` reaches its update phase too).
+/// [--seed S] [--eps E] [--max-rounds R] [--rule NAME] [--jobs N] [--trace]`
+/// runs the synchronous engine; `--delay-bound B [--scheduler NAME]` the §7
+/// delay-bounded engine; `--structure SPEC` (no `--f`, `--rule` or
+/// `--jobs`) the structure-aware rule ([`ModelTrimmedMean`]) in the
+/// identity-aware engine under an explicit adversary structure.
 pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
     // Each engine reads the run's flags plus its own.
     let run = ["faulty", "adversary", "seed", "inputs", "eps", "max-rounds"];
@@ -484,32 +376,64 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
     args.reject_unless("victims", "scheduler", "targeted")?;
     let g = load_graph(args)?;
     let n = g.node_count();
-    let faulty: Vec<usize> = args.list("faulty")?;
-    if faulty.iter().any(|&v| v >= n) {
-        return Err(CliError::Usage(format!(
-            "--faulty contains a node >= n = {n}"
-        )));
-    }
+    let (faulty, fault_set) = faulty_from_args(args, n)?;
     if let Some(spec) = args.flag("structure") {
-        return simulate_with_structure(args, &g, spec, &faulty);
+        let structure = parse_structure(spec, n)?;
+        if !structure.admits(&fault_set) {
+            return Err(CliError::Usage(format!(
+                "--faulty {faulty:?} is not a feasible fault set of the structure {structure}"
+            )));
+        }
+        let model = FaultModel::Structure(structure);
+        let inputs = inputs_from_args(args, n)?;
+        let adversary = adversary_from_args(args)?();
+        let rule = ModelTrimmedMean::new(model.clone());
+        let config = run_config_from_args(args, 10_000)?;
+        let mut sim = Scenario::on(&g)
+            .inputs(&inputs)
+            .faults(fault_set)
+            .adversary(adversary)
+            .model_aware(&rule)
+            .map_err(|e| CliError::Run(e.to_string()))?;
+        let header =
+            format!("{g}, model = {model}, rule = model-trimmed-mean, faulty = {faulty:?}\n");
+        return simulate_report(header, "round", &mut sim, &config, args);
     }
     let f: usize = args.required("f")?;
     if let Some(delay_bound) = args.optional::<usize>("delay-bound")? {
+        // `--jobs` fans each tick's update phase across the worker pool;
+        // the send/deliver phases stay serial so the scheduler's RNG stream
+        // is the same, and the run bit-for-bit identical, at any job count.
         let jobs: usize = args.optional("jobs")?.unwrap_or(1);
-        return simulate_delay_bounded(args, &g, f, &faulty, delay_bound, jobs);
+        if delay_bound == 0 {
+            return Err(CliError::Usage("--delay-bound must be >= 1".into()));
+        }
+        let inputs = inputs_from_args(args, n)?;
+        let adversary = adversary_from_args(args)?();
+        let rule = rule_from_args(args, f)?;
+        let scheduler = scheduler_from_args(args, n)?;
+        let config = run_config_from_args(args, 10_000)?;
+        let mut sim = Scenario::on(&g)
+            .inputs(&inputs)
+            .faults(fault_set)
+            .rule(rule.as_ref())
+            .adversary(adversary)
+            .parallel(jobs)
+            .delay_bounded(scheduler, delay_bound)
+            .map_err(|e| CliError::Run(e.to_string()))?;
+        let header = format!(
+            "{g}, f = {f}, rule = {}, faulty = {faulty:?}, delay bound B = {delay_bound}, \
+             scheduler = {}, jobs = {}\n",
+            rule.name(),
+            args.flag("scheduler").unwrap_or("immediate"),
+            sim.jobs(),
+        );
+        return simulate_report(header, "tick", &mut sim, &config, args);
     }
-    let fault_set = NodeSet::from_indices(n, faulty.iter().copied());
-    let inputs = parse_inputs(args, n)?;
-    let adversary = adversary_by_name(
-        args.flag("adversary").unwrap_or("extremes"),
-        args.optional("seed")?.unwrap_or(0),
-    )?;
-    let rule = rule_by_name(args.flag("rule").unwrap_or("trimmed-mean"), f, args)?;
-    let config = RunConfig {
-        record_states: true,
-        epsilon: args.optional("eps")?.unwrap_or(1e-6),
-        max_rounds: args.optional("max-rounds")?.unwrap_or(10_000),
-    };
+    let inputs = inputs_from_args(args, n)?;
+    let adversary = adversary_from_args(args)?();
+    let rule = rule_from_args(args, f)?;
+    let config = run_config_from_args(args, 10_000)?;
     let jobs: usize = args.optional("jobs")?.unwrap_or(1);
     let mut sim = Scenario::on(&g)
         .inputs(&inputs)
@@ -519,47 +443,11 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
         .parallel(jobs)
         .synchronous()
         .map_err(|e| CliError::Run(e.to_string()))?;
-    let out = sim.run(&config).map_err(|e| CliError::Run(e.to_string()))?;
-
-    let mut report = format!(
-        "{g}, f = {f}, rule = {}, faulty = {:?}\n",
-        rule.name(),
-        faulty
+    let header = format!(
+        "{g}, f = {f}, rule = {}, faulty = {faulty:?}\n",
+        rule.name()
     );
-    report.push_str(&format!(
-        "converged: {} in {} rounds; final range {:.3e}; validity: {}\n",
-        out.converged,
-        out.rounds,
-        out.final_range,
-        if out.validity.is_valid() {
-            "ok"
-        } else {
-            "VIOLATED"
-        }
-    ));
-    if let Some(last) = out.trace.last() {
-        if let Some((i, v)) = last
-            .states
-            .iter()
-            .enumerate()
-            .find(|(i, _)| !sim.fault_set().contains(iabc_graph::NodeId::new(*i)))
-        {
-            report.push_str(&format!("agreed value (node {i}): {v:.6}\n"));
-        }
-    }
-    if args.has_flag("trace") {
-        report.push_str("round  U[t]        mu[t]       range\n");
-        for r in out.trace.records() {
-            report.push_str(&format!(
-                "{:<6} {:<11.5} {:<11.5} {:.3e}\n",
-                r.round,
-                r.max,
-                r.min,
-                r.range()
-            ));
-        }
-    }
-    Ok(report)
+    simulate_report(header, "round", &mut sim, &config, args)
 }
 
 /// `iabc robustness <file> [--r R --s S]`
@@ -793,42 +681,19 @@ pub fn baseline_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let g = load_graph(args)?;
     let n = g.node_count();
     let f: usize = args.required("f")?;
-    let faulty: Vec<usize> = args.list("faulty")?;
-    if faulty.iter().any(|&v| v >= n) {
-        return Err(CliError::Usage(format!(
-            "--faulty contains a node >= n = {n}"
-        )));
-    }
-    let fault_set = NodeSet::from_indices(n, faulty.iter().copied());
-    let seed: u64 = args.optional("seed")?.unwrap_or(0);
-    let adversary_name = args.flag("adversary").unwrap_or("extremes").to_string();
+    let (faulty, fault_set) = faulty_from_args(args, n)?;
     // Resolve the name once; the factory itself cannot fail afterwards.
-    let make_adversary = adversary_factory(&adversary_name, seed)?;
-    let inputs: Vec<f64> = {
-        let given: Vec<f64> = args.list("inputs")?;
-        if given.is_empty() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..n).map(|_| rng.random_range(0.0..100.0)).collect()
-        } else if given.len() != n {
-            return Err(CliError::Usage(format!(
-                "--inputs has {} values for {n} nodes",
-                given.len()
-            )));
-        } else {
-            given
-        }
-    };
-    let config = RunConfig {
-        record_states: false,
-        epsilon: args.optional("eps")?.unwrap_or(1e-6),
-        max_rounds: args.optional("max-rounds")?.unwrap_or(20_000),
-    };
+    let make_adversary = adversary_from_args(args)?;
+    let inputs = inputs_from_args(args, n)?;
     let faceoff = iabc_baselines::comparison::Faceoff {
         graph: &g,
         inputs: &inputs,
         fault_set,
-        adversary_factory: &*make_adversary,
-        config,
+        adversary_factory: &make_adversary,
+        config: RunConfig {
+            record_states: false,
+            ..run_config_from_args(args, 20_000)?
+        },
     };
     let a1 = TrimmedMean::new(f);
     let mid = DolevMidpoint::new(f);
@@ -836,6 +701,7 @@ pub fn baseline_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let wmsr = Wmsr::new(f);
     let rules: Vec<&dyn UpdateRule> = vec![&a1, &mid, &sel, &wmsr];
 
+    let adversary_name = args.flag("adversary").unwrap_or("extremes");
     let mut out = format!("{g}, f = {f}, adversary = {adversary_name}, faulty = {faulty:?}\n");
     out.push_str(&format!(
         "{:<18} {:<10} {:<8} {:<12} {}\n",
@@ -871,32 +737,9 @@ pub fn record_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let n = g.node_count();
     let f: usize = args.required("f")?;
     let rounds: usize = args.optional("rounds")?.unwrap_or(50);
-    let faulty: Vec<usize> = args.list("faulty")?;
-    if faulty.iter().any(|&v| v >= n) {
-        return Err(CliError::Usage(format!(
-            "--faulty contains a node >= n = {n}"
-        )));
-    }
-    let fault_set = NodeSet::from_indices(n, faulty.iter().copied());
-    let inputs: Vec<f64> = {
-        let given: Vec<f64> = args.list("inputs")?;
-        if given.is_empty() {
-            let seed: u64 = args.optional("seed")?.unwrap_or(0);
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..n).map(|_| rng.random_range(0.0..100.0)).collect()
-        } else if given.len() != n {
-            return Err(CliError::Usage(format!(
-                "--inputs has {} values for {n} nodes",
-                given.len()
-            )));
-        } else {
-            given
-        }
-    };
-    let mut adversary = adversary_by_name(
-        args.flag("adversary").unwrap_or("extremes"),
-        args.optional("seed")?.unwrap_or(0),
-    )?;
+    let (_, fault_set) = faulty_from_args(args, n)?;
+    let inputs = inputs_from_args(args, n)?;
+    let mut adversary = adversary_from_args(args)?();
     let rule = TrimmedMean::new(f);
     let transcript =
         iabc_sim::transcript::record(&g, &inputs, fault_set, &rule, adversary.as_mut(), rounds)
@@ -2338,6 +2181,23 @@ mod tests {
     fn missing_file_is_io_error() {
         let err = run(&argv(&["check", "/nonexistent/file.txt", "--f", "1"])).unwrap_err();
         assert!(matches!(err, CliError::Io(_)));
+    }
+
+    /// A count line past the daemon's node cap is refused from the count
+    /// line alone: 4·10⁹ nodes would have `Digraph::new` size exabytes of
+    /// adjacency bits.
+    #[test]
+    fn graph_files_past_the_node_cap_are_refused() {
+        for count in [4_000_000_000, job::MAX_NODES + 1] {
+            let path = write_graph(&format!("count-{count}"), &format!("{count}\n0 1\n"));
+            let check = ["check", &path, "--f", "1"];
+            let simulate = ["simulate", &path, "--f", "1", "--faulty", "0"];
+            for case in [&check[..], &simulate] {
+                let err = run(&argv(case)).unwrap_err();
+                assert!(matches!(err, CliError::Graph(_)), "{case:?}: {err}");
+                assert!(err.to_string().contains(&count.to_string()), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,18 @@
 //! [`iabc_graph::fingerprint`] hasher. Because every engine is bit-for-bit
 //! deterministic at any job count, equal keys imply byte-identical
 //! payloads, which is the entire cache-correctness argument.
+//!
+//! # The scenario vocabulary
+//!
+//! This module is also the one home of the words a scenario is named by,
+//! for the daemon and for `iabc simulate`, `baseline`, `record` and
+//! `submit` alike: the adversary families ([`ADVERSARIES`]), the update
+//! rules ([`rule_by_name`]), the delay-bounded schedulers
+//! ([`engine_scheduler_by_name`]) and the seeded input draw
+//! ([`seeded_inputs`]). A name therefore means the same run on the
+//! command line and in a job. Two words stay with the CLI because a job
+//! cannot carry them: the quantized rule's rounding mode (a job always
+//! rounds to nearest) and the `targeted` scheduler's victim set.
 
 use crate::json::Json;
 use crate::store::RunKey;
@@ -41,7 +53,9 @@ pub const KEY_SCHEMA_VERSION: u32 = 1;
 /// against this cap before anything is sized from `n`. A miss runs on a
 /// `Digraph`, which keeps an in- and an out-neighbour bitset per node:
 /// 2n² bits, 64 MiB at this cap. A larger count is a job error, not an
-/// allocation the process cannot survive.
+/// allocation the process cannot survive. The CLI's graph-file commands
+/// refuse the same counts, so a scenario `iabc simulate` runs is one a
+/// job may carry.
 pub const MAX_NODES: usize = 1 << 14;
 
 /// How a scenario's inputs are obtained.
@@ -49,8 +63,7 @@ pub const MAX_NODES: usize = 1 << 14;
 pub enum InputSpec {
     /// Explicit per-node values.
     Explicit(Vec<f64>),
-    /// `StdRng::seed_from_u64(seed)` uniform draws from `[0, 100)` — the
-    /// same derivation `iabc simulate` uses.
+    /// The [`seeded_inputs`] draw, which `iabc simulate` also makes.
     Seeded(u64),
 }
 
@@ -75,10 +88,10 @@ pub enum EngineSpec {
     },
 }
 
-/// Resolves a delay-bounded scheduler name for job execution. The
-/// `targeted` scheduler is deliberately not supported here: its victim
-/// set would have to travel in the job, and no experiment regenerates
-/// through it.
+/// Resolves a delay-bounded scheduler name; `seed` reaches the `random`
+/// scheduler only. The `targeted` scheduler is deliberately not supported
+/// here: its victim set would have to travel in the job, and no
+/// experiment regenerates through it (`iabc simulate` builds it itself).
 pub fn engine_scheduler_by_name(name: &str, seed: u64) -> Result<Box<dyn Scheduler>, ServeError> {
     Ok(match name {
         "immediate" => Box::new(ImmediateScheduler),
@@ -144,15 +157,12 @@ impl ScenarioSpec {
                 }
                 Ok(values.clone())
             }
-            InputSpec::Seeded(seed) => {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                Ok((0..n).map(|_| rng.random_range(0.0..100.0)).collect())
-            }
+            InputSpec::Seeded(seed) => Ok(seeded_inputs(n, *seed)),
         }
     }
 
     fn resolve_rule(&self) -> Result<Box<dyn UpdateRule>, ServeError> {
-        rule_by_name(&self.rule, self.f, self.quantum)
+        rule_by_name(&self.rule, self.f, self.quantum, Rounding::Nearest)
     }
 
     /// The fault set, checked against `n` on the key path and before a
@@ -241,7 +251,7 @@ impl ScenarioSpec {
         let faults = self.resolve_faults(n)?;
         let inputs = self.resolve_inputs(n)?;
         let rule = self.resolve_rule()?;
-        let adversary = adversary_by_name(&self.adversary, self.seed)?;
+        let adversary = adversary_factory(&self.adversary, self.seed)?();
         let scenario = Scenario::on(&g)
             .inputs(&inputs)
             .faults(faults)
@@ -491,35 +501,61 @@ pub fn experiment_cell_key(label: &str) -> RunKey {
     RunKey(h.finish())
 }
 
-/// Resolves an adversary name exactly as `iabc simulate` does.
-pub fn adversary_by_name(name: &str, seed: u64) -> Result<Box<dyn Adversary>, ServeError> {
-    Ok(match name {
-        "conforming" => Box::new(ConformingAdversary::new()),
-        "constant" => Box::new(ConstantAdversary::new(1e9)),
-        "random" => Box::new(RandomAdversary::new(-1e6, 1e6, seed)),
-        "extremes" => Box::new(ExtremesAdversary::new(1e6)),
-        "pull-low" => Box::new(PullAdversary::new(false)),
-        "pull-high" => Box::new(PullAdversary::new(true)),
-        "crash" => Box::new(CrashAdversary::new(2)),
-        "flip-flop" => Box::new(FlipFlopAdversary::new(1e6)),
-        "polarizing" => Box::new(PolarizingAdversary::new()),
-        "echo" => Box::new(EchoAdversary::new()),
-        "nan" => Box::new(NaNAdversary::new()),
-        other => {
-            return Err(ServeError::Job(format!(
-                "unknown adversary {other:?} (try conforming, constant, random, extremes, \
-                 pull-low, pull-high, crash, flip-flop, polarizing, echo, nan)"
-            )))
-        }
-    })
+/// `n` inputs drawn uniformly from `[0, 100)` by `StdRng::seed_from_u64(seed)`:
+/// the draw behind [`InputSpec::Seeded`] and behind every CLI run without
+/// `--inputs`.
+pub fn seeded_inputs(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).map(|_| rng.random_range(0.0..100.0)).collect()
 }
 
-/// Resolves a rule name exactly as `iabc simulate` does (the `quantized`
-/// rule takes its quantum from the spec instead of a CLI flag).
+/// Builds one adversary from a run's seed.
+type MakeAdversary = fn(u64) -> Box<dyn Adversary>;
+
+/// Every adversary family a scenario can name, with its constructor; the
+/// seed reaches the seeded family (`random`) only.
+pub const ADVERSARIES: [(&str, MakeAdversary); 11] = [
+    ("conforming", |_| Box::new(ConformingAdversary::new())),
+    ("constant", |_| Box::new(ConstantAdversary::new(1e9))),
+    ("random", |seed| {
+        Box::new(RandomAdversary::new(-1e6, 1e6, seed))
+    }),
+    ("extremes", |_| Box::new(ExtremesAdversary::new(1e6))),
+    ("pull-low", |_| Box::new(PullAdversary::new(false))),
+    ("pull-high", |_| Box::new(PullAdversary::new(true))),
+    ("crash", |_| Box::new(CrashAdversary::new(2))),
+    ("flip-flop", |_| Box::new(FlipFlopAdversary::new(1e6))),
+    ("polarizing", |_| Box::new(PolarizingAdversary::new())),
+    ("echo", |_| Box::new(EchoAdversary::new())),
+    ("nan", |_| Box::new(NaNAdversary::new())),
+];
+
+/// Resolves an adversary name into an infallible factory (adversaries are
+/// stateful, so a harness that runs several contenders needs a fresh one
+/// per run). An unknown name errors here, once.
+pub fn adversary_factory(
+    name: &str,
+    seed: u64,
+) -> Result<impl Fn() -> Box<dyn Adversary>, ServeError> {
+    match ADVERSARIES.iter().find(|(known, _)| *known == name) {
+        Some(&(_, make)) => Ok(move || make(seed)),
+        None => {
+            let known: Vec<&str> = ADVERSARIES.iter().map(|(known, _)| *known).collect();
+            Err(ServeError::Job(format!(
+                "unknown adversary {name:?} (try {})",
+                known.join(", ")
+            )))
+        }
+    }
+}
+
+/// Resolves a rule name. Only the `quantized` rule reads `quantum`
+/// (required) and `rounding`; a job always passes [`Rounding::Nearest`].
 pub fn rule_by_name(
     name: &str,
     f: usize,
     quantum: Option<f64>,
+    rounding: Rounding,
 ) -> Result<Box<dyn UpdateRule>, ServeError> {
     Ok(match name {
         "trimmed-mean" => Box::new(TrimmedMean::new(f)),
@@ -532,7 +568,7 @@ pub fn rule_by_name(
             let quantum =
                 quantum.ok_or_else(|| ServeError::Job("quantized rule needs a quantum".into()))?;
             Box::new(
-                QuantizedTrimmedMean::new(f, quantum, Rounding::Nearest)
+                QuantizedTrimmedMean::new(f, quantum, rounding)
                     .map_err(|e| ServeError::Job(e.to_string()))?,
             )
         }

@@ -75,6 +75,9 @@ pub struct ServerStats {
     /// Jobs coalesced onto an identical in-flight compute (served the
     /// leader's bytes; journaled as hits).
     pub job_coalesced: usize,
+    /// Connection handlers that panicked. Each released its connection
+    /// permit as it unwound, and the accept loop kept serving.
+    pub handler_panics: usize,
 }
 
 /// One in-flight compute that identical submissions can park on.
@@ -169,17 +172,31 @@ impl Semaphore {
         }
     }
 
-    fn acquire(&self) {
+    fn acquire(self: &Arc<Self>) -> Permit {
         let mut permits = self.permits.lock().unwrap();
         while *permits == 0 {
             permits = self.cv.wait(permits).unwrap();
         }
         *permits -= 1;
+        Permit(Arc::clone(self))
     }
+}
 
-    fn release(&self) {
-        *self.permits.lock().unwrap() += 1;
-        self.cv.notify_one();
+/// A held connection permit, returned to its [`Semaphore`] on drop, so a
+/// handler that unwinds releases it too.
+#[derive(Debug)]
+struct Permit(Arc<Semaphore>);
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        // No code panics while holding this lock; recover anyway rather
+        // than abort inside an unwind.
+        *self
+            .0
+            .permits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.cv.notify_one();
     }
 }
 
@@ -191,6 +208,9 @@ struct Shared {
     jobs: usize,
     stats: Mutex<ServerStats>,
     shutdown: AtomicBool,
+    /// Makes the next connection's handler panic on entry.
+    #[cfg(test)]
+    panic_next_handler: AtomicBool,
 }
 
 /// The daemon: a bound listener plus the handler-shared state.
@@ -453,6 +473,10 @@ fn compute_and_insert(
 /// the listener's own address, used to wake a blocked `accept()` when a
 /// shutdown request arrives.
 fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
+    #[cfg(test)]
+    if shared.panic_next_handler.swap(false, Ordering::SeqCst) {
+        panic!("injected connection handler panic");
+    }
     let request = match read_frame(&mut stream) {
         Ok(Some(json)) => Request::from_json(&json),
         Ok(None) => return,
@@ -556,6 +580,15 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
     }
 }
 
+/// Joins finished or finishing handlers and counts those that panicked.
+fn joined_panics(handles: Vec<std::thread::JoinHandle<()>>) -> usize {
+    handles
+        .into_iter()
+        .map(std::thread::JoinHandle::join)
+        .filter(Result::is_err)
+        .count()
+}
+
 impl Server {
     /// Binds the listener and opens (or creates) the store. Warming the
     /// process pool happens lazily on the first miss.
@@ -572,6 +605,8 @@ impl Server {
                 jobs: config.jobs,
                 stats: Mutex::new(ServerStats::default()),
                 shutdown: AtomicBool::new(false),
+                #[cfg(test)]
+                panic_next_handler: AtomicBool::new(false),
             }),
             accept_limit: config.accept_limit,
             max_connections: if config.max_connections == 0 {
@@ -596,12 +631,14 @@ impl Server {
 
     /// Runs the accept loop until the accept limit is reached or a
     /// shutdown request arrives; handlers run on bounded threads and are
-    /// all joined before the final counters are returned.
+    /// all joined before the final counters are returned. A handler that
+    /// panics is counted ([`ServerStats::handler_panics`]), not re-raised.
     pub fn run(&mut self) -> Result<ServerStats, ServeError> {
         let addr = self.local_addr()?;
         let semaphore = Arc::new(Semaphore::new(self.max_connections));
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut accepted = 0usize;
+        let mut handler_panics = 0usize;
         loop {
             if let Some(limit) = self.accept_limit {
                 if accepted >= limit {
@@ -624,27 +661,23 @@ impl Server {
                 break;
             }
             accepted += 1;
-            semaphore.acquire();
+            let permit = semaphore.acquire();
             let shared = Arc::clone(&self.shared);
-            let semaphore_for_handler = Arc::clone(&semaphore);
             handles.push(std::thread::spawn(move || {
+                let _permit = permit;
                 handle_connection(stream, &shared, addr);
-                semaphore_for_handler.release();
             }));
             // Reap finished handlers so the handle list stays bounded on
             // long-lived daemons.
             let (done, running): (Vec<_>, Vec<_>) =
                 handles.drain(..).partition(|h| h.is_finished());
             handles = running;
-            for handle in done {
-                handle.join().expect("connection handler panicked");
-            }
+            handler_panics += joined_panics(done);
         }
-        for handle in handles {
-            handle.join().expect("connection handler panicked");
-        }
+        handler_panics += joined_panics(handles);
         let mut stats = *self.shared.stats.lock().unwrap();
         stats.connections = accepted;
+        stats.handler_panics = handler_panics;
         Ok(stats)
     }
 }
@@ -653,7 +686,9 @@ impl Server {
 mod tests {
     use super::*;
     use crate::job::{EngineSpec, InputSpec, ScenarioSpec};
+    use crate::json::Json;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::path::PathBuf;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -756,41 +791,132 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A submit whose graph declares 5·10⁹ nodes is answered with an
-    /// error frame over a real socket, and the same daemon then answers a
-    /// hit.
-    #[test]
-    fn a_hostile_node_count_is_an_error_frame_not_a_dead_daemon() {
-        let dir = std::env::temp_dir().join(format!("iabc-serve-count-{}", std::process::id()));
+    /// A daemon on an ephemeral loopback port over a fresh store in a
+    /// temporary directory named after `name`.
+    fn bind_daemon(name: &str, accept_limit: usize, max_connections: usize) -> (Server, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("iabc-serve-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = ServerConfig {
             addr: "127.0.0.1:0".into(),
             jobs: 1,
             store_dir: dir.clone(),
-            accept_limit: Some(3),
-            max_connections: 0,
+            accept_limit: Some(accept_limit),
+            max_connections,
             max_store_bytes: None,
         };
-        let mut server = Server::bind(&config).unwrap();
+        (Server::bind(&config).unwrap(), dir)
+    }
+
+    /// Hostile submits are answered with error frames over a real socket,
+    /// and the same daemon then answers a hit: a graph declaring 5·10⁹
+    /// nodes, and a delay bound (it sizes the engine's calendar) of 2^50 as
+    /// a JSON number and of `u64::MAX` as the decimal string the wire also
+    /// accepts.
+    #[test]
+    fn hostile_submits_are_error_frames_not_a_dead_daemon() {
+        let (mut server, dir) = bind_daemon("hostile", 5, 0);
         let addr = server.local_addr().unwrap().to_string();
         let daemon = std::thread::spawn(move || server.run());
 
         let good = scenario("3\n0 1\n1 0\n1 2\n2 1\n");
-        let first = crate::submit(&addr, &good).unwrap();
-        match crate::submit(&addr, &scenario("5000000000\n0 1\n")) {
-            Err(ServeError::Server(message)) => assert!(
-                message.contains("job error") && message.contains("5000000000"),
+        let delayed = |bound: usize| match &good {
+            JobSpec::Scenario(spec) => JobSpec::Scenario(ScenarioSpec {
+                engine: EngineSpec::DelayBounded {
+                    bound,
+                    scheduler: "max".into(),
+                    sched_seed: 0,
+                },
+                ..spec.clone()
+            }),
+            JobSpec::Sweep { .. } => unreachable!(),
+        };
+        let refused = |message: &str, cause: &str| {
+            assert!(
+                message.contains("job error") && message.contains(cause),
                 "{message}"
-            ),
+            );
+        };
+        let first = crate::submit(&addr, &good).unwrap();
+        for (job, cause) in [
+            (scenario("5000000000\n0 1\n"), "5000000000"),
+            (delayed(1 << 50), "delay bound"),
+        ] {
+            match crate::submit(&addr, &job) {
+                Err(ServeError::Server(message)) => refused(&message, cause),
+                other => panic!("expected an error frame, got {other:?}"),
+            }
+        }
+        // `JobSpec::to_json` renders the bound as a number, so the string
+        // form goes out as a hand-edited frame.
+        let string_bound = delayed(1);
+        let mut job = string_bound.to_json();
+        if let Json::Obj(pairs) = &mut job {
+            for (name, value) in pairs.iter_mut() {
+                if name == "delay_bound" {
+                    *value = Json::u64(u64::MAX);
+                }
+            }
+        }
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let request = Json::obj([("type", Json::Str("submit".into())), ("job", job)]);
+        write_frame(&mut stream, &request).unwrap();
+        let response = loop {
+            let frame = read_frame(&mut stream)
+                .unwrap()
+                .expect("the daemon hung up");
+            match Response::from_json(&frame).unwrap() {
+                Response::Progress { .. } => continue,
+                response => break response,
+            }
+        };
+        match response {
+            Response::Error { message } => refused(&message, "delay bound"),
             other => panic!("expected an error frame, got {other:?}"),
         }
+        drop(stream);
         let second = crate::submit(&addr, &good).unwrap();
         assert!(!first.cache_hit && second.cache_hit);
         assert_eq!(first.payload, second.payload);
 
         let stats = daemon.join().unwrap().unwrap();
-        assert_eq!(stats.connections, 3);
+        assert_eq!(stats.connections, 5);
         assert_eq!((stats.job_misses, stats.job_hits), (1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A handler that panics neither keeps its `--max-conn` permit nor
+    /// stops the accept loop: at one permit, the next submit is still
+    /// answered, and the panic is counted when the daemon exits.
+    #[test]
+    fn a_panicking_handler_releases_its_permit_and_the_daemon_serves_on() {
+        let (mut server, dir) = bind_daemon("handler-panic", 2, 1);
+        server
+            .shared
+            .panic_next_handler
+            .store(true, Ordering::SeqCst);
+        let addr = server.local_addr().unwrap().to_string();
+        let daemon = std::thread::spawn(move || server.run());
+
+        let good = scenario("3\n0 1\n1 0\n1 2\n2 1\n");
+        assert!(
+            crate::submit(&addr, &good).is_err(),
+            "the panicking handler answered"
+        );
+        // A leaked permit would park the accept loop for good, so the
+        // second submit runs on its own thread, under a deadline.
+        let (tx, rx) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let _ = tx.send(crate::submit(&addr, &good));
+        });
+        let answer = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the submit after a handler panic went unanswered");
+        client.join().unwrap();
+        assert!(!answer.unwrap().cache_hit);
+
+        let stats = daemon.join().unwrap().unwrap();
+        assert_eq!(stats.handler_panics, 1);
+        assert_eq!((stats.connections, stats.job_misses), (2, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

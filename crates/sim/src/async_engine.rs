@@ -108,6 +108,12 @@ impl Scheduler for TargetedScheduler {
     }
 }
 
+/// The largest delay bound [`DelayBoundedSim::new`] accepts. The engine
+/// keeps one calendar bucket per tick of delay, so the bound sizes an
+/// allocation: 2^16 buckets is about 1.5 MiB, far past any bound a §7
+/// experiment uses (at most 5).
+pub const MAX_DELAY_BOUND: usize = 1 << 16;
+
 /// Partially asynchronous engine: per-edge mailboxes with delay bound `B`.
 ///
 /// Each tick, every node (honest or, via the [`Adversary`], faulty)
@@ -187,7 +193,9 @@ impl<'a> DelayBoundedSim<'a> {
     /// # Errors
     ///
     /// Same validation as [`crate::Simulation::new`]; additionally
-    /// `delay_bound` must be ≥ 1.
+    /// [`SimError::DelayBoundOutOfRange`] unless `1 <= delay_bound <=`
+    /// [`MAX_DELAY_BOUND`], checked before anything is sized from the
+    /// bound.
     pub fn new(
         graph: &'a Digraph,
         inputs: &[f64],
@@ -199,7 +207,9 @@ impl<'a> DelayBoundedSim<'a> {
     ) -> Result<Self, SimError> {
         let n = graph.node_count();
         check_inputs(n, inputs, &fault_set)?;
-        assert!(delay_bound >= 1, "delay bound B must be >= 1");
+        if !(1..=MAX_DELAY_BOUND).contains(&delay_bound) {
+            return Err(SimError::DelayBoundOutOfRange { bound: delay_bound });
+        }
         let compiled = CompiledTopology::compile(graph, &fault_set);
         // Mailboxes start holding the senders' initial states, flattened to
         // the CSR layout.
@@ -861,6 +871,36 @@ mod tests {
             Box::new(ConformingAdversary::new()),
         )
         .is_err());
+    }
+
+    /// A bound of 0 or past the cap is an error before the calendar is
+    /// sized: 2^50 buckets would ask for 27 PB, `usize::MAX` would
+    /// overflow the capacity.
+    #[test]
+    fn delay_bounds_outside_the_cap_are_errors() {
+        let g = generators::complete(3);
+        let rule = TrimmedMean::new(0);
+        let build = |bound: usize| {
+            DelayBoundedSim::new(
+                &g,
+                &[1.0, 2.0, 3.0],
+                no_faults(3),
+                &rule,
+                Box::new(ConformingAdversary::new()),
+                Box::new(MaxDelayScheduler),
+                bound,
+            )
+            .map(|_| ())
+        };
+        for bound in [0, MAX_DELAY_BOUND + 1, 1 << 50, usize::MAX] {
+            assert_eq!(
+                build(bound),
+                Err(SimError::DelayBoundOutOfRange { bound }),
+                "{bound}"
+            );
+        }
+        assert!(build(1).is_ok());
+        assert!(build(MAX_DELAY_BOUND).is_ok());
     }
 
     #[test]

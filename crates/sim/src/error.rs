@@ -74,6 +74,12 @@ pub enum SimError {
         /// Requested dimension `d`.
         dim: usize,
     },
+    /// A delay-bounded engine's bound was 0 or past
+    /// [`crate::async_engine::MAX_DELAY_BOUND`].
+    DelayBoundOutOfRange {
+        /// The bound requested.
+        bound: usize,
+    },
     /// A replica-batched scenario's flat inputs do not factor as
     /// `nodes × replicas` (or the replica count was zero).
     ReplicaShapeMismatch {
@@ -132,6 +138,13 @@ impl fmt::Display for SimError {
                     "got {inputs} flat inputs for {nodes} nodes x dimension {dim} \
                      (expected {})",
                     nodes * dim
+                )
+            }
+            SimError::DelayBoundOutOfRange { bound } => {
+                write!(
+                    f,
+                    "delay bound B = {bound} is outside 1..={}",
+                    crate::async_engine::MAX_DELAY_BOUND
                 )
             }
             SimError::ReplicaShapeMismatch {

@@ -27,11 +27,9 @@
 //! tier's error.
 //!
 //! [`epsilon_audit`] makes that *checked*: it steps a fresh batch against
-//! `R` exact-tier [`crate::Simulation`]s in lockstep, compares every
-//! `(node, replica)` state each round under a ULP bound (the audit suite
-//! runs it at 0), and then **resynchronizes** the batch to the exact
-//! states — so adversary plans stay bit-identical on both sides and the
-//! bound measures *per-round kernel error*, not compounded drift. A
+//! `R` exact-tier [`crate::Simulation`]s in lockstep and requires every
+//! `(node, replica)` state to be bit-equal to the exact tier's after every
+//! round, so adversary plans stay bit-identical on both sides. A
 //! deliberately wrong kernel must fail the audit;
 //! [`BatchedSimulation::with_perturbation`] exists so tests can prove the
 //! harness bites (see `tests/fastmath_audit.rs`).
@@ -322,17 +320,6 @@ impl<'a> BatchedSimulation<'a> {
             hi = hi.max(v);
         }
         hi - lo
-    }
-
-    /// Overwrites replica `r`'s fault-free entries from a scalar state
-    /// vector — the audit's per-round resynchronization (faulty rows are
-    /// never written, preserving the double-buffer contract).
-    fn resync_replica(&mut self, r: usize, exact: &[f64]) {
-        for (i, &v) in exact.iter().enumerate().take(self.graph.node_count()) {
-            if !self.fault_set.contains(NodeId::new(i)) {
-                self.states[i * self.replicas + r] = v;
-            }
-        }
     }
 
     /// Executes one lockstep iteration: phase 1 plans each replica's
@@ -637,16 +624,11 @@ impl BatchOutcome {
     }
 }
 
-/// What [`epsilon_audit`] measured over a clean (passing) run.
+/// A clean (passing) [`epsilon_audit`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditReport {
-    /// Rounds stepped in lockstep.
+    /// Rounds stepped in lockstep, every one bit-equal to the exact tier.
     pub rounds: usize,
-    /// Worst per-round ULP distance observed across every
-    /// `(round, node, replica)`.
-    pub max_ulps: u64,
-    /// Worst per-round absolute difference observed.
-    pub max_abs: f64,
 }
 
 /// Why [`epsilon_audit`] failed.
@@ -656,7 +638,7 @@ pub enum AuditError {
     /// so a one-sided error would itself be a divergence — it surfaces
     /// here as whichever side errored first).
     Sim(SimError),
-    /// A `(round, node, replica)` state exceeded the ULP bound.
+    /// A `(round, node, replica)` state differed from the exact tier's.
     Divergence {
         /// Round at which the bound broke.
         round: usize,
@@ -668,7 +650,7 @@ pub enum AuditError {
         fast: f64,
         /// The exact tier's value.
         exact: f64,
-        /// Their ULP distance (> the configured bound).
+        /// Their ULP distance (at least 1).
         ulps: u64,
     },
 }
@@ -709,21 +691,18 @@ impl From<SimError> for AuditError {
 }
 
 /// Steps `batch` against `R` exact-tier [`crate::Simulation`]s in
-/// lockstep for `rounds` rounds, enforcing `max_ulps` on every
-/// `(node, replica)` state each round.
-///
-/// After each compared round the batch's states are **resynchronized** to
-/// the exact tier's, so (a) both sides' adversaries see bit-identical
-/// views and their RNG streams never fork, and (b) the bound measures
-/// per-round kernel error rather than compounded drift — the quantity the
-/// FastMath contract actually promises.
+/// lockstep for `rounds` rounds and requires every fault-free
+/// `(node, replica)` state to be bit-equal to the exact tier's after every
+/// round. A passing round leaves both tiers in the same states, so both
+/// sides' adversaries see bit-identical views and their RNG streams never
+/// fork.
 ///
 /// `make_adversary` must be the same factory (same seeds) the batch was
 /// built with; `batch` must be freshly constructed (round 0).
 ///
 /// # Errors
 ///
-/// [`AuditError::Divergence`] when the bound breaks,
+/// [`AuditError::Divergence`] at the first state that differs,
 /// [`AuditError::Sim`] when either tier's engine errors.
 ///
 /// # Panics
@@ -733,7 +712,6 @@ pub fn epsilon_audit(
     batch: &mut BatchedSimulation<'_>,
     mut make_adversary: impl FnMut(usize) -> Box<dyn Adversary>,
     rounds: usize,
-    max_ulps: u64,
 ) -> Result<AuditReport, AuditError> {
     assert_eq!(batch.round(), 0, "epsilon_audit needs a fresh batch");
     let exact_rule = batch.rule().exact();
@@ -750,44 +728,31 @@ pub fn epsilon_audit(
             make_adversary(r),
         )?);
     }
-    let mut report = AuditReport {
-        rounds,
-        max_ulps: 0,
-        max_abs: 0.0,
-    };
     for _ in 0..rounds {
         batch.step()?;
         for sim in exact_sims.iter_mut() {
             sim.step()?;
         }
         for (r, sim) in exact_sims.iter().enumerate() {
-            let exact_states = sim.states();
-            for (i, &exact) in exact_states.iter().enumerate().take(n) {
+            for (i, &exact) in sim.states().iter().enumerate().take(n) {
                 if batch.fault_set().contains(NodeId::new(i)) {
                     continue;
                 }
                 let fast = batch.states()[i * r_count + r];
-                let ulps = ulp_distance(fast, exact);
-                if ulps > max_ulps {
+                if fast.to_bits() != exact.to_bits() {
                     return Err(AuditError::Divergence {
                         round: batch.round(),
                         node: i,
                         replica: r,
                         fast,
                         exact,
-                        ulps,
+                        ulps: ulp_distance(fast, exact),
                     });
                 }
-                report.max_ulps = report.max_ulps.max(ulps);
-                report.max_abs = report.max_abs.max((fast - exact).abs());
             }
         }
-        for (r, sim) in exact_sims.iter().enumerate() {
-            let exact_states: Vec<f64> = sim.states().to_vec();
-            batch.resync_replica(r, &exact_states);
-        }
     }
-    Ok(report)
+    Ok(AuditReport { rounds })
 }
 
 #[cfg(test)]
@@ -858,9 +823,8 @@ mod tests {
             make,
         )
         .unwrap();
-        let report = epsilon_audit(&mut batch, make, 25, 0).unwrap();
+        let report = epsilon_audit(&mut batch, make, 25).unwrap();
         assert_eq!(report.rounds, 25);
-        assert_eq!(report.max_ulps, 0);
     }
 
     #[test]
@@ -960,14 +924,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(batch.scalar_fallback_rows(), 0);
-        let report = epsilon_audit(&mut batch, make, 10, 0).unwrap();
+        let report = epsilon_audit(&mut batch, make, 10).unwrap();
         assert_eq!(report.rounds, 10);
     }
 
     #[test]
     fn wide_rows_run_the_exact_rule_bit_for_bit() {
         // complete(140) has in-degree 139 > MERGE_MAX_LEN: phase 2 runs
-        // the exact rule per replica, so the audit holds at 0 ULPs.
+        // the exact rule per replica, so the audit holds bit for bit.
         let g = generators::complete(140);
         let faults = NodeSet::from_indices(140, [138, 139]);
         let replicas = 2;
@@ -986,7 +950,7 @@ mod tests {
         .unwrap();
         // Every fault-free row overflows the merge networks.
         assert_eq!(batch.scalar_fallback_rows(), 138);
-        let report = epsilon_audit(&mut batch, make, 6, 0).unwrap();
+        let report = epsilon_audit(&mut batch, make, 6).unwrap();
         assert_eq!(report.rounds, 6);
     }
 
@@ -1101,7 +1065,7 @@ mod tests {
         )
         .unwrap()
         .with_perturbation(1e-9);
-        let err = epsilon_audit(&mut batch, make, 5, 0).unwrap_err();
+        let err = epsilon_audit(&mut batch, make, 5).unwrap_err();
         assert!(
             matches!(err, AuditError::Divergence { round: 1, .. }),
             "{err}"

@@ -2,8 +2,11 @@
 //!
 //! The FastMath tier's contract is **bit-identity** with the exact tier:
 //! `epsilon_audit` steps a [`BatchedSimulation`] against `R` scalar
-//! engines in lockstep, resynchronizing each round so the bound measures
-//! kernel error, not compounded drift, and this suite holds it to 0 ULPs.
+//! engines in lockstep and requires every state to be bit-equal to the
+//! exact tier's after every round: the columnar networks sort
+//! byte-identically to the exact sort and fold each lane left to right
+//! from `-0.0`, as the exact sum does, and every other row runs the exact
+//! rule itself.
 //! It runs that audit across every adversary family and every
 //! [`FastRule`], on the columnar networks and on the exact-rule rows past
 //! them, pins golden convergence behaviour for a reference workload, and
@@ -21,11 +24,6 @@ use iabc_sim::adversary::{
 use iabc_sim::fastmath::{epsilon_audit, AuditError, BatchedSimulation};
 use iabc_sim::{RunConfig, Scenario};
 
-/// The audit's per-round tolerance: none. The columnar networks sort
-/// byte-identically to the exact sort and fold each lane left to right
-/// from `-0.0`, as the exact sum does, and every other row runs the exact
-/// rule itself.
-const AUDIT_ULPS: u64 = 0;
 const AUDIT_ROUNDS: usize = 12;
 const REPLICAS: usize = 4;
 
@@ -89,13 +87,8 @@ fn audit_grid_on(graph: &Digraph, faults: &NodeSet, f: usize, inputs: &[f64]) {
                     family_factory(family, r)
                 })
                 .expect("grid workload is valid");
-            let report = epsilon_audit(
-                &mut batch,
-                |r| family_factory(family, r),
-                AUDIT_ROUNDS,
-                AUDIT_ULPS,
-            )
-            .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
+            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), AUDIT_ROUNDS)
+                .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
             assert_eq!(report.rounds, AUDIT_ROUNDS, "{family} × {}", rule.name());
         }
     }
@@ -139,7 +132,7 @@ fn audit_grid_merge_network_topology() {
                 0,
                 "in-degree 39 must ride the merge networks"
             );
-            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8, AUDIT_ULPS)
+            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8)
                 .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
             assert_eq!(report.rounds, 8, "{family} × {}", rule.name());
         }
@@ -177,7 +170,7 @@ fn audit_grid_merge_network_complete_100() {
                 family != "random",
                 "{family}"
             );
-            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8, AUDIT_ULPS)
+            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 8)
                 .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
             assert_eq!(report.rounds, 8, "{family} × {}", rule.name());
         }
@@ -202,7 +195,7 @@ fn perturbed_kernel_canary_fails_on_complete_100() {
     )
     .expect("grid workload is valid")
     .with_perturbation(1e-9);
-    let err = epsilon_audit(&mut batch, |r| family_factory("constant", r), 8, AUDIT_ULPS)
+    let err = epsilon_audit(&mut batch, |r| family_factory("constant", r), 8)
         .expect_err("perturbed kernel must fail the audit at in-degree 99");
     assert!(
         matches!(err, AuditError::Divergence { round: 1, .. }),
@@ -212,7 +205,7 @@ fn perturbed_kernel_canary_fails_on_complete_100() {
 
 /// The rows past the networks: in-degree 139 is past [`MERGE_MAX_LEN`] =
 /// 128, so phase 2 runs the exact rule on each replica's decoded row —
-/// audited at 0 ULPs like every other row.
+/// audited bit for bit like every other row.
 #[test]
 fn audit_grid_scalar_fallback_topology() {
     let g = generators::complete(140);
@@ -230,7 +223,7 @@ fn audit_grid_scalar_fallback_topology() {
                 138,
                 "in-degree 139 is past MERGE_MAX_LEN and must fall back"
             );
-            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 6, AUDIT_ULPS)
+            let report = epsilon_audit(&mut batch, |r| family_factory(family, r), 6)
                 .unwrap_or_else(|e| panic!("audit failed for {family} × {}: {e}", rule.name()));
             assert_eq!(report.rounds, 6, "{family} × {}", rule.name());
         }
@@ -256,13 +249,8 @@ fn perturbed_kernel_canary_fails_every_family() {
         )
         .expect("grid workload is valid")
         .with_perturbation(1e-9);
-        let err = epsilon_audit(
-            &mut batch,
-            |r| family_factory(family, r),
-            AUDIT_ROUNDS,
-            AUDIT_ULPS,
-        )
-        .expect_err("perturbed kernel must fail the audit");
+        let err = epsilon_audit(&mut batch, |r| family_factory(family, r), AUDIT_ROUNDS)
+            .expect_err("perturbed kernel must fail the audit");
         assert!(
             matches!(err, AuditError::Divergence { round: 1, .. }),
             "{family}: expected a first-round divergence, got {err}"
