@@ -1165,11 +1165,14 @@ pub fn serve_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let stats = server.run().map_err(|e| CliError::Run(e.to_string()))?;
     Ok(format!(
         "serve: {addr} handled {} connection(s) — {} job hit(s), {} job miss(es), \
-         {} coalesced; store holds {} object(s), {} evicted\n",
+         {} coalesced, {} keyed from memo, {} handler panic(s); store holds {} object(s), \
+         {} evicted\n",
         stats.connections,
         stats.job_hits,
         stats.job_misses,
         stats.job_coalesced,
+        stats.keyed_from_memo,
+        stats.handler_panics,
         server.store().len(),
         server.store().evictions()
     ))

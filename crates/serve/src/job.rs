@@ -23,6 +23,7 @@
 //! rounds to nearest) and the `targeted` scheduler's victim set.
 
 use crate::json::Json;
+use crate::memo::TopologyMemo;
 use crate::store::RunKey;
 use crate::ServeError;
 use iabc_analysis::experiments::ExperimentResult;
@@ -38,7 +39,9 @@ use iabc_sim::adversary::{
     ExtremesAdversary, FlipFlopAdversary, NaNAdversary, PolarizingAdversary, PullAdversary,
     RandomAdversary,
 };
-use iabc_sim::async_engine::{ImmediateScheduler, MaxDelayScheduler, RandomScheduler, Scheduler};
+use iabc_sim::async_engine::{
+    check_delay_bound, ImmediateScheduler, MaxDelayScheduler, RandomScheduler, Scheduler,
+};
 use iabc_sim::wire::{encode_outcome, hash_run_config};
 use iabc_sim::{RunConfig, Scenario};
 use rand::rngs::StdRng;
@@ -195,14 +198,27 @@ impl ScenarioSpec {
     /// can never alias. The topology goes straight from the edge-list text
     /// to CSR rows ([`parse::in_rows`]) and is hashed from them
     /// ([`parse::InRows::fingerprint`]), so a cache hit builds neither the
-    /// `Digraph` a miss runs on nor the `CompiledTopology` both compile to.
-    fn hash(&self, h: &mut Fnv64) -> Result<(), ServeError> {
-        self.node_count()?;
-        let rows = parse::in_rows(&self.graph).map_err(bad_graph)?;
-        let n = rows.node_count();
+    /// `Digraph` a miss runs on nor the `CompiledTopology` both compile to;
+    /// with a `memo` that holds this text and fault set, the edge lines
+    /// are not read at all. The checks that need no edge line run first,
+    /// in this order on both paths: the count line, the fault set, and a
+    /// delay bound (refused here, before a miss takes the compute permit).
+    fn hash(&self, h: &mut Fnv64, memo: Option<&TopologyMemo>) -> Result<(), ServeError> {
+        let n = self.node_count()?;
         let faults = self.resolve_faults(n)?;
+        if let EngineSpec::DelayBounded { bound, .. } = self.engine {
+            check_delay_bound(bound).map_err(|e| ServeError::Job(e.to_string()))?;
+        }
+        let topology = || {
+            let rows = parse::in_rows(&self.graph).map_err(bad_graph)?;
+            Ok(rows.fingerprint(&faults))
+        };
+        let topology = match memo {
+            Some(memo) => memo.fingerprint(&self.graph, &faults, topology)?,
+            None => topology()?,
+        };
         h.write_str("scenario");
-        h.write_u64(rows.fingerprint(&faults));
+        h.write_u64(topology);
         h.write_u64(fingerprint::fault_set(&faults));
         h.write_str(&self.adversary);
         h.write_u64(self.seed);
@@ -292,10 +308,22 @@ fn bad_graph(e: GraphError) -> ServeError {
 impl JobSpec {
     /// The job's content address under the canonical key schema.
     pub fn key(&self) -> Result<RunKey, ServeError> {
+        self.keyed(None)
+    }
+
+    /// The same key and errors as [`JobSpec::key`], with a scenario's
+    /// topology fingerprint taken from `memo` when it holds the job's graph
+    /// text and fault set, and added to it when it does not: the daemon's
+    /// keying, which reads a repeated edge list once.
+    pub fn key_with(&self, memo: &TopologyMemo) -> Result<RunKey, ServeError> {
+        self.keyed(Some(memo))
+    }
+
+    fn keyed(&self, memo: Option<&TopologyMemo>) -> Result<RunKey, ServeError> {
         let mut h = Fnv64::new();
         h.write_u32(KEY_SCHEMA_VERSION);
         match self {
-            JobSpec::Scenario(spec) => spec.hash(&mut h)?,
+            JobSpec::Scenario(spec) => spec.hash(&mut h, memo)?,
             JobSpec::Sweep { ids } => {
                 h.write_str("sweep-experiments");
                 for id in resolve_experiment_ids(ids)? {

@@ -36,12 +36,14 @@
 pub mod client;
 pub mod job;
 pub mod json;
+pub mod memo;
 pub mod protocol;
 pub mod server;
 pub mod store;
 
 pub use client::{compact, query, shutdown, submit, SubmitOutcome};
 pub use job::{EngineSpec, InputSpec, JobSpec, ScenarioSpec};
+pub use memo::TopologyMemo;
 pub use server::{
     answer_submit, decode_sweep_payload, Server, ServerConfig, ServerStats, SingleFlight,
     StoreMemo, SubmitDisposition, DEFAULT_MAX_CONNECTIONS,

@@ -12,7 +12,9 @@
 //! computes. Misses compute under the shared pool's **job-level compute
 //! permit** ([`iabc_exec::SharedExecutor::with_compute_permit`]): one
 //! compute lock, many read locks, and the host is never oversubscribed
-//! by concurrent misses.
+//! by concurrent misses. Handlers also share one [`TopologyMemo`], so a
+//! topology any of them has keyed is keyed again without reading its
+//! edge list.
 //!
 //! # Single-flight
 //!
@@ -32,8 +34,9 @@ use std::time::Instant;
 use crate::job::{
     decode_experiment, encode_experiment, experiment_cell_key, resolve_experiment_ids, JobSpec,
 };
+use crate::memo::TopologyMemo;
 use crate::protocol::{read_frame, write_frame, Request, Response};
-use crate::store::Store;
+use crate::store::{RunKey, Store};
 use crate::ServeError;
 use iabc_analysis::experiments::ExperimentResult;
 use iabc_analysis::sweep::{run_cells_memo, CellCoords, CellMemo};
@@ -78,6 +81,9 @@ pub struct ServerStats {
     /// Connection handlers that panicked. Each released its connection
     /// permit as it unwound, and the accept loop kept serving.
     pub handler_panics: usize,
+    /// Submits whose topology fingerprint came from the daemon's
+    /// [`TopologyMemo`], without reading their edge lists.
+    pub keyed_from_memo: usize,
 }
 
 /// One in-flight compute that identical submissions can park on.
@@ -205,6 +211,7 @@ impl Drop for Permit {
 struct Shared {
     store: Store,
     flights: SingleFlight,
+    memo: TopologyMemo,
     jobs: usize,
     stats: Mutex<ServerStats>,
     shutdown: AtomicBool,
@@ -324,8 +331,9 @@ pub fn decode_sweep_payload(mut bytes: &[u8]) -> Result<Vec<ExperimentResult>, S
     Ok(results)
 }
 
-/// Executes one submitted job against the store (shared by the daemon and
-/// in-process callers like `iabc perf`'s cache datapoints).
+/// Executes one submitted job against the store (in-process callers like
+/// `iabc perf`'s cache datapoints; the daemon runs the same body on the
+/// same key, keyed through its [`TopologyMemo`]).
 ///
 /// Hits are pure store reads; misses compute under the shared pool's
 /// job-level compute permit and are deduplicated through `flights`: if an
@@ -337,9 +345,20 @@ pub fn answer_submit(
     flights: &SingleFlight,
     job: &JobSpec,
     jobs: usize,
+    progress: impl FnMut(usize, usize, &str),
+) -> Result<(Response, SubmitDisposition), ServeError> {
+    answer_keyed(store, flights, job, job.key()?, jobs, progress)
+}
+
+/// [`answer_submit`] for a job already keyed.
+fn answer_keyed(
+    store: &Store,
+    flights: &SingleFlight,
+    job: &JobSpec,
+    key: RunKey,
+    jobs: usize,
     mut progress: impl FnMut(usize, usize, &str),
 ) -> Result<(Response, SubmitDisposition), ServeError> {
-    let key = job.key()?;
     if let Some(payload) = store.get(key) {
         store
             .record_hit(key, jobs as u32)
@@ -444,7 +463,7 @@ pub fn answer_submit(
 fn compute_and_insert(
     store: &Store,
     job: &JobSpec,
-    key: crate::store::RunKey,
+    key: RunKey,
     jobs: usize,
     progress: &mut impl FnMut(usize, usize, &str),
 ) -> Result<FlightResult, ServeError> {
@@ -528,23 +547,26 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
             let _ = write_frame(&mut stream, &response.to_json());
         }
         Ok(Request::Submit(job)) => {
-            let result = answer_submit(
-                &shared.store,
-                &shared.flights,
-                &job,
-                shared.jobs,
-                |done, total, label| {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Response::Progress {
-                            done,
-                            total,
-                            label: label.to_string(),
-                        }
-                        .to_json(),
-                    );
-                },
-            );
+            let result = job.key_with(&shared.memo).and_then(|key| {
+                answer_keyed(
+                    &shared.store,
+                    &shared.flights,
+                    &job,
+                    key,
+                    shared.jobs,
+                    |done, total, label| {
+                        let _ = write_frame(
+                            &mut stream,
+                            &Response::Progress {
+                                done,
+                                total,
+                                label: label.to_string(),
+                            }
+                            .to_json(),
+                        );
+                    },
+                )
+            });
             match result {
                 Ok((response, disposition)) => {
                     {
@@ -602,6 +624,7 @@ impl Server {
             shared: Arc::new(Shared {
                 store,
                 flights: SingleFlight::new(),
+                memo: TopologyMemo::new(),
                 jobs: config.jobs,
                 stats: Mutex::new(ServerStats::default()),
                 shutdown: AtomicBool::new(false),
@@ -678,6 +701,7 @@ impl Server {
         let mut stats = *self.shared.stats.lock().unwrap();
         stats.connections = accepted;
         stats.handler_panics = handler_panics;
+        stats.keyed_from_memo = self.shared.memo.hits();
         Ok(stats)
     }
 }
@@ -808,10 +832,11 @@ mod tests {
     }
 
     /// Hostile submits are answered with error frames over a real socket,
-    /// and the same daemon then answers a hit: a graph declaring 5·10⁹
-    /// nodes, and a delay bound (it sizes the engine's calendar) of 2^50 as
-    /// a JSON number and of `u64::MAX` as the decimal string the wire also
-    /// accepts.
+    /// and the same daemon then answers a hit, keyed from its memo: a graph
+    /// declaring 5·10⁹ nodes, and a delay bound (it sizes the engine's
+    /// calendar) of 2^50 as a JSON number and of `u64::MAX` as the decimal
+    /// string the wire also accepts. A bound is refused while the job is
+    /// keyed, so no progress frame (a compute) comes before its error.
     #[test]
     fn hostile_submits_are_error_frames_not_a_dead_daemon() {
         let (mut server, dir) = bind_daemon("hostile", 5, 0);
@@ -860,16 +885,10 @@ mod tests {
         let mut stream = TcpStream::connect(&addr).unwrap();
         let request = Json::obj([("type", Json::Str("submit".into())), ("job", job)]);
         write_frame(&mut stream, &request).unwrap();
-        let response = loop {
-            let frame = read_frame(&mut stream)
-                .unwrap()
-                .expect("the daemon hung up");
-            match Response::from_json(&frame).unwrap() {
-                Response::Progress { .. } => continue,
-                response => break response,
-            }
-        };
-        match response {
+        let frame = read_frame(&mut stream)
+            .unwrap()
+            .expect("the daemon hung up");
+        match Response::from_json(&frame).unwrap() {
             Response::Error { message } => refused(&message, "delay bound"),
             other => panic!("expected an error frame, got {other:?}"),
         }
@@ -881,6 +900,7 @@ mod tests {
         let stats = daemon.join().unwrap().unwrap();
         assert_eq!(stats.connections, 5);
         assert_eq!((stats.job_misses, stats.job_hits), (1, 1));
+        assert_eq!((stats.keyed_from_memo, stats.handler_panics), (1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -915,7 +935,7 @@ mod tests {
         assert!(!answer.unwrap().cache_hit);
 
         let stats = daemon.join().unwrap().unwrap();
-        assert_eq!(stats.handler_panics, 1);
+        assert_eq!((stats.handler_panics, stats.keyed_from_memo), (1, 0));
         assert_eq!((stats.connections, stats.job_misses), (2, 1));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,6 +1,7 @@
 //! Heap allocations and bytes of one cache hit, counted by a global
 //! allocator, step by step from the client's submit frame to its decode
-//! of the answer.
+//! of the answer: once keyed by the pure `JobSpec::key`, and once as the
+//! daemon keys a topology it has seen, through its `TopologyMemo`.
 //!
 //! This binary holds a single test, so nothing else allocates while it
 //! counts. The hit is the benchmark's: a complete/n128 scenario, whose
@@ -11,7 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use iabc_graph::{generators, parse};
 use iabc_serve::protocol::{read_frame, write_frame, Request, Response};
-use iabc_serve::{EngineSpec, InputSpec, JobSpec, ScenarioSpec, SingleFlight, Store};
+use iabc_serve::{
+    EngineSpec, InputSpec, JobSpec, RunKey, ScenarioSpec, SingleFlight, Store, TopologyMemo,
+};
 
 /// The system allocator, counting every allocation and reallocation and
 /// the bytes each asks for.
@@ -55,8 +58,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The most a hit may allocate, in bytes per byte of its submit frame.
+/// The most a hit keyed by the pure path may allocate, in bytes per byte
+/// of its submit frame.
 const BYTES_PER_FRAME_BYTE: usize = 8;
+
+/// The same bound for a hit keyed from the daemon's memo.
+const MEMOIZED_BYTES_PER_FRAME_BYTE: usize = 5;
+
+/// The most allocations a memoized key may make: the fault set, its
+/// member list and the seeded inputs, none of them sized by the edge list.
+const MEMOIZED_KEY_ALLOCATIONS: usize = 3;
 
 fn hit_job() -> JobSpec {
     let seed = 0x92a1_731a_ed9a_48d6;
@@ -75,10 +86,14 @@ fn hit_job() -> JobSpec {
     })
 }
 
-/// Allocations and bytes per step of one hit against `store`, and the
-/// submit frame's length. The two "sockets" are buffers sized before the
-/// count starts.
-fn one_hit(store: &Store, job: &JobSpec) -> (Vec<(&'static str, usize, usize)>, usize) {
+/// Allocations and bytes per step of one hit against `store`, keyed by
+/// `key`, and the submit frame's length. The two "sockets" are buffers
+/// sized before the count starts.
+fn one_hit(
+    store: &Store,
+    job: &JobSpec,
+    key: impl Fn(&JobSpec) -> RunKey,
+) -> (Vec<(&'static str, usize, usize)>, usize) {
     let mut wire = Vec::with_capacity(1 << 20);
     let mut answer = Vec::with_capacity(1 << 16);
     let mut steps = Vec::new();
@@ -97,7 +112,7 @@ fn one_hit(store: &Store, job: &JobSpec) -> (Vec<(&'static str, usize, usize)>, 
     };
     drop(frame);
     step("from_json");
-    let key = submitted.key().unwrap();
+    let key = key(&submitted);
     step("key");
     let payload = store.get(key).expect("a warm key");
     store.record_hit(key, 1).unwrap();
@@ -125,6 +140,27 @@ fn one_hit(store: &Store, job: &JobSpec) -> (Vec<(&'static str, usize, usize)>, 
     (steps, wire.len())
 }
 
+/// Prints each step's counts and returns the hit's total bytes.
+fn report(path: &str, steps: &[(&'static str, usize, usize)], frame: usize) -> usize {
+    eprintln!("{path}:");
+    for (name, n, m) in steps {
+        eprintln!(
+            "{name:>20}: {n:>4} allocations, {:>7.1} KB",
+            *m as f64 / 1e3
+        );
+    }
+    let (allocations, bytes) = steps
+        .iter()
+        .fold((0, 0), |(a, b), &(_, n, m)| (a + n, b + m));
+    eprintln!(
+        "{:>20}: {allocations:>4} allocations, {:>7.1} KB = {:.2}x the {frame}-byte frame",
+        "hit",
+        bytes as f64 / 1e3,
+        bytes as f64 / frame as f64
+    );
+    bytes
+}
+
 #[test]
 fn a_hit_allocates_at_most_eight_times_its_frame() {
     let dir = std::env::temp_dir().join(format!("iabc-serve-alloc-{}", std::process::id()));
@@ -132,27 +168,34 @@ fn a_hit_allocates_at_most_eight_times_its_frame() {
     let store = Store::open(&dir).unwrap();
     let job = hit_job();
     iabc_serve::answer_submit(&store, &SingleFlight::new(), &job, 1, |_, _, _| {}).unwrap();
+    let pure = |job: &JobSpec| job.key().unwrap();
     // The first hit warms whatever is lazily built once.
-    one_hit(&store, &job);
-    let (steps, frame) = one_hit(&store, &job);
-    let (allocations, bytes) = steps
-        .iter()
-        .fold((0, 0), |(a, b), &(_, n, m)| (a + n, b + m));
-    for (name, n, m) in &steps {
-        eprintln!(
-            "{name:>20}: {n:>4} allocations, {:>7.1} KB",
-            *m as f64 / 1e3
-        );
-    }
-    eprintln!(
-        "{:>20}: {allocations:>4} allocations, {:>7.1} KB = {:.2}x the {frame}-byte frame",
-        "hit",
-        bytes as f64 / 1e3,
-        bytes as f64 / frame as f64
-    );
+    one_hit(&store, &job, pure);
+    let (steps, frame) = one_hit(&store, &job, pure);
+    let bytes = report("keyed by JobSpec::key", &steps, frame);
     assert!(
         bytes <= BYTES_PER_FRAME_BYTE * frame,
         "a hit allocated {bytes} bytes, over {BYTES_PER_FRAME_BYTE}x its {frame}-byte frame"
+    );
+
+    // The daemon's keying: the first sight of the topology fills the memo,
+    // and a repeat reads neither the edge list nor the memo's copy of it
+    // beyond one comparison.
+    let memo = TopologyMemo::new();
+    let memoized = |job: &JobSpec| job.key_with(&memo).unwrap();
+    one_hit(&store, &job, memoized);
+    let (steps, frame) = one_hit(&store, &job, memoized);
+    assert_eq!(memo.hits(), 1);
+    let bytes = report("keyed from the memo", &steps, frame);
+    let (_, key_allocations, _) = steps.iter().find(|s| s.0 == "key").unwrap();
+    assert!(
+        *key_allocations <= MEMOIZED_KEY_ALLOCATIONS,
+        "a memoized key made {key_allocations} allocations, over {MEMOIZED_KEY_ALLOCATIONS}"
+    );
+    assert!(
+        bytes <= MEMOIZED_BYTES_PER_FRAME_BYTE * frame,
+        "a memoized hit allocated {bytes} bytes, \
+         over {MEMOIZED_BYTES_PER_FRAME_BYTE}x its {frame}-byte frame"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

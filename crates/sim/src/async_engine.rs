@@ -114,6 +114,18 @@ impl Scheduler for TargetedScheduler {
 /// experiment uses (at most 5).
 pub const MAX_DELAY_BOUND: usize = 1 << 16;
 
+/// [`SimError::DelayBoundOutOfRange`] unless `1 <= bound <=`
+/// [`MAX_DELAY_BOUND`]: the check [`DelayBoundedSim::new`] makes before
+/// it sizes anything, for a caller that must refuse a bound before it
+/// builds a graph.
+pub fn check_delay_bound(bound: usize) -> Result<(), SimError> {
+    if (1..=MAX_DELAY_BOUND).contains(&bound) {
+        Ok(())
+    } else {
+        Err(SimError::DelayBoundOutOfRange { bound })
+    }
+}
+
 /// Partially asynchronous engine: per-edge mailboxes with delay bound `B`.
 ///
 /// Each tick, every node (honest or, via the [`Adversary`], faulty)
@@ -207,9 +219,7 @@ impl<'a> DelayBoundedSim<'a> {
     ) -> Result<Self, SimError> {
         let n = graph.node_count();
         check_inputs(n, inputs, &fault_set)?;
-        if !(1..=MAX_DELAY_BOUND).contains(&delay_bound) {
-            return Err(SimError::DelayBoundOutOfRange { bound: delay_bound });
-        }
+        check_delay_bound(delay_bound)?;
         let compiled = CompiledTopology::compile(graph, &fault_set);
         // Mailboxes start holding the senders' initial states, flattened to
         // the CSR layout.
