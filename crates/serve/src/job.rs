@@ -388,34 +388,35 @@ impl JobSpec {
         }
     }
 
-    /// Parses the wire JSON form.
+    /// Parses the wire JSON form, copying its strings out of `json`. See
+    /// [`JobSpec::decode`].
     pub fn from_json(json: &Json<'_>) -> Result<JobSpec, ServeError> {
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServeError::Protocol("job missing \"kind\"".into()))?;
-        match kind {
-            "sweep" => {
-                let ids = match json.get("ids") {
+        JobSpec::decode(json.clone())
+    }
+
+    /// Parses the wire JSON form by value, moving its strings (the graph
+    /// text among them) out of `json` instead of copying them.
+    pub fn decode(mut json: Json<'_>) -> Result<JobSpec, ServeError> {
+        match json.get("kind").and_then(Json::as_str) {
+            None => Err(ServeError::Protocol("job missing \"kind\"".into())),
+            Some("sweep") => {
+                let ids = match json.take("ids") {
                     None | Some(Json::Null) => Vec::new(),
-                    Some(v) => v
-                        .as_arr()
-                        .ok_or_else(|| ServeError::Protocol("\"ids\" must be an array".into()))?
-                        .iter()
+                    Some(Json::Arr(ids)) => ids
+                        .into_iter()
                         .map(|id| {
-                            id.as_str()
-                                .map(str::to_string)
+                            id.into_string()
                                 .ok_or_else(|| ServeError::Protocol("non-string id".into()))
                         })
                         .collect::<Result<_, _>>()?,
+                    Some(_) => return Err(ServeError::Protocol("\"ids\" must be an array".into())),
                 };
                 Ok(JobSpec::Sweep { ids })
             }
-            "scenario" => {
-                let str_field = |name: &str| -> Result<String, ServeError> {
-                    json.get(name)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
+            Some("scenario") => {
+                let str_field = |json: &mut Json<'_>, name: &str| -> Result<String, ServeError> {
+                    json.take(name)
+                        .and_then(Json::into_string)
                         .ok_or_else(|| ServeError::Protocol(format!("scenario missing \"{name}\"")))
                 };
                 let inputs = if let Some(values) = json.get("inputs") {
@@ -448,10 +449,9 @@ impl JobSpec {
                                 )
                             })?,
                         scheduler: json
-                            .get("scheduler")
-                            .and_then(Json::as_str)
-                            .unwrap_or("max")
-                            .to_string(),
+                            .take("scheduler")
+                            .and_then(Json::into_string)
+                            .unwrap_or_else(|| "max".into()),
                         sched_seed: json.get("sched_seed").and_then(Json::as_u64).unwrap_or(0),
                     },
                     Some(other) => {
@@ -461,7 +461,7 @@ impl JobSpec {
                     }
                 };
                 Ok(JobSpec::Scenario(ScenarioSpec {
-                    graph: str_field("graph")?,
+                    graph: str_field(&mut json, "graph")?,
                     faulty: json
                         .get("faulty")
                         .and_then(Json::as_arr)
@@ -476,9 +476,9 @@ impl JobSpec {
                         .get("f")
                         .and_then(Json::as_usize)
                         .ok_or_else(|| ServeError::Protocol("scenario missing \"f\"".into()))?,
-                    rule: str_field("rule")?,
+                    rule: str_field(&mut json, "rule")?,
                     quantum: json.get("quantum").and_then(Json::as_f64),
-                    adversary: str_field("adversary")?,
+                    adversary: str_field(&mut json, "adversary")?,
                     seed: json.get("seed").and_then(Json::as_u64).unwrap_or(0),
                     inputs,
                     epsilon: json.get("epsilon").and_then(Json::as_f64).unwrap_or(1e-6),
@@ -489,7 +489,7 @@ impl JobSpec {
                     engine,
                 }))
             }
-            other => Err(ServeError::Protocol(format!("unknown job kind {other:?}"))),
+            Some(other) => Err(ServeError::Protocol(format!("unknown job kind {other:?}"))),
         }
     }
 }
@@ -1033,6 +1033,75 @@ mod tests {
         for (got, want) in cases {
             assert_eq!(got, want);
         }
+    }
+
+    /// Every job `run_keys_are_pinned` keys, framed as a submit, and a
+    /// result frame render byte for byte as the per-char oracle renders
+    /// them at every string-kernel level, and parse back to themselves.
+    #[test]
+    fn pinned_jobs_and_a_result_frame_render_alike_at_every_level() {
+        use crate::json::tests::assert_frame_matches_the_oracle;
+        use crate::protocol::{Request, Response};
+        use iabc_graph::generators;
+        let hit = ScenarioSpec {
+            graph: parse::to_edge_list(&generators::complete(128)),
+            faulty: vec![0],
+            f: 1,
+            rule: "trimmed-mean".into(),
+            seed: 0x92a1_731a_ed9a_48d6,
+            inputs: InputSpec::Seeded(0x92a1_731a_ed9a_48d6),
+            max_rounds: 1000,
+            ..sample_scenario()
+        };
+        let chord = ScenarioSpec {
+            graph: parse::to_edge_list(&generators::chord(256, 4)),
+            adversary: "random".into(),
+            seed: 7,
+            inputs: InputSpec::Seeded(7),
+            epsilon: 0.0,
+            max_rounds: 2000,
+            ..hit.clone()
+        };
+        let messy = ScenarioSpec {
+            graph: "# header\r\n\r\n  5  \r\n2 0\n# mid comment\n\t0\t1\t\n\n3    4\r\n0 1\n  \
+                    1 2\r\n4 0\n2\t 0\n  # indented comment\n2 3\n"
+                .into(),
+            ..sample_scenario()
+        };
+        let tidy = ScenarioSpec {
+            graph: "5\n0 1\n1 2\n2 0\n2 3\n3 4\n4 0\n".into(),
+            ..sample_scenario()
+        };
+        let jobs = [
+            JobSpec::Scenario(hit),
+            JobSpec::Scenario(chord),
+            JobSpec::Scenario(messy),
+            JobSpec::Scenario(tidy),
+            JobSpec::Scenario(ScenarioSpec {
+                engine: delay_bounded("random", 3, 11),
+                ..sample_scenario()
+            }),
+            JobSpec::Scenario(ScenarioSpec {
+                inputs: InputSpec::Explicit(vec![1.0, -2.5, 3.75]),
+                quantum: Some(0.5),
+                rule: "quantized".into(),
+                ..sample_scenario()
+            }),
+            JobSpec::Sweep {
+                ids: vec!["e3".into(), "X2".into(), "E1".into()],
+            },
+        ];
+        for job in &jobs {
+            assert_frame_matches_the_oracle(&Request::submit_json(job));
+        }
+        let result = Response::Result {
+            cache_hit: true,
+            key: RunKey(0x4dc3_2c67_20c5_a623),
+            hits: 1,
+            misses: 0,
+            payload: (0..=255).cycle().take(25_456).collect(),
+        };
+        assert_frame_matches_the_oracle(&result.to_json());
     }
 
     #[test]

@@ -11,27 +11,46 @@
 //! Values that may exceed 2⁵³ (seeds, keys) travel as strings; the typed
 //! accessors ([`Json::as_u64`]) accept either form.
 //!
-//! # Strings, a word at a time
+//! # Strings, many bytes per step
 //!
 //! A submit frame is mostly one string: the job's edge list, about 100 KB
-//! with a `\n` escape every few bytes. Both directions move such a string
-//! 8 bytes at a time into a byte buffer sized once:
+//! with a `\n` escape every few bytes. Both directions move strings into a
+//! byte buffer sized once: rendering sizes the whole text first (each
+//! string's escapes are counted in a loop that vectorizes), and parsing
+//! first finds a string's closing quote (the first quote after an even
+//! run of backslashes), so the unescaped text, which is never longer than
+//! the escaped span, gets a buffer of that size. The string kernels come
+//! in two levels, and both write the same bytes:
 //!
-//! - **Rendering** sizes the whole text first (each string's escapes are
-//!   counted in a loop that vectorizes), so the buffer never grows. Each
-//!   step loads one `u64`, and a mask flags the bytes that need an escape
-//!   (`"`, `\\` and controls below 0x20). A word with no flag is copied
-//!   whole. Otherwise each run between flags is copied by writing the
-//!   whole (shifted) word and keeping the run's bytes, and each flagged
-//!   byte is escaped.
-//! - **Parsing** copies a string with no escape as one slice. Otherwise it
-//!   first finds the closing quote (the first quote after an even run of
-//!   backslashes), so the unescaped text, which is never longer than the
-//!   escaped span, gets a buffer of that size. The same word step then
-//!   copies the runs between backslashes, and a table turns each short
-//!   escape into its byte; `\\u` escapes and errors take a slower path.
+//! - **Words** (portable, every host), 8 bytes per step. Rendering loads
+//!   one `u64`, and a mask flags the bytes that need an escape (`"`, `\\`
+//!   and controls below 0x20). A word with no flag is copied whole.
+//!   Otherwise each run between flags is copied by writing the whole
+//!   (shifted) word and keeping the run's bytes, and each flagged byte is
+//!   escaped. Parsing copies a string with no escape as one slice;
+//!   otherwise the same word step copies the runs between backslashes, and
+//!   a table turns each short escape into its byte; `\\u` escapes and
+//!   errors take a slower per-escape path.
+//! - **VBMI2** (x86-64 with AVX-512 VBMI2), byte compress and expand.
+//!   Rendering reads 32 bytes per step and writes up to 64: one compare
+//!   pass flags the bytes that take a two-byte escape, an expand
+//!   (`vpexpandb`) opens a hole before each of them that takes the
+//!   backslash, and each flagged byte becomes its escape letter. A block
+//!   holding a control that needs `\\u00XX` runs the word step. Parsing
+//!   reads 64 escaped bytes per step: the escaping backslashes are found
+//!   from the backslash runs (with a carry into the next step), the byte
+//!   after each goes through the same short-escape table, and a compress
+//!   (`vpcompressb`) drops the backslashes. A `\\u` escape or a bad one
+//!   hands the string to the per-escape path at that backslash, so values,
+//!   errors and their byte offsets are the word level's. Tails use masked
+//!   loads and stores, so no step reads or writes past its slice.
 //!
-//! The masks are exact: adding 0x7f to a byte's low seven bits never
+//! The level is picked at run time: `Isa::best` takes VBMI2 when the
+//! CPU reports every feature its kernels are compiled for, and the words
+//! otherwise. There is no option; the tests run every level the host has
+//! against per-char and per-escape oracles and print which ones ran.
+//!
+//! The word masks are exact: adding 0x7f to a byte's low seven bits never
 //! carries into the next byte, so every flagged byte is a true hit. (The
 //! shorter borrow trick, `(w - 0x01…01) & !w & 0x80…80`, also flags bytes
 //! above a true hit and could only be trusted at its lowest flag.) Every
@@ -41,7 +60,7 @@
 //! Built values may borrow their strings ([`Json::Str`] holds a
 //! [`Cow`]): a client renders a 100 KB graph straight from its job
 //! without copying it into a value first. [`parse`] returns owned
-//! strings.
+//! strings, and a decoder moves them out of a parsed object.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -96,6 +115,27 @@ impl<'a> Json<'a> {
     pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the member [`Json::get`] finds out of an object, leaving
+    /// `null` in its place.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json<'a>> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+
+    /// The string payload by value, if this is a string: a move when the
+    /// string is owned.
+    pub(crate) fn into_string(self) -> Option<String> {
+        match self {
+            Json::Str(s) => Some(s.into_owned()),
             _ => None,
         }
     }
@@ -209,6 +249,11 @@ impl<'a> Json<'a> {
     /// Appends the canonical text to `out`. With [`Json::rendered_len`]
     /// bytes reserved first, `out` never grows while it is written.
     pub(crate) fn render_into(&self, out: &mut Vec<u8>) {
+        self.render_at(Isa::best(), out);
+    }
+
+    /// [`Json::render_into`] with the string kernels of `isa`.
+    fn render_at(&self, isa: Isa, out: &mut Vec<u8>) {
         match self {
             Json::Null => out.extend_from_slice(b"null"),
             Json::Bool(true) => out.extend_from_slice(b"true"),
@@ -224,14 +269,14 @@ impl<'a> Json<'a> {
                     out.extend_from_slice(b"null");
                 }
             }
-            Json::Str(s) => render_string(s, out),
+            Json::Str(s) => render_string(isa, s, out),
             Json::Arr(items) => {
                 out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(b',');
                     }
-                    item.render_into(out);
+                    item.render_at(isa, out);
                 }
                 out.push(b']');
             }
@@ -241,9 +286,9 @@ impl<'a> Json<'a> {
                     if i > 0 {
                         out.push(b',');
                     }
-                    render_string(k, out);
+                    render_string(isa, k, out);
                     out.push(b':');
-                    v.render_into(out);
+                    v.render_at(isa, out);
                 }
                 out.push(b'}');
             }
@@ -258,6 +303,44 @@ impl fmt::Write for Len {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         self.0 += s.len();
         Ok(())
+    }
+}
+
+/// A level the string kernels are compiled for (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The portable word kernels: 8 bytes per step.
+    Words,
+    /// AVX-512 VBMI2 byte expand and compress: 32 input bytes per render
+    /// step, 64 per parse step.
+    #[cfg(target_arch = "x86_64")]
+    Vbmi2,
+}
+
+impl Isa {
+    /// The widest level this host supports.
+    fn best() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if Isa::Vbmi2.detected() {
+            return Isa::Vbmi2;
+        }
+        Isa::Words
+    }
+
+    /// Whether this host supports the level. The detection macro caches
+    /// in a process-wide static, so this is a few loads and tests.
+    fn detected(self) -> bool {
+        match self {
+            Isa::Words => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Vbmi2 => {
+                std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx512vbmi")
+                    && std::arch::is_x86_feature_detected!("avx512vbmi2")
+                    && std::arch::is_x86_feature_detected!("bmi2")
+                    && std::arch::is_x86_feature_detected!("popcnt")
+            }
+        }
     }
 }
 
@@ -379,16 +462,30 @@ fn escaped_len(s: &str) -> usize {
     s.len() + 2 + growth
 }
 
-/// Appends `s` as a JSON string literal. Only `"`, `\\` and controls below
-/// 0x20 are escaped.
-fn render_string(s: &str, out: &mut Vec<u8>) {
+/// Appends `s` as a JSON string literal, with the kernels of `isa`. Only
+/// `"`, `\\` and controls below 0x20 are escaped.
+fn render_string(isa: Isa, s: &str, out: &mut Vec<u8>) {
     let bytes = s.as_bytes();
     out.push(b'"');
-    let mut i = 0;
-    // A word at a time while another follows it. The caller sized `out`
-    // for the escaped text, which from any byte of this word on is at
-    // least 9 bytes long, so no 8-byte copy grows the buffer.
-    while i + 16 <= bytes.len() {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Vbmi2 if isa.detected() => {
+            // SAFETY: the guard detected every feature the kernel is
+            // compiled for.
+            unsafe { vbmi2::render(bytes, out) }
+        }
+        _ => render_words(bytes, 0, bytes.len(), out),
+    }
+    out.push(b'"');
+}
+
+/// Escapes `bytes[i..end]` onto `out`: a word at a time while another
+/// word of `bytes` follows it, then a byte at a time.
+fn render_words(bytes: &[u8], mut i: usize, end: usize, out: &mut Vec<u8>) {
+    // The caller sized `out` for the escaped text, which from any byte of
+    // this word on is at least 9 bytes long (the next word and the closing
+    // quote), so no 8-byte copy grows the buffer.
+    while i + 8 <= end && i + 16 <= bytes.len() {
         let word = word_at(bytes, i).expect("i + 16 <= len");
         let w = u64::from_le_bytes(word);
         let mut flags = needs_escape(w);
@@ -405,14 +502,13 @@ fn render_string(s: &str, out: &mut Vec<u8>) {
         }
         i += 8;
     }
-    for &b in &bytes[i..] {
+    for &b in &bytes[i..end] {
         if b < 0x20 || b == b'"' || b == b'\\' {
             escape(b, out);
         } else {
             out.push(b);
         }
     }
-    out.push(b'"');
 }
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The parser
@@ -424,9 +520,14 @@ pub const MAX_DEPTH: usize = 128;
 /// Parses one JSON value; trailing non-whitespace is an error, and so is
 /// nesting deeper than [`MAX_DEPTH`]. Every string in the result is owned.
 pub fn parse(text: &str) -> Result<Json<'static>, JsonError> {
+    parse_at(Isa::best(), text)
+}
+
+/// [`parse`] with the string kernels of `isa`.
+fn parse_at(isa: Isa, text: &str) -> Result<Json<'static>, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(text, &mut pos, 0)?;
+    let value = parse_value(isa, text, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing data", pos));
@@ -457,7 +558,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
 }
 
 /// Parses the value at `pos`, inside `depth` open arrays and objects.
-fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json<'static>, JsonError> {
+fn parse_value(
+    isa: Isa,
+    text: &str,
+    pos: &mut usize,
+    depth: usize,
+) -> Result<Json<'static>, JsonError> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
@@ -473,10 +579,10 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json<'static
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = Cow::Owned(parse_string(text, pos)?);
+                let key = Cow::Owned(parse_string(isa, text, pos)?);
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(text, pos, depth + 1)?;
+                let value = parse_value(isa, text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -498,7 +604,7 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json<'static
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, pos, depth + 1)?);
+                items.push(parse_value(isa, text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -510,7 +616,7 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json<'static
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(Cow::Owned(parse_string(text, pos)?))),
+        Some(b'"') => Ok(Json::Str(Cow::Owned(parse_string(isa, text, pos)?))),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -545,8 +651,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json<'static>, JsonErro
         .map_err(|_| err("bad number", start))
 }
 
-/// Parses the string literal at `pos`.
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+/// Parses the string literal at `pos`, with the kernels of `isa`.
+fn parse_string(isa: Isa, text: &str, pos: &mut usize) -> Result<String, JsonError> {
     let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let start = *pos;
@@ -559,7 +665,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
             *pos = first + 1;
             Ok(text[start..first].to_owned())
         }
-        Some(_) => unescape(text, start, first, pos),
+        Some(_) => unescape(isa, text, start, first, pos),
     }
 }
 
@@ -624,6 +730,7 @@ impl Out {
 /// Unescapes the string whose text starts at `start` and whose first
 /// backslash is at `backslash`, leaving `pos` after its closing quote.
 fn unescape(
+    isa: Isa,
     text: &str,
     start: usize,
     backslash: usize,
@@ -639,7 +746,29 @@ fn unescape(
         at: 0,
     };
     out.put(&bytes[start..backslash]);
-    let mut i = backslash;
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Vbmi2 if isa.detected() => {
+            // SAFETY: the guard detected every feature the kernel is
+            // compiled for.
+            unsafe { vbmi2::unescape(bytes, backslash, end, &mut out) }?
+        }
+        _ => unescape_words(bytes, backslash, end, &mut out)?,
+    }
+    if end == bytes.len() {
+        return Err(err("unterminated string", end));
+    }
+    *pos = end + 1;
+    let Out { mut buf, at } = out;
+    buf.truncate(at);
+    // Runs end at ASCII bytes and escapes write whole chars, so this
+    // never fails.
+    String::from_utf8(buf).map_err(|_| err("string is not UTF-8", start))
+}
+
+/// Unescapes `bytes[i..end]` onto `out` a word at a time, then a byte at
+/// a time. An escape is read whole even where it crosses `end`.
+fn unescape_words(bytes: &[u8], mut i: usize, end: usize, out: &mut Out) -> Result<(), JsonError> {
     // A word at a time while another follows it. The output is never
     // longer than the input consumed, so an 8-byte write from within
     // this word stays inside the buffer.
@@ -652,7 +781,7 @@ fn unescape(
         while flags != 0 {
             let at = first_flagged(flags);
             out.put_low(w >> (8 * from), at - from);
-            let after = unescape_one(bytes, i + at, &mut out)?;
+            let after = unescape_one(bytes, i + at, out)?;
             if after > next {
                 // The escape ran into the next word, which starts after it.
                 next = after;
@@ -669,21 +798,13 @@ fn unescape(
     }
     while i < end {
         if bytes[i] == b'\\' {
-            i = unescape_one(bytes, i, &mut out)?;
+            i = unescape_one(bytes, i, out)?;
         } else {
             out.put(&[bytes[i]]);
             i += 1;
         }
     }
-    if end == bytes.len() {
-        return Err(err("unterminated string", end));
-    }
-    *pos = end + 1;
-    let Out { mut buf, at } = out;
-    buf.truncate(at);
-    // Runs end at ASCII bytes and escapes write whole chars, so this
-    // never fails.
-    String::from_utf8(buf).map_err(|_| err("string is not UTF-8", start))
+    Ok(())
 }
 
 /// Appends the escape at `bytes[at]`, a backslash, and returns the index
@@ -717,9 +838,258 @@ fn unescape_unicode(bytes: &[u8], at: usize, out: &mut Out) -> Result<usize, Jso
     Ok(kind + 5)
 }
 
+/// The AVX-512 VBMI2 string kernels (see the module docs). Each is
+/// compiled for the features `Isa::Vbmi2` detects, so its caller must have
+/// detected them.
+#[cfg(target_arch = "x86_64")]
+mod vbmi2 {
+    use std::arch::x86_64::*;
+
+    use super::{render_words, unescape_one, JsonError, Out, SHORT_ESCAPES};
+
+    /// Bits 0, 2, 4, … of a mask.
+    const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
+    /// Bits 1, 3, 5, … of a mask.
+    const ODD_BITS: u64 = !EVEN_BITS;
+
+    /// The low `n` bits, for `n` up to 64.
+    #[inline]
+    #[target_feature(enable = "bmi2")]
+    fn low_bits(n: usize) -> u64 {
+        _bzhi_u64(u64::MAX, n as u32)
+    }
+
+    /// Escapes `bytes` onto `out`, 32 input bytes per step.
+    #[target_feature(enable = "avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    pub(super) fn render(bytes: &[u8], out: &mut Vec<u8>) {
+        let quote = _mm512_set1_epi8(b'"' as i8);
+        let backslash = _mm512_set1_epi8(b'\\' as i8);
+        let space = _mm512_set1_epi8(b' ' as i8);
+        let tab = _mm512_set1_epi8(b'\t' as i8);
+        let newline = _mm512_set1_epi8(b'\n' as i8);
+        let carriage_return = _mm512_set1_epi8(b'\r' as i8);
+        let mut i = 0;
+        while i < bytes.len() {
+            let n = (bytes.len() - i).min(32);
+            let lanes = low_bits(n);
+            // SAFETY: the mask reads bytes i..i + n, all inside `bytes`;
+            // masked-off lanes are not read.
+            let x = unsafe { _mm512_maskz_loadu_epi8(lanes, bytes.as_ptr().add(i).cast()) };
+            let controls = _mm512_mask_cmplt_epu8_mask(lanes, x, space);
+            let tabs = _mm512_mask_cmpeq_epi8_mask(lanes, x, tab);
+            let newlines = _mm512_mask_cmpeq_epi8_mask(lanes, x, newline);
+            let returns = _mm512_mask_cmpeq_epi8_mask(lanes, x, carriage_return);
+            let short = tabs | newlines | returns;
+            if controls != short {
+                // A control that takes `\u00XX`: this block goes a word
+                // at a time.
+                render_words(bytes, i, i + n, out);
+                i += n;
+                continue;
+            }
+            let flagged = short
+                | _mm512_mask_cmpeq_epi8_mask(lanes, x, quote)
+                | _mm512_mask_cmpeq_epi8_mask(lanes, x, backslash);
+            // Each flagged byte becomes its escape letter; `"` and `\` are
+            // their own.
+            let letters = _mm512_mask_mov_epi8(x, tabs, _mm512_set1_epi8(b't' as i8));
+            let letters = _mm512_mask_mov_epi8(letters, newlines, _mm512_set1_epi8(b'n' as i8));
+            let letters = _mm512_mask_mov_epi8(letters, returns, _mm512_set1_epi8(b'r' as i8));
+            // The output lanes that take an input byte: byte k owns the odd
+            // bit 2k + 1 and, when flagged, the even bit 2k below it, a hole
+            // for its backslash; packing the owned bits in order leaves a 0
+            // for each hole and a 1 for each byte.
+            let owned = ODD_BITS | _pdep_u64(flagged, EVEN_BITS);
+            let escaped = _mm512_mask_expand_epi8(backslash, _pext_u64(ODD_BITS, owned), letters);
+            let len = n + flagged.count_ones() as usize;
+            out.reserve(len);
+            // SAFETY: `reserve` left room for `len` bytes past the end of
+            // `out`, and the mask writes exactly those, so `set_len` counts
+            // only written bytes.
+            unsafe {
+                _mm512_mask_storeu_epi8(
+                    out.as_mut_ptr().add(out.len()).cast(),
+                    low_bits(len),
+                    escaped,
+                );
+                out.set_len(out.len() + len);
+            }
+            i += n;
+        }
+    }
+
+    /// The bytes a backslash escapes in a 64-byte block, from the block's
+    /// backslashes and `carry`, 1 when the block's first byte is escaped by
+    /// the byte before it. A run of backslashes escapes in pairs from its
+    /// start, and a run of odd length also escapes the byte after it;
+    /// `carry` becomes 1 when that byte is the next block's first. (The
+    /// odd-run addition of simdjson's string scanner.)
+    #[inline]
+    fn escaped_bytes(backslashes: u64, carry: &mut u64) -> u64 {
+        let backslashes = backslashes & !*carry;
+        let follows = (backslashes << 1) | *carry;
+        let odd_starts = backslashes & ODD_BITS & !follows;
+        let (sum, overflow) = odd_starts.overflowing_add(backslashes);
+        *carry = u64::from(overflow);
+        (EVEN_BITS ^ (sum << 1)) & follows
+    }
+
+    /// Appends the bytes of `v` that `keep` selects, in lane order.
+    #[inline]
+    #[target_feature(enable = "avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    fn put_compressed(out: &mut Out, keep: u64, v: __m512i) {
+        let len = keep.count_ones() as usize;
+        let dst = &mut out.buf[out.at..out.at + len];
+        // SAFETY: the mask writes the `len` bytes of `dst`.
+        unsafe {
+            _mm512_mask_storeu_epi8(
+                dst.as_mut_ptr().cast(),
+                low_bits(len),
+                _mm512_maskz_compress_epi8(keep, v),
+            );
+        }
+        out.at += len;
+    }
+
+    /// Unescapes `bytes[i..end]` onto `out`, 64 input bytes per step. A
+    /// `\u` escape or a bad one goes to [`unescape_one`] at its backslash,
+    /// which reads it whole even where it crosses `end`.
+    #[target_feature(enable = "avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")]
+    pub(super) fn unescape(
+        bytes: &[u8],
+        mut i: usize,
+        end: usize,
+        out: &mut Out,
+    ) -> Result<(), JsonError> {
+        // Every load below stays inside `bytes[..end]`.
+        assert!(end <= bytes.len(), "the escaped span ends inside the text");
+        let backslash = _mm512_set1_epi8(b'\\' as i8);
+        // SAFETY: each half of the table is 64 bytes long.
+        let (table_low, table_high) = unsafe {
+            (
+                _mm512_loadu_si512(SHORT_ESCAPES[..64].as_ptr().cast()),
+                _mm512_loadu_si512(SHORT_ESCAPES[64..128].as_ptr().cast()),
+            )
+        };
+        let mut carry = 0;
+        while i < end {
+            let n = (end - i).min(64);
+            let lanes = low_bits(n);
+            // SAFETY: the mask reads bytes i..i + n, all before `end`, so
+            // inside `bytes`; masked-off lanes are not read.
+            let x = unsafe { _mm512_maskz_loadu_epi8(lanes, bytes.as_ptr().add(i).cast()) };
+            let backslashes = _mm512_mask_cmpeq_epi8_mask(lanes, x, backslash);
+            let escaped = escaped_bytes(backslashes, &mut carry);
+            // The backslashes that escape a byte of this block or the next
+            // block's first.
+            let escapers = (escaped >> 1) | (carry << 63);
+            let in_block = escaped & lanes;
+            // Each ASCII byte's short escape, from the table's first 128
+            // entries; 0 for a `u`, a bad escape or a non-ASCII byte.
+            let letters = _mm512_maskz_mov_epi8(
+                !_mm512_movepi8_mask(x),
+                _mm512_permutex2var_epi8(table_low, x, table_high),
+            );
+            let short = _mm512_mask_test_epi8_mask(in_block, letters, letters);
+            let mapped = _mm512_mask_mov_epi8(x, in_block, letters);
+            // An escaped byte the table does not map, or one past the text
+            // (only where the text ends in an escaping backslash).
+            let long = (in_block & !short) | (escaped & !lanes);
+            if long != 0 {
+                // The escape's backslash is at i + at - 1, in this block or,
+                // for at = 0, the last of the previous one.
+                let at = long.trailing_zeros() as usize;
+                put_compressed(
+                    out,
+                    lanes & !escapers & low_bits(at.saturating_sub(1)),
+                    mapped,
+                );
+                i = unescape_one(bytes, i + at - 1, out)?;
+                carry = 0;
+                continue;
+            }
+            put_compressed(out, lanes & !escapers, mapped);
+            i += n;
+        }
+        if carry != 0 {
+            // The text ends in an escaping backslash.
+            unescape_one(bytes, end - 1, out)?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The string-kernel levels this host runs, words first.
+    fn detected_levels() -> Vec<Isa> {
+        let mut levels = vec![Isa::Words];
+        #[cfg(target_arch = "x86_64")]
+        levels.extend(Some(Isa::Vbmi2).filter(|isa| isa.detected()));
+        levels
+    }
+
+    /// The offsets around the first three step edges of both VBMI2 kernels
+    /// (32 input bytes per render step, 64 per parse step).
+    fn near_step_edges() -> impl Iterator<Item = usize> + Clone {
+        [28..37, 60..69, 92..101, 124..133].into_iter().flatten()
+    }
+
+    /// Prints which levels a test checks, so a log shows when a host
+    /// without VBMI2 checked only the words.
+    fn checked_levels() -> Vec<Isa> {
+        let levels = detected_levels();
+        println!("json string kernels checked at levels: {levels:?}");
+        levels
+    }
+
+    /// At every level, `value` renders byte for byte as the per-char
+    /// string oracle renders it, into a buffer its rendered length sizes
+    /// exactly, and parses back to itself.
+    pub(crate) fn assert_frame_matches_the_oracle(value: &Json<'_>) {
+        let mut per_char = String::new();
+        render_per_char(value, &mut per_char);
+        for isa in checked_levels() {
+            let mut out = Vec::with_capacity(value.rendered_len());
+            value.render_at(isa, &mut out);
+            // `assert!`, so a failure does not print a 100 KB frame.
+            assert!(out == per_char.as_bytes(), "{isa:?}: the frame differs");
+            assert_eq!(out.len(), out.capacity(), "{isa:?}: sized once, exactly");
+            assert!(parse_at(isa, &per_char).unwrap() == *value, "{isa:?}");
+        }
+    }
+
+    /// `value` rendered with the per-char string oracle.
+    fn render_per_char(value: &Json<'_>, out: &mut String) {
+        match value {
+            Json::Str(s) => render_string_per_char(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    render_per_char(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    render_string_per_char(k, out);
+                    out.push(':');
+                    render_per_char(v, out);
+                }
+                out.push('}');
+            }
+            scalar => out.push_str(&scalar.render()),
+        }
+    }
 
     #[test]
     fn roundtrips_nested_values() {
@@ -840,13 +1210,16 @@ mod tests {
         corpus
     }
 
+    /// Every escape class, controls that take `\u00XX`, ASCII and
+    /// multibyte characters: the pool random strings are drawn from.
+    const ESCAPE_HEAVY: &str = "\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}ab #]0 é€🎯\u{2028}\u{fffd}";
+
     #[test]
     fn render_string_matches_the_per_char_renderer() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let pool: Vec<char> = "\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}ab #]0 é€🎯\u{2028}\u{fffd}"
-            .chars()
-            .collect();
+        checked_levels();
+        let pool: Vec<char> = ESCAPE_HEAVY.chars().collect();
         let mut rng = StdRng::seed_from_u64(16);
         let mut draw = |len: usize| -> String {
             (0..len)
@@ -872,18 +1245,28 @@ mod tests {
         }
     }
 
-    /// `s` renders as the per-char oracle renders it, into a buffer its
-    /// rendered length sizes exactly, and parses back to itself; the
-    /// oracle's text also unescapes like the per-escape parser.
+    /// At every level, `s` renders as the per-char oracle renders it, into
+    /// a buffer its rendered length sizes exactly, and parses back to
+    /// itself; the oracle's text also unescapes like the per-escape parser.
     fn assert_kernels_match_the_oracle(s: &str) {
         let value = Json::Str(s.into());
-        let mut words = Vec::with_capacity(value.rendered_len());
-        render_string(s, &mut words);
         let mut per_char = String::new();
         render_string_per_char(s, &mut per_char);
-        assert_eq!(words, per_char.as_bytes(), "{s:?}");
-        assert_eq!(words.len(), words.capacity(), "{s:?}: sized once, exactly");
-        assert_eq!(parse(&per_char).unwrap().as_str(), Some(s));
+        for isa in detected_levels() {
+            let mut rendered = Vec::with_capacity(value.rendered_len());
+            render_string(isa, s, &mut rendered);
+            assert_eq!(rendered, per_char.as_bytes(), "{isa:?}: {s:?}");
+            assert_eq!(
+                rendered.len(),
+                rendered.capacity(),
+                "{isa:?}: {s:?}: sized once"
+            );
+            assert_eq!(
+                parse_at(isa, &per_char).unwrap().as_str(),
+                Some(s),
+                "{isa:?}"
+            );
+        }
         assert_unescapes_like_the_per_escape_parser(&per_char);
     }
 
@@ -937,26 +1320,33 @@ mod tests {
         }
     }
 
+    /// At every level, `literal` unescapes to the per-escape parser's
+    /// value or error, and a value ends where the oracle's does.
     fn assert_unescapes_like_the_per_escape_parser(literal: &str) {
-        let (mut at, mut oracle_at) = (0, 0);
-        let got = parse_string(literal, &mut at);
+        let mut oracle_at = 0;
         let want = parse_string_per_escape(literal, &mut oracle_at);
-        assert_eq!(got, want, "{literal:?}");
-        if got.is_ok() {
-            assert_eq!(at, oracle_at, "{literal:?}");
+        for isa in detected_levels() {
+            let mut at = 0;
+            let got = parse_string(isa, literal, &mut at);
+            assert_eq!(got, want, "{isa:?}: {literal:?}");
+            if got.is_ok() {
+                assert_eq!(at, oracle_at, "{isa:?}: {literal:?}");
+            }
         }
     }
 
     /// Every byte the renderer escapes, and the bytes a borrow out of a
     /// true hit can also flag (`#` after `"`, `]` after `\\`, space after a
-    /// control), at every offset of two words. A padding of 16 bytes puts
-    /// each case inside the word loop as well as in the byte tail.
+    /// control), at every offset of two words and around the first step
+    /// edges of the VBMI2 render. A padding of 16 bytes puts each case
+    /// inside the word loop as well as in the byte tail.
     #[test]
     fn every_special_byte_at_every_offset_matches_the_oracle() {
+        checked_levels();
         let specials = (0u8..0x20).chain([b'"', b'\\']);
         for special in specials {
             let special = char::from(special).to_string();
-            for offset in 0..16 {
+            for offset in (0..16).chain(near_step_edges()) {
                 for tail in ["", "z", "\n", " ", "#", "]", "é€🎯", "abcdefghijklmnopq"] {
                     let s = "a".repeat(offset) + &special + tail;
                     assert_kernels_match_the_oracle(&s);
@@ -972,12 +1362,14 @@ mod tests {
         }
     }
 
-    /// Multibyte characters that straddle a word edge, with and without an
-    /// escape in the same word, inside the word loop and in the tail.
+    /// Multibyte characters that straddle a word edge or a VBMI2 step
+    /// edge, with and without an escape in the same word, inside the word
+    /// loop and in the tail.
     #[test]
     fn multibyte_chars_straddling_word_edges_match_the_oracle() {
+        checked_levels();
         for c in ['é', '€', '🎯', '\u{2028}', '\u{7f}', '\u{80}'] {
-            for before in 0..17 {
+            for before in (0..17).chain(near_step_edges()) {
                 for after in ["", "\n", "x\"", "\\", "tail of the text"] {
                     for pad in ["", "0123456789abcdef"] {
                         let s = "a".repeat(before) + &c.to_string() + after + pad;
@@ -990,12 +1382,14 @@ mod tests {
         }
     }
 
-    /// Every form a `\u` escape takes, valid or not, at every offset of a
-    /// word, in the word loop and in the byte tail, unescapes like the
-    /// per-escape parser: same text, same end, same error at the same
-    /// byte.
+    /// Every form a `\u` escape takes, valid or not, and bad escapes, at
+    /// every offset of a word, in the word loop and in the byte tail, and
+    /// (behind a first escape, where the VBMI2 parse steps start) around
+    /// its first step edges, unescapes like the per-escape parser: same
+    /// text, same end, same error at the same byte.
     #[test]
     fn every_unicode_escape_form_unescapes_like_the_oracle() {
+        checked_levels();
         let forms = [
             r"\u0000",
             r"\u001f",
@@ -1023,12 +1417,19 @@ mod tests {
             r"\u",
             r"\u00é",
             r"\u-001",
+            r"\q",
+            r"\U0041",
+            "\\é",
+            "\\\n",
         ];
+        let offsets = (0..10)
+            .map(|before| ("", before))
+            .chain(near_step_edges().map(|before| (r"\n", before)));
         for form in forms {
-            for before in 0..10 {
+            for (prefix, before) in offsets.clone() {
                 for after in ["", "x", "\\n", "\\\\", "\\\"", "abcdefgh", "é"] {
                     for pad in ["", "0123456789abcdef"] {
-                        let body = "a".repeat(before) + form + after + pad;
+                        let body = prefix.to_string() + &"a".repeat(before) + form + after + pad;
                         assert_unescapes_like_the_per_escape_parser(&format!("\"{body}\""));
                         assert_unescapes_like_the_per_escape_parser(&format!("\"{body}"));
                     }
@@ -1044,6 +1445,7 @@ mod tests {
     fn escape_sequences_and_bad_literals_unescape_like_the_oracle() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        checked_levels();
         let tokens = [
             "a",
             "é",
@@ -1159,6 +1561,63 @@ mod tests {
                 .map(|_| soup[rng.random_range(0..soup.len())])
                 .collect();
             let _ = parse(&text);
+        }
+    }
+
+    /// Runs of one to five backslashes (escaped text, so a run's parity
+    /// decides what follows it) ending at and around a parse step edge,
+    /// then a short escape, a `\u` escape, a bad escape, the quote, a
+    /// multibyte char or the text's end.
+    #[test]
+    fn backslash_runs_ending_on_a_step_edge_unescape_like_the_oracle() {
+        checked_levels();
+        for run in 1..=5 {
+            for end in near_step_edges() {
+                for prefix in [r"\n", "a"] {
+                    // The run's last backslash is byte `end` of the body.
+                    let filler = "b".repeat(end + 1 - run - prefix.len());
+                    let head = prefix.to_string() + &filler + &"\\".repeat(run);
+                    for next in ["n", "\"", "u00e9", "u12", "q", "é", "x\\\\", ""] {
+                        let body = head.clone() + next;
+                        assert_unescapes_like_the_per_escape_parser(&format!("\"{body}\"rest"));
+                        assert_unescapes_like_the_per_escape_parser(&format!("\"{body}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every byte the renderer escapes at every offset of an edge list,
+    /// whose `\n` every few bytes is the serve wire's common case. A
+    /// control that takes `\u00XX` sends its render block to the word
+    /// step while the blocks around it stay on the level's own kernel.
+    #[test]
+    fn every_special_byte_amid_an_edge_list_matches_the_oracle() {
+        checked_levels();
+        let edge_list: String = (0..30).map(|i| format!("{} {}\n", i % 7, i / 2)).collect();
+        for special in (0u8..0x20).chain([b'"', b'\\']).map(char::from) {
+            for at in 0..=edge_list.len() {
+                let mut s = edge_list.clone();
+                s.insert(at, special);
+                assert_kernels_match_the_oracle(&s);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Strings drawn from the escape-heavy pool render as the per-char
+        /// oracle renders them and parse back to themselves, at every level.
+        #[test]
+        fn escape_heavy_strings_roundtrip_at_every_level(
+            chars in proptest::collection::vec(
+                proptest::sample::select(ESCAPE_HEAVY.chars().collect::<Vec<char>>()),
+                0..300,
+            ),
+        ) {
+            let s: String = chars.into_iter().collect();
+            assert_kernels_match_the_oracle(&s);
         }
     }
 }

@@ -116,14 +116,22 @@ impl Request {
         Json::obj([("type", Json::Str("submit".into())), ("job", job.to_json())])
     }
 
-    /// Parses the wire form.
+    /// Parses the wire form, copying its strings out of `json`: what
+    /// callers holding a borrowed frame use. See [`Request::decode`].
     pub fn from_json(json: &Json<'_>) -> Result<Request, ServeError> {
+        Request::decode(json.clone())
+    }
+
+    /// Parses the wire form by value, moving its strings (a submit's graph
+    /// text among them) out of the frame instead of copying them: what
+    /// the daemon calls on each frame it reads.
+    pub fn decode(mut json: Json<'_>) -> Result<Request, ServeError> {
         match json.get("type").and_then(Json::as_str) {
             Some("submit") => {
                 let job = json
-                    .get("job")
+                    .take("job")
                     .ok_or_else(|| ServeError::Protocol("submit missing \"job\"".into()))?;
-                Ok(Request::Submit(JobSpec::from_json(job)?))
+                Ok(Request::Submit(JobSpec::decode(job)?))
             }
             Some("query") => {
                 let key = json
@@ -208,15 +216,19 @@ const NIBBLES: [u8; 256] = {
     table
 };
 
-/// Hex-encodes payload bytes for the wire.
+/// Hex-encodes payload bytes for the wire: two digits per byte, written
+/// into a buffer sized once.
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
-        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+    let mut out = vec![0; bytes.len() * 2];
+    for (digits, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        digits[0] = HEX_DIGITS[usize::from(b >> 4)];
+        digits[1] = HEX_DIGITS[usize::from(b & 0xf)];
     }
-    out
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
+
+/// How many hex digits [`from_hex`] checks with one fold.
+const HEX_CHUNK: usize = 64;
 
 /// Decodes wire hex back to bytes. Only the form [`to_hex`] writes is
 /// accepted: an even number of lower-case hex digits.
@@ -224,16 +236,25 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, ServeError> {
     if !text.len().is_multiple_of(2) {
         return Err(ServeError::Protocol("odd-length hex payload".into()));
     }
-    text.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| {
+    let mut out = vec![0; text.len() / 2];
+    for (digits, bytes) in text
+        .as_bytes()
+        .chunks(HEX_CHUNK)
+        .zip(out.chunks_mut(HEX_CHUNK / 2))
+    {
+        // A digit's nibble is at most 0xf and any other byte's 0xff, so
+        // one OR over the chunk tells whether every digit was one.
+        let mut nibbles = 0;
+        for (pair, byte) in digits.chunks_exact(2).zip(bytes) {
             let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
-            if (hi | lo) > 0xf {
-                return Err(ServeError::Protocol("bad hex payload".into()));
-            }
-            Ok((hi << 4) | lo)
-        })
-        .collect()
+            nibbles |= hi | lo;
+            *byte = (hi << 4) | lo;
+        }
+        if nibbles > 0xf {
+            return Err(ServeError::Protocol("bad hex payload".into()));
+        }
+    }
+    Ok(out)
 }
 
 impl Response {
@@ -432,6 +453,85 @@ mod tests {
         assert!(from_hex("abc").is_err());
         let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(to_hex(&bytes), formatted);
+    }
+
+    /// The per-byte encoder [`to_hex`] replaced: the oracle it must match.
+    fn to_hex_per_byte(bytes: &[u8]) -> String {
+        let mut out = String::with_capacity(bytes.len() * 2);
+        for &b in bytes {
+            out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+            out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+        }
+        out
+    }
+
+    /// The per-pair decoder [`from_hex`] replaced: the oracle it must match
+    /// in value and in error.
+    fn from_hex_per_pair(text: &str) -> Result<Vec<u8>, ServeError> {
+        if !text.len().is_multiple_of(2) {
+            return Err(ServeError::Protocol("odd-length hex payload".into()));
+        }
+        text.as_bytes()
+            .chunks_exact(2)
+            .map(|pair| {
+                let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+                if (hi | lo) > 0xf {
+                    return Err(ServeError::Protocol("bad hex payload".into()));
+                }
+                Ok((hi << 4) | lo)
+            })
+            .collect()
+    }
+
+    /// Strings holding each byte that is not a lower-case hex digit: the
+    /// byte itself below 0x80, and above it a shortest UTF-8 sequence that
+    /// holds it. (0xc0, 0xc1 and 0xf5–0xff never occur in UTF-8, so no
+    /// `&str` can hold them.)
+    fn strings_with_every_non_digit_byte() -> Vec<String> {
+        let mut sequences: Vec<Vec<u8>> = (0u8..0x80)
+            .filter(|b| !HEX_DIGITS.contains(b))
+            .map(|b| vec![b])
+            .collect();
+        sequences.extend((0x80..=0xbf).map(|b| vec![0xc2, b]));
+        sequences.extend((0xc2..=0xdf).map(|b| vec![b, 0x80]));
+        sequences.push(vec![0xe0, 0xa0, 0x80]);
+        sequences.extend((0xe1..=0xef).map(|b| vec![b, 0x80, 0x80]));
+        sequences.push(vec![0xf0, 0x90, 0x80, 0x80]);
+        sequences.extend((0xf1..=0xf4).map(|b| vec![b, 0x80, 0x80, 0x80]));
+        sequences
+            .into_iter()
+            .map(|bytes| String::from_utf8(bytes).expect("a valid UTF-8 sequence"))
+            .collect()
+    }
+
+    /// The chunked codec equals the per-byte one on random payloads of
+    /// every length up to a few chunks and at the benchmark's regen size,
+    /// and fails as it fails with each non-digit byte at every offset of a
+    /// payload spanning several chunks.
+    #[test]
+    fn hex_codec_matches_the_per_byte_code() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        for len in (0..300).chain([4096, 25_456, 65_537]) {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.random_range(0..=255u8)).collect();
+            let hex = to_hex(&bytes);
+            assert_eq!(hex, to_hex_per_byte(&bytes), "{len} bytes");
+            assert_eq!(from_hex(&hex), Ok(bytes), "{len} bytes");
+        }
+        let valid = to_hex(&(0..=100u8).collect::<Vec<_>>());
+        for bad in strings_with_every_non_digit_byte() {
+            for at in 0..=valid.len() - bad.len() {
+                // Replacing as many digits as the string has bytes keeps
+                // the length even.
+                let text = valid[..at].to_string() + &bad + &valid[at + bad.len()..];
+                let decoded = from_hex(&text);
+                assert!(decoded.is_err(), "{text:?}");
+                assert_eq!(decoded, from_hex_per_pair(&text), "{text:?}");
+                let odd = valid[..at].to_string() + &bad + &valid[at..];
+                assert_eq!(from_hex(&odd), from_hex_per_pair(&odd), "{odd:?}");
+            }
+        }
     }
 
     /// A multi-byte character must be an error, not a slice through a

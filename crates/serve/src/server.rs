@@ -26,10 +26,11 @@
 //! byte-identical payload.
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::job::{
     decode_experiment, encode_experiment, experiment_cell_key, resolve_experiment_ids, JobSpec,
@@ -43,6 +44,14 @@ use iabc_analysis::sweep::{run_cells_memo, CellCoords, CellMemo};
 
 /// Default connection-thread bound when the config leaves it at `0`.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 8;
+
+/// How long a connection handler waits on any one read or write of its
+/// client's socket before it gives the connection up. A client that
+/// connects and sends nothing, stops halfway through a frame, or stops
+/// reading its answer would otherwise hold a `--max-conn` permit forever.
+/// A miss computes without waiting on the socket, so this does not bound
+/// how long a job may run.
+pub const CONNECTION_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -84,6 +93,10 @@ pub struct ServerStats {
     /// Submits whose topology fingerprint came from the daemon's
     /// [`TopologyMemo`], without reading their edge lists.
     pub keyed_from_memo: usize,
+    /// Connections given up because a read or write on them waited past
+    /// [`CONNECTION_TIMEOUT`]. Each ended its handler and released its
+    /// connection permit.
+    pub timeouts: usize,
 }
 
 /// One in-flight compute that identical submissions can park on.
@@ -227,6 +240,10 @@ pub struct Server {
     shared: Arc<Shared>,
     accept_limit: Option<usize>,
     max_connections: usize,
+    /// Replaces [`CONNECTION_TIMEOUT`] on the streams accepted after it is
+    /// set, so a test of the timeout runs in a fraction of a second.
+    #[cfg(test)]
+    connection_timeout: Duration,
 }
 
 /// A [`CellMemo`] over the store for experiment cells: the same key schema
@@ -488,28 +505,82 @@ fn compute_and_insert(
     })
 }
 
-/// Handles one accepted connection against the shared state. `addr` is
-/// the listener's own address, used to wake a blocked `accept()` when a
-/// shutdown request arrives.
-fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
+/// An accepted stream that remembers whether a read or write on it
+/// timed out, and sends nothing more once one has: each later write
+/// would wait out the timeout again.
+struct Connection {
+    stream: TcpStream,
+    timed_out: bool,
+}
+
+impl Connection {
+    /// `result`, with a timeout among its errors noted.
+    fn note<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &result {
+            self.timed_out |= matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+        }
+        result
+    }
+
+    /// Writes one response frame. A failed write (the client hung up, or
+    /// stopped reading) leaves nothing to answer, so it is not reported.
+    fn send(&mut self, response: &Response) {
+        let _ = write_frame(self, &response.to_json());
+    }
+}
+
+impl Read for Connection {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let result = self.stream.read(buf);
+        self.note(result)
+    }
+}
+
+impl Write for Connection {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.timed_out {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        let result = self.stream.write(buf);
+        self.note(result)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Handles one accepted connection against the shared state, and counts
+/// it in [`ServerStats::timeouts`] if a read or write on it timed out.
+/// `addr` is the listener's own address, used to wake a blocked
+/// `accept()` when a shutdown request arrives.
+fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
     #[cfg(test)]
     if shared.panic_next_handler.swap(false, Ordering::SeqCst) {
         panic!("injected connection handler panic");
     }
-    let request = match read_frame(&mut stream) {
-        Ok(Some(json)) => Request::from_json(&json),
+    let mut conn = Connection {
+        stream,
+        timed_out: false,
+    };
+    answer_connection(&mut conn, shared, addr);
+    if conn.timed_out {
+        shared.stats.lock().unwrap().timeouts += 1;
+    }
+}
+
+/// Reads one request from `conn` and answers it.
+fn answer_connection(conn: &mut Connection, shared: &Shared, addr: SocketAddr) {
+    let request = match read_frame(conn) {
+        Ok(Some(json)) => Request::decode(json),
         Ok(None) => return,
         Err(e) => Err(e),
     };
     match request {
         Ok(Request::Shutdown) => {
-            let _ = write_frame(
-                &mut stream,
-                &Response::Error {
-                    message: "shutting down".into(),
-                }
-                .to_json(),
-            );
+            conn.send(&Response::Error {
+                message: "shutting down".into(),
+            });
             shared.shutdown.store(true, Ordering::SeqCst);
             // The accept loop may be parked in accept(); a throwaway
             // connection unblocks it so it can observe the flag.
@@ -529,7 +600,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
                 }
                 None => Response::Absent { key },
             };
-            let _ = write_frame(&mut stream, &response.to_json());
+            conn.send(&response);
         }
         Ok(Request::Compact) => {
             let response = match shared.store.compact() {
@@ -544,7 +615,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
                     message: format!("compaction failed: {e}"),
                 },
             };
-            let _ = write_frame(&mut stream, &response.to_json());
+            conn.send(&response);
         }
         Ok(Request::Submit(job)) => {
             let result = job.key_with(&shared.memo).and_then(|key| {
@@ -555,15 +626,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
                     key,
                     shared.jobs,
                     |done, total, label| {
-                        let _ = write_frame(
-                            &mut stream,
-                            &Response::Progress {
-                                done,
-                                total,
-                                label: label.to_string(),
-                            }
-                            .to_json(),
-                        );
+                        conn.send(&Response::Progress {
+                            done,
+                            total,
+                            label: label.to_string(),
+                        });
                     },
                 )
             });
@@ -577,28 +644,16 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, addr: SocketAddr) {
                             SubmitDisposition::Coalesced => stats.job_coalesced += 1,
                         }
                     }
-                    let _ = write_frame(&mut stream, &response.to_json());
+                    conn.send(&response);
                 }
-                Err(e) => {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Response::Error {
-                            message: e.to_string(),
-                        }
-                        .to_json(),
-                    );
-                }
+                Err(e) => conn.send(&Response::Error {
+                    message: e.to_string(),
+                }),
             }
         }
-        Err(e) => {
-            let _ = write_frame(
-                &mut stream,
-                &Response::Error {
-                    message: e.to_string(),
-                }
-                .to_json(),
-            );
-        }
+        Err(e) => conn.send(&Response::Error {
+            message: e.to_string(),
+        }),
     }
 }
 
@@ -637,6 +692,8 @@ impl Server {
             } else {
                 config.max_connections
             },
+            #[cfg(test)]
+            connection_timeout: CONNECTION_TIMEOUT,
         })
     }
 
@@ -658,6 +715,10 @@ impl Server {
     /// panics is counted ([`ServerStats::handler_panics`]), not re-raised.
     pub fn run(&mut self) -> Result<ServerStats, ServeError> {
         let addr = self.local_addr()?;
+        #[cfg(not(test))]
+        let timeout = CONNECTION_TIMEOUT;
+        #[cfg(test)]
+        let timeout = self.connection_timeout;
         let semaphore = Arc::new(Semaphore::new(self.max_connections));
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut accepted = 0usize;
@@ -678,6 +739,9 @@ impl Server {
             // Responses are single small frames; Nagle would hold them
             // for a delayed-ACK round trip.
             let _ = stream.set_nodelay(true);
+            // Neither fails for a non-zero duration.
+            let _ = stream.set_read_timeout(Some(timeout));
+            let _ = stream.set_write_timeout(Some(timeout));
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 // The wake-up connection from the shutdown handler; not a
                 // client, not counted.
@@ -937,6 +1001,41 @@ mod tests {
         let stats = daemon.join().unwrap().unwrap();
         assert_eq!((stats.handler_panics, stats.keyed_from_memo), (1, 0));
         assert_eq!((stats.connections, stats.job_misses), (2, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A client that connects and sends nothing, and one that stops
+    /// halfway through a length prefix, each give their `--max-conn`
+    /// permit up when a read times out: at one permit, a submit queued
+    /// behind both is still answered, and both timeouts are counted when
+    /// the daemon exits.
+    #[test]
+    fn idle_clients_time_out_and_release_their_permits() {
+        let (mut server, dir) = bind_daemon("idle", 3, 1);
+        server.connection_timeout = Duration::from_millis(200);
+        let addr = server.local_addr().unwrap().to_string();
+        let daemon = std::thread::spawn(move || server.run());
+
+        let idle = TcpStream::connect(&addr).unwrap();
+        let mut half = TcpStream::connect(&addr).unwrap();
+        half.write_all(&[7, 0]).unwrap();
+        // Without the timeouts the idle client's handler holds the one
+        // permit for good, so the submit runs under a deadline.
+        let good = scenario("3\n0 1\n1 0\n1 2\n2 1\n");
+        let (tx, rx) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let _ = tx.send(crate::submit(&addr, &good));
+        });
+        let answer = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the submit behind two idle clients went unanswered");
+        client.join().unwrap();
+        assert!(!answer.unwrap().cache_hit);
+        drop((idle, half));
+
+        let stats = daemon.join().unwrap().unwrap();
+        assert_eq!((stats.timeouts, stats.handler_panics), (2, 0));
+        assert_eq!((stats.connections, stats.job_misses), (3, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
